@@ -1,24 +1,40 @@
 """Exact discrete transport solves: primal, dual potentials, partial relaxation.
 
-All solves are linear programs handed to HiGHS (scipy.optimize.linprog).
-Arcs with +inf cost are simply omitted from the variable set, so forbidden
-pairs can never carry mass and infeasibility of the remaining finite-arc
-program is exactly the statement "no finite-cost coupling exists".
+Every solve takes one of two paths, picked from the input alone:
+
+* **assignment** -- C is square, every weight of both marginals is the same
+  w > 0 (to 1e-12 relative), and the cap on dropped mass is k*w for an
+  integer k (a full solve is k = 0).  The transport polytope is then
+  w * Birkhoff, so the solve is an assignment problem, handed to
+  scipy.optimize.linear_sum_assignment.  A partial solve adds k dummy rows
+  and k dummy columns at cost 0 (Chapel, Alaya & Gasso, NeurIPS 2020); the
+  zero dummy-dummy block lets it drop fewer than k atoms, which keeps the
+  reduction exact under negative costs.  Network flows with integral data
+  have integral optima, so the value is the LP value exactly.
+* **highs** -- everything else (non-square C, unequal or zero weights, a
+  cap that is no multiple of w) is a linear program handed to HiGHS
+  (scipy.optimize.linprog), which is also the cross-check of the first path.
+
+On both paths arcs with a non-finite cost are forbidden, so they can never
+carry mass, and infeasibility over the remaining arcs is exactly the
+statement "no finite-cost coupling exists".
 
 Dual potentials are the equality-constraint multipliers of the optimal
-basis; by LP duality their objective equals the primal value, and the
-feasibility slack phi[i] + psi[j] - C[i][j] is non-positive on every finite
-arc up to solver tolerance (tightened well below the 1e-9 contract).
+basis on the HiGHS path, and shortest-path distances on the residual graph
+of the optimal assignment on the other.  Either way their objective equals
+the primal value of a full solve, and the feasibility slack
+phi[i] + psi[j] - C[i][j] is non-positive on every finite arc up to solver
+tolerance (well below the 1e-9 contract).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from .core import INF, MASS_TOL, DiscreteMeasure
 
@@ -45,6 +61,11 @@ SUPPORT_TOL = 1e-12
 
 #: primal/dual agreement required of an optimal report
 DUALITY_TOL = 1e-7
+
+#: relative spread allowed among equal weights, and between a slack cap and
+#: k times the weight, on the assignment path (n=7's cell weights differ by
+#: one ulp)
+UNIFORM_RTOL = 1e-12
 
 
 class InputError(ValueError):
@@ -117,6 +138,7 @@ class SolveReport:
     status: str  # optimal | infeasible_finite | degenerate
     plan: TransportPlan | None = None
     potentials: DualPotentials | None = None
+    path: str = "highs"  # assignment | highs: the solver path that ran
 
     def to_json_dict(self, include_dense: bool = False) -> dict:
         d = {
@@ -160,7 +182,99 @@ def _transport_lp(
     b: np.ndarray,
     slack_cap: float | None = None,
 ) -> SolveReport:
-    """Min-cost (sub-)coupling LP over the finite arcs of C.
+    """Min-cost (sub-)coupling over the finite arcs of C, dropping at most
+    ``slack_cap`` mass on each side; exact assignment when the input allows
+    it (see the module docstring), HiGHS otherwise."""
+    k = _assignment_drops(C, a, b, slack_cap)
+    if k is None:
+        return _highs_lp(C, a, b, slack_cap)
+    return _assignment_lp(C, a, b, k)
+
+
+def _assignment_drops(
+    C: np.ndarray, a: np.ndarray, b: np.ndarray, slack_cap: float | None
+) -> int | None:
+    """Number k of atoms the solve may drop when it is an assignment problem
+    (C square, all weights one w > 0, slack_cap = k*w), else None."""
+    n, m = C.shape
+    if n != m:
+        return None
+    w = float(a.mean())
+    if not w > 0:
+        return None
+    tol = UNIFORM_RTOL * w
+    if np.abs(a - w).max() > tol or np.abs(b - w).max() > tol:
+        return None
+    if slack_cap is None:
+        return 0
+    k = round(slack_cap / w)
+    if abs(slack_cap - k * w) > UNIFORM_RTOL * max(slack_cap, w):
+        return None
+    return k
+
+
+def _assignment_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray, k: int) -> SolveReport:
+    """Exact solve of a transport problem with n equal weights w that may drop
+    k atoms: an (n+k) x (n+k) assignment with k zero-cost dummy rows and
+    columns, each real matched arc carrying mass w."""
+    n = C.shape[0]
+    w = float(a.mean())
+    D = np.zeros((n + k, n + k))
+    D[:n, :n] = np.where(np.isfinite(C), C, INF)
+    try:
+        _, col = linear_sum_assignment(D)
+    except ValueError:  # no perfect matching over the finite arcs
+        return SolveReport(value=INF, status="infeasible_finite", path="assignment")
+    u, v = _assignment_potentials(D, col)
+    rows = np.flatnonzero(col[:n] < n)
+    cols = col[rows]
+    plan = np.zeros((n, n))
+    plan[rows, cols] = w
+    phi, psi = u[:n], v[:n]
+    return SolveReport(
+        value=w * float(C[rows, cols].sum()),
+        status="optimal",
+        plan=TransportPlan(plan),
+        potentials=DualPotentials(
+            phi=phi, psi=psi, objective=float(phi @ a + psi @ b)
+        ),
+        path="assignment",
+    )
+
+
+def _assignment_potentials(
+    D: np.ndarray, col: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dual pair (u, v) of the optimal assignment i -> col[i]: u_i + v_j <= D_ij
+    on every finite arc, with equality on the matched arcs.
+
+    Bellman-Ford on the residual graph, from u = 0: each sweep sets
+    u_i = D_i,col[i] - v_col[i], which makes the matched arcs tight, then
+    v_j = min_i (D_ij - u_i), which keeps the pair feasible.  u only grows,
+    and an optimal assignment leaves no negative cycle, so u repeats within
+    N + 1 sweeps; the cap only guards against rounding drift around a
+    zero-length cycle, and leaves the pair feasible if it is ever reached.
+    """
+    N = D.shape[0]
+    matched = D[np.arange(N), col]
+    u = np.zeros(N)
+    v = D.min(axis=0)
+    for _ in range(N + 1):
+        tight = matched - v[col]
+        if np.array_equal(tight, u):
+            break
+        u = tight
+        v = (D - u[:, None]).min(axis=0)
+    return u, v
+
+
+def _highs_lp(
+    C: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    slack_cap: float | None = None,
+) -> SolveReport:
+    """Min-cost (sub-)coupling LP over the finite arcs of C, solved by HiGHS.
 
     With ``slack_cap`` set, one zero-cost slack column per row and slack row
     per column is added and the dropped mass on each side is capped, which
@@ -253,12 +367,7 @@ def solve_dual(C: np.ndarray, mu, nu) -> SolveReport:
     report = solve_primal(C, mu, nu)
     if report.status != "optimal":
         return report
-    return SolveReport(
-        value=report.potentials.objective,
-        status="optimal",
-        plan=report.plan,
-        potentials=report.potentials,
-    )
+    return replace(report, value=report.potentials.objective)
 
 
 def solve_partial(C: np.ndarray, mu, nu, eps: float) -> SolveReport:

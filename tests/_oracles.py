@@ -100,6 +100,28 @@ def brute_force_primal(C, a, b):
     return best, best_plan
 
 
+def brute_force_partial_matching(C, w, k):
+    """Exact partial value on n atoms of weight w that may drop k atoms, by
+    enumerating every partial matching that keeps n - k pairs or more.
+
+    Integral optima suffice: the partial LP is a network flow with integral
+    data once scaled by w.  Sizes n <= 4 only.
+    """
+    C = np.asarray(C, dtype=float)
+    n = C.shape[0]
+    assert n <= 4, "oracle is for tiny instances"
+    best = math.inf
+    for perm in itertools.permutations(range(n)):
+        for keep in itertools.product((False, True), repeat=n):
+            if n - sum(keep) > k:
+                continue
+            pairs = [(i, perm[i]) for i in range(n) if keep[i]]
+            if any(math.isinf(C[i, j]) for i, j in pairs):
+                continue
+            best = min(best, w * sum(C[i, j] for i, j in pairs))
+    return best
+
+
 def greedy_row_drop_value(row_costs, mu_weights, eps):
     """Exact partial value when the cost depends on the row only: keep the
     cheapest rows, dropping eps mass from the most expensive ones."""

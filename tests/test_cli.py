@@ -81,7 +81,39 @@ class TestSolve:
         assert payload[0]["primal"] == 1.0
 
 
+    def test_one_solve_per_row(self, tmp_path, monkeypatch):
+        import gaplab.cli
+
+        calls = []
+        real = gaplab.cli.solve_primal
+        monkeypatch.setattr(
+            gaplab.cli, "solve_primal", lambda *a: calls.append(1) or real(*a)
+        )
+        monkeypatch.setattr(gaplab.cli, "solve_dual", None)  # never called
+        code, text = run(tmp_path, "solve", "--catalog", "diag_M", "--n", "4,8")
+        assert code == 0 and len(calls) == 2
+        assert text.splitlines()[1:] == [
+            "diag_M_2,4,0.5,0.5,optimal,0",
+            "diag_M_2,8,0.25,0.25,optimal,0",
+        ]
+
+
 class TestGapScan:
+    def test_one_primal_per_resolution(self, tmp_path, monkeypatch):
+        import gaplab.cli
+
+        calls = []
+        real = gaplab.cli.solve_primal
+        monkeypatch.setattr(
+            gaplab.cli, "solve_primal", lambda *a: calls.append(1) or real(*a)
+        )
+        code, text = run(
+            tmp_path, "gap-scan", "--catalog", "diag_inf", "--n", "4,8",
+            "--eps", "0.5,0.25,0.125",
+        )
+        assert code == 0 and len(calls) == 2
+        assert len(text.strip().splitlines()) == 1 + 6 + 1
+
     def test_diagonal_schedule(self, tmp_path):
         code, text = run(
             tmp_path, "gap-scan", "--catalog", "diag_inf", "--n", "4..16",

@@ -16,10 +16,27 @@ from gaplab import (
     solve_partial,
     solve_primal,
 )
-from gaplab.catalog import diag_M, fat_set, rational_nullmod, trivial_zero
-from gaplab.solver import DualPotentials, InputError, SolveReport, TransportPlan
+from gaplab.catalog import (
+    catalog_names,
+    diag_M,
+    fat_set,
+    get_instance,
+    rational_nullmod,
+    trivial_zero,
+)
+from gaplab.solver import (
+    DualPotentials,
+    InputError,
+    SolveReport,
+    TransportPlan,
+    _highs_lp,
+)
 
-from _oracles import brute_force_primal, greedy_row_drop_value
+from _oracles import (
+    brute_force_partial_matching,
+    brute_force_primal,
+    greedy_row_drop_value,
+)
 
 
 def uniform(n):
@@ -254,3 +271,150 @@ class TestStrongDuality:
         assert abs(p.value - d.value) <= 1e-7
         ok, _ = check_complementary_slackness(p, C)
         assert ok
+
+
+# ---------------------------------------------------------------------------
+# assignment path: uniform weights, cap k/n; HiGHS is the reference
+# ---------------------------------------------------------------------------
+
+
+def _certified(r, C, mu, nu, cap):
+    """Every assignment report carries its own evidence."""
+    ok, violations = check_complementary_slackness(r, C)
+    assert ok, violations
+    assert r.potentials.feasibility_slack(C) <= 1e-9
+    assert r.plan.is_subcoupling_of(mu, nu)
+    assert r.plan.total >= mu.total - (cap or 0.0) - 1e-12
+    carried = r.plan.mass > 0
+    assert r.value == pytest.approx(
+        float((C[carried] * r.plan.mass[carried]).sum()), rel=1e-12, abs=1e-12
+    )
+    if cap is None:
+        assert abs(r.value - r.potentials.objective) <= 1e-9 * max(1.0, abs(r.value))
+
+
+def _cross_check(C, mu, nu, k):
+    """solve_primal (k = 0) or solve_partial at eps = k/n against HiGHS."""
+    a, b, n = mu.weights, nu.weights, C.shape[0]
+    if k == 0:
+        got, cap = solve_primal(C, mu, nu), None
+    else:
+        got, cap = solve_partial(C, mu, nu, k / n), min(k / n, float(a.sum()))
+    ref = _highs_lp(np.asarray(C, dtype=float), a, b, cap)
+    assert got.path == "assignment" and ref.path == "highs"
+    assert got.status == ref.status
+    if got.status == "optimal":
+        assert got.value == pytest.approx(ref.value, rel=1e-12, abs=1e-12)
+        _certified(got, C, mu, nu, cap)
+    else:
+        assert got.value == ref.value == INF
+    return got
+
+
+def _drops(n):
+    return sorted({0, 1, 2, n} & set(range(n + 1)))
+
+
+class TestAssignmentPath:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 64])
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_matches_highs(self, name, n):
+        C, mu, nu = discretize(get_instance(name), n)
+        for k in _drops(n):
+            _cross_check(C, mu, nu, k)
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 16))
+    @settings(max_examples=25, deadline=None)
+    def test_random_finite_matches_highs(self, seed, n):
+        C, mu, nu = discretize(get_instance("random_finite", seed=seed, n=n), n)
+        for k in _drops(n):
+            _cross_check(C, mu, nu, k)
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 12))
+    @settings(max_examples=25, deadline=None)
+    def test_max_plan_mass_costs_match_highs(self, seed, n):
+        # -1 on the atoms of a set, 0 elsewhere: negative costs keep every
+        # atom they can, so the zero dummy-dummy block must absorb unused drops
+        rng = np.random.default_rng(seed)
+        C = np.where(rng.random((n, n)) < 0.3, -1.0, 0.0)
+        for k in _drops(n):
+            _cross_check(C, uniform(n), uniform(n), k)
+
+    @given(seed=st.integers(0, 5000), n=st.integers(1, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_brute_force_equivalence(self, seed, n):
+        rng = np.random.default_rng(seed)
+        C = rng.uniform(-1, 2, (n, n))
+        C[rng.random((n, n)) < 0.3] = INF
+        bf, _ = brute_force_primal(C, np.full(n, 1 / n), np.full(n, 1 / n))
+        for k in _drops(n):
+            r = _cross_check(C, uniform(n), uniform(n), k)
+            expected = bf if k == 0 else brute_force_partial_matching(C, 1 / n, k)
+            assert r.value == pytest.approx(expected, abs=1e-12)
+
+    def test_single_atom(self):
+        for c, full, dropped in ((3.0, 3.0, 0.0), (-2.0, -2.0, -2.0), (INF, INF, 0.0)):
+            C = np.array([[c]])
+            assert _cross_check(C, uniform(1), uniform(1), 0).value == full
+            assert _cross_check(C, uniform(1), uniform(1), 1).value == dropped
+
+    def test_row_all_forbidden(self):
+        C = np.array([[INF, INF, INF], [0.0, 1.0, INF], [2.0, 0.0, 1.0]])
+        r = _cross_check(C, uniform(3), uniform(3), 0)
+        assert r.status == "infeasible_finite" and r.plan is None
+        # dropping that row's atom (and one column's) makes it feasible
+        assert _cross_check(C, uniform(3), uniform(3), 1).value == pytest.approx(0.0)
+
+    def test_eps_at_or_above_total_mass(self):
+        rng = np.random.default_rng(3)
+        C = rng.uniform(-1, 1, (5, 5))
+        mu = nu = uniform(5)
+        ref = _highs_lp(C, mu.weights, nu.weights, 1.0)
+        for eps in (1.0, 1.5, 10.0):
+            r = solve_partial(C, mu, nu, eps)
+            assert r.path == "assignment"
+            assert r.value == pytest.approx(ref.value, abs=1e-12)
+            _certified(r, C, mu, nu, 1.0)
+
+    @pytest.mark.parametrize("M", [1e6, 1e12])
+    def test_very_large_finite_M(self, M):
+        C, mu, nu = discretize(diag_M(M), 16)
+        for k in _drops(16):
+            _cross_check(C, mu, nu, k)
+        C2 = np.where(np.isinf(C), M, C)  # diag_inf with M in place of +inf
+        for k in _drops(16):
+            _cross_check(C2, mu, nu, k)
+
+    def test_zero_weight_atom_goes_to_highs(self):
+        C = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        a = np.array([0.0, 0.5, 0.5])
+        for r in (solve_primal(C, a, a), solve_partial(C, a, a, 0.5)):
+            assert r.path == "highs"
+
+    def test_cap_off_the_atom_lattice_goes_to_highs(self):
+        # an approximate cell at n=16, s=8: eps = 1/n^3 is half an atom
+        n, s = 16, 8
+        a = np.full(s, 1.0 / (n * n * s))
+        C = np.random.default_rng(0).uniform(0, 1, (s, s))
+        r = solve_partial(C, a, a, 1.0 / n**3)
+        assert r.path == "highs"
+        assert r.plan.total == pytest.approx(a.sum() - 1.0 / n**3, abs=1e-12)
+
+    def test_non_square_goes_to_highs(self):
+        r = solve_primal(np.zeros((2, 3)), [0.5, 0.5], [1 / 3, 1 / 3, 1 / 3])
+        assert r.path == "highs" and r.value == 0.0
+
+    def test_one_ulp_spread_still_counts_as_uniform(self):
+        C, mu, nu = discretize(diag_inf(), 7)
+        assert np.ptp(mu.weights) > 0  # the cell widths differ in the last bit
+        assert solve_primal(C, mu, nu).path == "assignment"
+
+    def test_path_is_not_in_the_json_report(self):
+        r = solve_primal(np.zeros((2, 2)), uniform(2), uniform(2))
+        assert r.path == "assignment"
+        assert "path" not in r.to_json_dict(include_dense=True)
+        assert SolveReport(value=0.0, status="optimal").path == "highs"
+
+    def test_solve_dual_keeps_the_path(self):
+        C, mu, nu = discretize(diag_inf(), 8)
+        assert solve_dual(C, mu, nu).path == "assignment"
