@@ -53,7 +53,7 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         if np.isinf(v):
             return "inf" if v > 0 else "-inf"
-        return f"{v:.12g}"
+        return f"{v + 0.0:.12g}"  # + 0.0 turns -0.0 into 0.0: no "-0" in reports
     return str(v)
 
 

@@ -3,9 +3,10 @@
 Two independent routes to the same object:
 
 * :func:`pointwise_dual_envelope` answers, per entry, "how high can a
-  feasible dual pair reach here?" by a small linear program.  On a
-  full-support finite grid the answer is the cost itself; entries whose
-  constraint graph leaves the objective unbounded report +inf.
+  feasible dual pair reach here?".  On a full-support grid the answer has a
+  closed form: the cost itself on a finite entry and +inf on a forbidden
+  one (the proof is in its docstring; the test-suite checks it against
+  the per-entry linear program).
 * :func:`generative_rectify` builds the envelope from below as a running
   pointwise supremum of explicitly constructed feasible pairs: the zero
   pair, box-infimum pairs over all dyadic index boxes, and dual optimizers
@@ -44,6 +45,10 @@ __all__ = [
 
 #: feasibility slack allowed of accumulated pairs
 PAIR_TOL = 1e-9
+
+#: arcs (constraints) per batched dual LP: small LPs pay per-call overhead,
+#: large ones pay in HiGHS time and peak memory
+ARCS_PER_LP = 8192
 
 
 @dataclass(frozen=True)
@@ -93,11 +98,14 @@ class RectifiedAccumulator:
 
     def add_pair(self, pair: FeasiblePair) -> None:
         slack = pair.feasibility_slack(self.C)
-        if slack > PAIR_TOL:
+        tensor = pair.tensor()
+        # written so that a NaN slack fails; NaN on a forbidden entry, which
+        # the slack does not see, would still poison the running maximum
+        if not slack <= PAIR_TOL or np.isnan(tensor).any():
             raise InputError(
-                f"pair {pair.provenance} violates feasibility by {slack:.3e}"
+                f"pair {pair.provenance} is infeasible or NaN (slack {slack:.3e})"
             )
-        self.lower_envelope = np.maximum(self.lower_envelope, pair.tensor())
+        self.lower_envelope = np.maximum(self.lower_envelope, tensor)
         self.pair_count += 1
         key = pair.provenance.split("(")[0]
         self.provenance_counts[key] = self.provenance_counts.get(key, 0) + 1
@@ -112,38 +120,13 @@ class RectifiedAccumulator:
 
 
 # ---------------------------------------------------------------------------
-# pointwise envelope oracle
+# pointwise envelope
 # ---------------------------------------------------------------------------
 
 
-def _envelope_lp(C: np.ndarray, i: int, j: int) -> float:
-    n, m = C.shape
-    rows, cols = np.nonzero(np.isfinite(C))
-    narc = rows.size
-    if narc == 0:
-        return INF
-    data = np.ones(2 * narc)
-    ridx = np.concatenate([np.arange(narc), np.arange(narc)])
-    cidx = np.concatenate([rows, n + cols])
-    A_ub = sparse.coo_matrix((data, (ridx, cidx)), shape=(narc, n + m))
-    A_ub = A_ub.toarray() if narc * (n + m) <= 50_000 else A_ub.tocsr()
-    b_ub = C[rows, cols]
-    obj = np.zeros(n + m)
-    obj[i] = -1.0
-    obj[n + j] = -1.0
-    res = linprog(
-        obj,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        bounds=(None, None),
-        method="highs",
-        options=_HIGHS_OPTS,
-    )
-    if res.status == 3:  # objective unbounded above
-        return INF
-    if res.status != 0:
-        raise RuntimeError(f"envelope LP failed at ({i},{j}): {res.message}")
-    return float(-res.fun)
+def _require_full_support(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
+    if np.any(mu.weights <= 0) or np.any(nu.weights <= 0):
+        raise InputError("the envelope oracle needs full-support marginals")
 
 
 def pointwise_dual_envelope(
@@ -152,23 +135,30 @@ def pointwise_dual_envelope(
     """sup of phi[i] + psi[j] over pairs feasible against C (+inf if unbounded).
 
     Requires full-support marginals so that the grid has no null atoms and
-    the supremum is the honest entrywise rectification oracle.
+    the supremum is the honest entrywise rectification.  The supremum has a
+    closed form: C[i, j] on a finite entry, +inf on a forbidden one.
+
+    Proof.  Let B exceed twice the largest |C| over finite entries, plus
+    |t| for the t below.  On a finite entry the constraint
+    phi[i] + psi[j] <= C[i, j] bounds the sum, and phi[i] = C[i, j],
+    psi[j] = 0 with every other potential at -B attains it: every other
+    constraint then has at least one potential at -B on its left side.  On a
+    +inf (or otherwise non-finite) entry no constraint ties phi[i] to
+    psi[j], so phi[i] = psi[j] = t with every other potential at -B is
+    feasible for every t, and the supremum is +inf.
     """
-    if np.any(mu.weights <= 0) or np.any(nu.weights <= 0):
-        raise InputError("the envelope oracle needs full-support marginals")
-    return _envelope_lp(np.asarray(C, dtype=float), i, j)
+    _require_full_support(mu, nu)
+    c = float(np.asarray(C, dtype=float)[i, j])
+    return c if math.isfinite(c) else INF
 
 
 def envelope_matrix(
     C: np.ndarray, mu: DiscreteMeasure, nu: DiscreteMeasure
 ) -> np.ndarray:
+    """:func:`pointwise_dual_envelope` at every entry of C, in closed form."""
+    _require_full_support(mu, nu)
     C = np.asarray(C, dtype=float)
-    n, m = C.shape
-    out = np.empty((n, m))
-    for i in range(n):
-        for j in range(m):
-            out[i, j] = pointwise_dual_envelope(C, mu, nu, i, j)
-    return out
+    return np.where(np.isfinite(C), C, INF)
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +181,8 @@ def sample_reweight_pair(
         g = _draw_profile(rng, nu.n)
         If = float(f @ mu.weights)
         Ig = float(g @ nu.weights)
-        if If <= 1e-15 and Ig <= 1e-15:
-            continue  # degenerate draw, retry with the next substream
         if If <= 1e-15 or Ig <= 1e-15:
-            continue
+            continue  # degenerate draw, retry with the next substream
         if If <= Ig:
             g = g * (If / Ig)
         else:
@@ -250,41 +238,44 @@ def _batched_reweighted_duals(
     C: np.ndarray, marginals: list[tuple[np.ndarray, np.ndarray]]
 ) -> list[tuple[np.ndarray, np.ndarray, float]]:
     """Dual optimizers for many independent transport problems over the same
-    bounded cost, solved as one block-diagonal LP (identical optima and duals
-    to one solve per problem, at a fraction of the per-call overhead)."""
+    bounded cost, solved a few at a time as one block-diagonal LP.
+
+    Each block is the dual LP itself: maximise a.phi + b.psi subject to
+    phi_i + psi_j <= C_ij with free potentials, so a block has n + m columns
+    rather than n * m, and (phi, psi) is read off the solution directly.
+    Every block reaches its problem's optimal value, though not necessarily
+    the same optimal pair as one primal solve per problem would report.
+    One LP holds at most ``max(1, ARCS_PER_LP // C.size)`` blocks.
+    """
     n, m = C.shape
     narc = n * m
     rows, cols = np.divmod(np.arange(narc), m)
-    k = len(marginals)
-    data = np.ones(2 * narc * k)
-    ridx = np.empty(2 * narc * k, dtype=np.int64)
-    cidx = np.empty(2 * narc * k, dtype=np.int64)
-    for blk in range(k):
-        off = 2 * narc * blk
-        ridx[off : off + narc] = blk * (n + m) + rows
-        ridx[off + narc : off + 2 * narc] = blk * (n + m) + n + cols
-        cidx[off : off + narc] = blk * narc + np.arange(narc)
-        cidx[off + narc : off + 2 * narc] = blk * narc + np.arange(narc)
-    A_eq = sparse.coo_matrix(
-        (data, (ridx, cidx)), shape=(k * (n + m), k * narc)
-    ).tocsr()
-    b_eq = np.concatenate([np.concatenate([a, b]) for a, b in marginals])
-    cost = np.tile(C.ravel(), k)
-    res = linprog(
-        cost,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-        options=_HIGHS_OPTS,
-    )
-    if res.status != 0:
-        raise RuntimeError(f"batched dual solve failed: {res.message}")
-    duals = np.asarray(res.eqlin.marginals, dtype=float).reshape(k, n + m)
+    per_lp = max(1, ARCS_PER_LP // narc)
     out = []
-    for blk, (a, b) in enumerate(marginals):
-        phi, psi = duals[blk, :n], duals[blk, n:]
-        out.append((phi, psi, float(phi @ a + psi @ b)))
+    for start in range(0, len(marginals), per_lp):
+        part = marginals[start : start + per_lp]
+        k = len(part)
+        base = (np.arange(k) * (n + m))[:, None]
+        indices = np.stack([base + rows, base + n + cols], axis=-1).ravel()
+        A_ub = sparse.csr_matrix(
+            (np.ones(indices.size), indices, np.arange(0, indices.size + 1, 2)),
+            shape=(k * narc, k * (n + m)),
+        )
+        gain = np.concatenate([np.concatenate([a, b]) for a, b in part])
+        res = linprog(
+            -gain,
+            A_ub=A_ub,
+            b_ub=np.tile(C.ravel(), k),
+            bounds=(None, None),
+            method="highs",
+            options=_HIGHS_OPTS,
+        )
+        if res.status != 0:
+            raise RuntimeError(f"batched dual solve failed: {res.message}")
+        pots = np.asarray(res.x, dtype=float).reshape(k, n + m)
+        for (a, b), pot in zip(part, pots):
+            phi, psi = pot[:n], pot[n:]
+            out.append((phi, psi, float(phi @ a + psi @ b)))
     return out
 
 
@@ -382,21 +373,18 @@ def generative_rectify(
         rw = sample_reweight_pair(mu, nu, rng)
         drawn.append((t, level, rw.f * mu.weights, rw.g * nu.weights))
     results: list[FeasiblePair | None] = [None] * budget
-    chunk = 128
     for level in levels:
         group = [d for d in drawn if d[1] == level]
-        for start in range(0, len(group), chunk):
-            part = group[start : start + chunk]
-            solved = _batched_reweighted_duals(
-                truncated[level], [(a, b) for _, _, a, b in part]
+        solved = _batched_reweighted_duals(
+            truncated[level], [(a, b) for _, _, a, b in group]
+        )
+        for (t, lvl, _, _), (phi, psi, obj) in zip(group, solved):
+            results[t] = FeasiblePair(
+                phi=phi,
+                psi=psi,
+                provenance=f"reweighted_dual(level={lvl})",
+                objective=obj,
             )
-            for (t, lvl, _, _), (phi, psi, obj) in zip(part, solved):
-                results[t] = FeasiblePair(
-                    phi=phi,
-                    psi=psi,
-                    provenance=f"reweighted_dual(level={lvl})",
-                    objective=obj,
-                )
     for fp in results:
         acc.add_pair(fp)
     return acc

@@ -12,6 +12,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 
 
 def _tree_flow(n, m, edges, a, b):
@@ -207,3 +208,33 @@ def merged_interval_measure(intervals, lo=0.0, hi=1.0):
     if cur is not None:
         total += cur[1] - cur[0]
     return total
+
+
+def envelope_lp(C, i, j):
+    """sup of phi[i] + psi[j] subject to phi (+) psi <= C on the finite
+    entries, as a linear program in the n + m free potentials; +inf when the
+    LP is unbounded."""
+    C = np.asarray(C, dtype=float)
+    n, m = C.shape
+    rows, cols = np.nonzero(np.isfinite(C))
+    if rows.size == 0:
+        return math.inf
+    A_ub = np.zeros((rows.size, n + m))
+    A_ub[np.arange(rows.size), rows] = 1.0
+    A_ub[np.arange(rows.size), n + cols] = 1.0
+    obj = np.zeros(n + m)
+    obj[i] = -1.0
+    obj[n + j] = -1.0
+    res = linprog(
+        obj,
+        A_ub=A_ub,
+        b_ub=C[rows, cols],
+        bounds=(None, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    if res.status == 3:  # objective unbounded above
+        return math.inf
+    if res.status != 0:
+        raise RuntimeError(f"envelope LP failed at ({i},{j}): {res.message}")
+    return float(-res.fun)

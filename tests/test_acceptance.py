@@ -63,6 +63,7 @@ from gaplab.core import Grid
 
 from _oracles import (
     brute_force_primal,
+    envelope_lp,
     merged_interval_measure,
     partial_dual_objective,
     partial_plan_value,
@@ -202,15 +203,19 @@ def test_criterion_06_finite_space_rectification():
     t0 = time.time()
     checks = []
     worst_env = 0.0
+    worst_lp = 0.0
     worst_gap = 0.0
     for seed in range(50):
         inst = random_finite(seed, 6)
         C, mu, nu = discretize(inst, 6)
         E = envelope_matrix(C, mu, nu)
         worst_env = max(worst_env, float(np.abs(E - C).max()))
+        for (i, j), e in np.ndenumerate(E):
+            worst_lp = max(worst_lp, abs(e - envelope_lp(C, i, j)))
         acc = generative_rectify(inst, 6, budget=500, rng_seed=seed)
         worst_gap = max(worst_gap, acc.sup_gap_finite())
     checks.append((f"envelope==C (worst {worst_env:.2e})", worst_env <= 1e-7))
+    checks.append((f"envelope==LP (worst {worst_lp:.2e})", worst_lp <= 1e-7))
     checks.append((f"generative sup-gap (worst {worst_gap:.2e})", worst_gap <= 1e-4))
     _report(6, "finite grids rectify to the cost itself", checks, t0, 60.0)
 

@@ -2,11 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from gaplab import save_instance
 from gaplab.catalog import diag_inf
-from gaplab.cli import main, parse_set_descriptor
+from gaplab.cli import _fmt, main, parse_set_descriptor
 from gaplab.core import ConfigurationError
 
 
@@ -184,6 +185,22 @@ class TestRectify:
         pairs = (tmp_path / "rect.pairs.csv").read_text().strip().splitlines()
         assert pairs[0] == "provenance,objective,feasibility_slack"
         assert len(pairs) == 1 + 1 + 49 + 200  # header, zero pair, boxes, budget
+
+    def test_signed_zero_written_as_zero(self, tmp_path):
+        # trivial_zero's envelope and pair objectives hold -0.0 entries
+        assert _fmt(-0.0) == "0" and _fmt(np.float64(-0.0)) == "0"
+        assert _fmt(-1e-300) == "-1e-300"
+        out = tmp_path / "rect.csv"
+        code = main(
+            ["rectify", "--catalog", "trivial_zero", "--n", "4", "--budget", "20",
+             "--seed", "0", "--out", str(out)]
+        )
+        assert code == 0
+        for path in (out, out.with_suffix(".envelope.csv"), out.with_suffix(".pairs.csv")):
+            fields = [f for line in path.read_text().splitlines() for f in line.split(",")]
+            assert "-0" not in fields, path.name
+        env = out.with_suffix(".envelope.csv").read_text().splitlines()
+        assert env[1:] == ["0,0,0,0"] * 4
 
     def test_determinism(self, tmp_path):
         args = ("rectify", "--catalog", "random_finite", "--catalog-n", "4",

@@ -18,15 +18,32 @@ from gaplab import (
 )
 from gaplab.catalog import diag_M, random_finite, rational_nullmod, trivial_zero
 from gaplab.rectify import (
+    ARCS_PER_LP,
+    PAIR_TOL,
     FeasiblePair,
     RectifiedAccumulator,
     ReweightPair,
+    _batched_reweighted_duals,
     dyadic_index_ranges,
 )
+from gaplab.solver import InputError, solve_primal
+
+from _oracles import brute_force_primal, envelope_lp
 
 
 def uniform(n):
     return DiscreteMeasure(np.full(n, 1.0 / n))
+
+
+def assert_matches_envelope_lp(C, E, tol=1e-7):
+    """E agrees with the per-entry LP oracle: both +inf, or within tol
+    relative to the entry's size."""
+    for (i, j), e in np.ndenumerate(E):
+        ref = envelope_lp(C, i, j)
+        if np.isinf(ref):
+            assert e == INF, (i, j, e)
+        else:
+            assert abs(e - ref) <= tol * max(1.0, abs(ref)), (i, j, e, ref)
 
 
 class TestPointwiseEnvelope:
@@ -46,6 +63,7 @@ class TestPointwiseEnvelope:
             C, mu, nu = discretize(inst, 6)
             E = envelope_matrix(C, mu, nu)
             assert np.abs(E - C).max() <= 1e-7
+            assert_matches_envelope_lp(C, E)
 
     def test_diagonal_instance_envelope(self):
         C, mu, nu = discretize(diag_inf(), 4)
@@ -53,13 +71,42 @@ class TestPointwiseEnvelope:
         fin = np.isfinite(C)
         assert np.abs(E[fin] - C[fin]).max() <= 1e-7
         assert np.all(np.isinf(E[~fin]))
+        assert_matches_envelope_lp(C, E)
+
+    @pytest.mark.parametrize(
+        "C",
+        [
+            np.full((3, 3), INF),
+            np.array([[INF, INF, INF], [0.0, 1.0, 2.0], [3.0, INF, 0.5]]),
+            np.array([[0.7]]),
+            np.array([[INF]]),
+            np.arange(15.0).reshape(3, 5) % 4 - 1.5,
+            np.array([[-3.0, -1.0], [-2.0, INF]]),
+            np.array([[1e12, 0.0, 1e12], [0.0, 1e12, 0.0], [1e12, 0.0, 1e12]]),
+        ],
+        ids=["all_inf", "inf_row", "n1", "n1_inf", "3x5", "negative", "M1e12"],
+    )
+    def test_closed_form_edge_cases(self, C):
+        n, m = C.shape
+        mu, nu = uniform(n), uniform(m)
+        E = envelope_matrix(C, mu, nu)
+        assert E.shape == C.shape
+        assert np.array_equal(E, np.where(np.isfinite(C), C, INF))
+        for (i, j), e in np.ndenumerate(E):
+            assert pointwise_dual_envelope(C, mu, nu, i, j) == e
+        assert_matches_envelope_lp(C, E)
 
     def test_requires_full_support(self):
-        from gaplab.solver import InputError
-
         bad = DiscreteMeasure(np.array([1.0, 0.0]))
+        C = np.zeros((2, 2))
         with pytest.raises(InputError):
-            pointwise_dual_envelope(np.zeros((2, 2)), bad, uniform(2), 0, 0)
+            pointwise_dual_envelope(C, bad, uniform(2), 0, 0)
+        with pytest.raises(InputError):
+            pointwise_dual_envelope(C, uniform(2), bad, 1, 1)
+        with pytest.raises(InputError):
+            envelope_matrix(C, bad, uniform(2))
+        with pytest.raises(InputError):
+            envelope_matrix(C, uniform(2), bad)
 
     def test_invariant_under_full_support_reweighting(self):
         # the rectification depends on the marginals only through their null
@@ -141,6 +188,65 @@ class TestReweightedDual:
             reweighted_dual_optimizer(C, mu, nu, ReweightPair(np.ones(4), np.ones(4)))
 
 
+class TestBatchedReweightedDuals:
+    """Each block of the batched dual LP against one solve per problem."""
+
+    @staticmethod
+    def _marginals(n, count, seed):
+        mu = uniform(n)
+        rng = np.random.default_rng(seed)
+        out = []
+        for t in range(count):
+            if t % 3 == 0 and n > 1:
+                # step profiles: zero-weight atoms on both sides
+                f = np.zeros(n)
+                f[: max(1, n // 2)] = 1.0
+                g = np.zeros(n)
+                g[n // 2 :] = 1.0
+                a, b = f * mu.weights, g * mu.weights
+                b = b * (a.sum() / b.sum())
+            else:
+                rw = sample_reweight_pair(mu, mu, rng)
+                a, b = rw.f * mu.weights, rw.g * mu.weights
+            out.append((a, b))
+        return out
+
+    @pytest.mark.parametrize(
+        "n, count",
+        # n=32 fits ARCS_PER_LP // 1024 = 8 blocks per LP: 11 is not a multiple
+        [(1, 5), (2, 7), (3, 9), (6, 12), (32, 11)],
+    )
+    def test_blocks_feasible_and_optimal(self, n, count):
+        if n == 32:
+            assert count % (ARCS_PER_LP // (n * n)) != 0
+        rng = np.random.default_rng(100 + n)
+        C = rng.uniform(-1.0, 3.0, (n, n))
+        marginals = self._marginals(n, count, seed=n)
+        solved = _batched_reweighted_duals(C, marginals)
+        assert len(solved) == count
+        for (a, b), (phi, psi, obj) in zip(marginals, solved):
+            assert phi.shape == (n,) and psi.shape == (n,)
+            assert (phi[:, None] + psi[None, :] - C).max() <= PAIR_TOL
+            ref = solve_primal(C, DiscreteMeasure(a), DiscreteMeasure(b)).value
+            assert abs(obj - ref) <= 1e-9
+            if n <= 3:
+                assert abs(obj - brute_force_primal(C, a, b)[0]) <= 1e-9
+
+    def test_batch_split_across_lps_matches_single_solves(self):
+        # more blocks than one LP holds, with a remainder in the last LP
+        n = 6
+        per_lp = ARCS_PER_LP // (n * n)
+        count = per_lp + 5
+        C = truncate_cost(discretize(diag_inf(), n)[0], 2)
+        marginals = self._marginals(n, count, seed=7)
+        solved = _batched_reweighted_duals(C, marginals)
+        assert len(solved) == count
+        for (a, b), (phi, psi, obj) in zip(marginals[per_lp - 3 :], solved[per_lp - 3 :]):
+            assert (phi[:, None] + psi[None, :] - C).max() <= PAIR_TOL
+            ref = solve_primal(C, DiscreteMeasure(a), DiscreteMeasure(b)).value
+            assert abs(obj - ref) <= 1e-9
+
+
 class TestBoxPairs:
     def test_constant_cost_whole_grid_box(self):
         C = np.full((3, 3), 5.0)
@@ -210,11 +316,21 @@ class TestGenerativeRectify:
             assert np.all(after >= before - 1e-15)
 
     def test_infeasible_pair_rejected(self):
-        from gaplab.solver import InputError
-
         acc = RectifiedAccumulator(np.zeros((2, 2)))
         with pytest.raises(InputError):
             acc.add_pair(FeasiblePair(np.ones(2), np.ones(2), "user"))
+
+    @pytest.mark.parametrize(
+        "C", [np.zeros((2, 2)), np.array([[INF, INF], [0.0, 0.0]])], ids=["finite", "inf_row"]
+    )
+    def test_nan_pair_rejected(self, C):
+        acc = RectifiedAccumulator(C)
+        acc.add_pair(FeasiblePair(np.zeros(2), np.zeros(2), "zero_pair"))
+        with pytest.raises(InputError):
+            acc.add_pair(FeasiblePair(np.array([np.nan, 0.0]), np.zeros(2), "user"))
+        assert not np.isnan(acc.lower_envelope).any()
+        assert acc.pair_count == 1
+        assert acc.sup_gap_finite() == 0.0
 
     def test_provenance_log_lines(self):
         acc = generative_rectify(trivial_zero(), 2, budget=3, rng_seed=1)
