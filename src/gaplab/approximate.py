@@ -6,7 +6,9 @@ partial problem on each cell's own marginals (mass tolerance 1/n^3, original
 cost), and glues the per-cell optima back into one sub-probability plan.
 The glued plan converges weakly* to the input plan as n grows, with cost
 measured against the *original* cost but targeted at the plan's integral
-against the *rectified* cost.
+against the *rectified* cost.  Cells with the same cost block and marginals
+pose the same LP; each distinct one is solved once per call and its report
+reused, which is exact because the solve is deterministic.
 
 Weak* convergence is metrized on dyadic grids by cell-mass discrepancies:
 ``d(p, q) = sum_k 2^-k max_cells |p(cell) - q(cell)|`` over all common
@@ -24,7 +26,7 @@ import numpy as np
 from .core import ConfigurationError, Grid
 from .costs import discretize_cost, plan_cost
 from .instance import Instance, discretize
-from .solver import InputError, TransportPlan, solve_partial
+from .solver import InputError, SolveReport, TransportPlan, solve_partial
 
 __all__ = [
     "BlockPartition",
@@ -121,6 +123,13 @@ def block_approximate_plan(
     ``target + 1/n`` is the continuum promise; on a fine grid with s atoms
     per cell side the per-cell mass floor can block it.  On ``diag_inf`` the
     attained cost is ``max(1 - s/n^2, 0)``, so the bound needs s >= n(n-1).
+
+    Each distinct cell LP is solved once per call: cells are keyed by the
+    exact bytes of their cost block and marginals (shapes and tolerance are
+    fixed within a call), and a repeated key reuses the first report.  Both
+    solver paths are deterministic, so the glued plan and every per-cell
+    report equal those of solving each cell.  Piecewise-constant costs under
+    product or diagonal plans repeat a handful of cell LPs many times.
     """
     if instance.known_rectified is None:
         raise InfiniteRectifiedCostError(
@@ -141,6 +150,7 @@ def block_approximate_plan(
     tol = 1.0 / n**3
     glued = np.zeros((N, N))
     reports = []
+    solved: dict[bytes, SolveReport] = {}
     for l in range(n):
         for m in range(n):
             sl = part.cell_slice(l, m)
@@ -150,7 +160,10 @@ def block_approximate_plan(
                 continue
             a = block.sum(axis=1)
             b = block.sum(axis=0)
-            rep = solve_partial(C[sl], a, b, eps=tol)
+            key = C[sl].tobytes() + a.tobytes() + b.tobytes()
+            rep = solved.get(key)
+            if rep is None:
+                rep = solved[key] = solve_partial(C[sl], a, b, eps=tol)
             if rep.status != "optimal":
                 raise RuntimeError(
                     f"cell ({l},{m}) partial solve failed: {rep.status}"

@@ -14,7 +14,6 @@ import io
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -75,16 +74,21 @@ def _write_rows(header, rows, out, fmt) -> None:
 
 
 def _parse_n_list(spec: str) -> list[int]:
-    """Accept "8", "4,8,16" or a doubling range "4..64"."""
+    """Accept "8", "4,8,16" or a doubling range "4..64"; every n must be >= 1."""
     spec = spec.strip()
     if ".." in spec:
-        lo, hi = spec.split("..")
-        out, n = [], int(lo)
-        while n <= int(hi):
+        lo, hi = (int(tok) for tok in spec.split(".."))
+        out, n = [], lo
+        while 1 <= n <= hi:  # n < 1 would never grow: leave the list empty
             out.append(n)
             n *= 2
-        return out
-    return [int(tok) for tok in spec.split(",") if tok]
+    else:
+        out = [int(tok) for tok in spec.split(",") if tok]
+    if not out or min(out) < 1:
+        raise ConfigurationError(
+            f"resolution list {spec!r} needs n >= 1 and at least one n"
+        )
+    return out
 
 
 def _parse_eps(spec: str, n: int) -> list[float]:
@@ -110,13 +114,6 @@ def _load(args) -> object:
     )
 
 
-def _pool_map(fn, items, jobs: int):
-    if jobs <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -134,7 +131,7 @@ def cmd_solve(args) -> int:
         gap = p.value - dual if np.isfinite(p.value) else 0.0
         return (inst.name, n, p.value, dual, p.status, gap)
 
-    rows = sorted(_pool_map(one, ns, args.jobs), key=lambda r: r[1])
+    rows = sorted((one(n) for n in ns), key=lambda r: r[1])
     _write_rows(
         ["instance", "n", "primal", "dual", "status", "duality_gap"],
         rows,
@@ -157,7 +154,7 @@ def cmd_gap_scan(args) -> int:
         ]
 
     rows = sorted(
-        (row for rows_n in _pool_map(one, ns, args.jobs) for row in rows_n),
+        (row for n in ns for row in one(n)),
         key=lambda r: (r[1], -r[2]),
     )
     header = ["instance", "n", "eps", "partial_value", "primal"]
@@ -260,7 +257,7 @@ def cmd_negligible(args) -> int:
         C, mu, nu = discretize(inst, n)
         return (n, max_plan_mass(A, mu, nu, n))
 
-    masses = sorted(_pool_map(one, ns, args.jobs))
+    masses = sorted(one(n) for n in ns)
     payload = verdict.to_json_dict()
     payload["set"] = args.set
     payload["max_plan_mass"] = [{"n": n, "mass": m} for n, m in masses]
@@ -360,7 +357,6 @@ def _add_common(p: argparse.ArgumentParser, need_instance: bool = True) -> None:
     p.add_argument(
         "--catalog-n", type=int, default=8, help="resolution of random_finite"
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for scans")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 

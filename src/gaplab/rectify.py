@@ -51,6 +51,12 @@ PAIR_TOL = 1e-9
 ARCS_PER_LP = 8192
 
 
+def _finite_slack(tensor: np.ndarray, C: np.ndarray) -> float:
+    """max of tensor - C over the finite entries of C (-inf if there are none)."""
+    gap = (tensor - C)[np.isfinite(C)]
+    return float(gap.max()) if gap.size else -INF
+
+
 @dataclass(frozen=True)
 class FeasiblePair:
     """A dual pair phi (+) psi <= C together with where it came from."""
@@ -64,9 +70,7 @@ class FeasiblePair:
         return self.phi[:, None] + self.psi[None, :]
 
     def feasibility_slack(self, C: np.ndarray) -> float:
-        gap = self.tensor() - C
-        gap = gap[np.isfinite(C)]
-        return float(gap.max()) if gap.size else -INF
+        return _finite_slack(self.tensor(), C)
 
 
 @dataclass(frozen=True)
@@ -97,8 +101,8 @@ class RectifiedAccumulator:
         self.log = []
 
     def add_pair(self, pair: FeasiblePair) -> None:
-        slack = pair.feasibility_slack(self.C)
         tensor = pair.tensor()
+        slack = _finite_slack(tensor, self.C)
         # written so that a NaN slack fails; NaN on a forbidden entry, which
         # the slack does not see, would still poison the running maximum
         if not slack <= PAIR_TOL or np.isnan(tensor).any():

@@ -299,7 +299,7 @@ def test_criterion_08_block_approximation():
     checks.append(
         ("weak* distance non-increasing", all(b <= a + 1e-12 for a, b in zip(dists, dists[1:])))
     )
-    for n in (4, 8):
+    for n in (4, 8, 16):
         _, step = _certified_block_step(inst, n, n * (n - 1), checks)
         checks.append((f"cost(n={n},s={n * (n - 1)})<=1/n", step.bound_ok))
     label = "block approximation: cost max(1-s/n^2,0) at s=8, 1/n bound at s=n(n-1)"

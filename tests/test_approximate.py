@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+
+import gaplab.approximate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,8 +23,8 @@ from gaplab import (
     shift_subplan,
     weak_star_distance,
 )
-from gaplab.catalog import diag_M, random_finite, trivial_zero
-from gaplab.solver import InputError
+from gaplab.catalog import diag_M, fat_set, random_finite, trivial_zero
+from gaplab.solver import InputError, solve_partial
 
 
 class TestRestrictPlan:
@@ -100,6 +102,91 @@ class TestBlockApproximate:
     def test_refuses_instances_without_rectified_descriptor(self):
         with pytest.raises(InfiniteRectifiedCostError):
             block_approximate_plan(diagonal_plan(32), random_finite(0, 8), 4, 8)
+
+
+def _solve_every_cell(pi, inst, n, s):
+    """Reference for block_approximate_plan: one solve_partial per cell, no
+    reuse.  Returns the glued mass, the per-cell reports and the number of
+    distinct (C block, a, b) triples among the cells that carry mass."""
+    N = n * s
+    C, _, _ = discretize(inst, N)
+    tol = 1.0 / n**3
+    part = BlockPartition(n, s)
+    glued = np.zeros((N, N))
+    reports, distinct = [], set()
+    for l in range(n):
+        for m in range(n):
+            sl = part.cell_slice(l, m)
+            block = pi.mass[sl]
+            cell_mass = float(block.sum())
+            if cell_mass <= 1e-15:
+                continue
+            a, b = block.sum(axis=1), block.sum(axis=0)
+            distinct.add((C[sl].tobytes(), a.tobytes(), b.tobytes()))
+            rep = solve_partial(C[sl], a, b, eps=tol)
+            glued[sl] = rep.plan.mass
+            reports.append(
+                {
+                    "cell": (l, m),
+                    "cell_mass": cell_mass,
+                    "retained": rep.plan.total,
+                    "mass_floor": max(cell_mass - tol, 0.0),
+                    "cost": rep.value,
+                    "dual_objective": rep.potentials.objective,
+                }
+            )
+    return glued, tuple(reports), len(distinct)
+
+
+class TestCellReuse:
+    """Each distinct cell LP is solved once per call, with results equal to
+    solving every cell."""
+
+    def _check(self, monkeypatch, inst, plan, n, s):
+        calls = []
+        real = gaplab.approximate.solve_partial
+        monkeypatch.setattr(
+            gaplab.approximate,
+            "solve_partial",
+            lambda *a, **k: calls.append(1) or real(*a, **k),
+        )
+        step = block_approximate_plan(plan, inst, n, s)
+        glued, reports, distinct = _solve_every_cell(plan, inst, n, s)
+        assert np.array_equal(step.plan.mass, glued)
+        assert step.per_cell_reports == reports
+        assert len(calls) == distinct
+        return len(calls), len(reports)
+
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_product_plan_on_diag_M(self, monkeypatch, n):
+        s = 8
+        inst = diag_M(2.0)
+        _, mu, nu = discretize(inst, n * s)
+        solves, cells = self._check(monkeypatch, inst, product_plan(mu, nu), n, s)
+        # below, on and above the diagonal
+        assert (solves, cells) == (3, n * n)
+
+    def test_diagonal_plan_on_diag_inf(self, monkeypatch):
+        n, s = 8, 8
+        solves, cells = self._check(monkeypatch, diag_inf(), diagonal_plan(n * s), n, s)
+        assert (solves, cells) == (1, n)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_product_plan_on_fat_set(self, monkeypatch, n):
+        s = 8
+        inst = fat_set()
+        _, mu, nu = discretize(inst, n * s)
+        solves, cells = self._check(monkeypatch, inst, product_plan(mu, nu), n, s)
+        assert 1 < solves < cells
+
+    def test_same_cost_block_other_marginals_is_solved_again(self, monkeypatch):
+        # diag_M repeats three cost blocks; a random plan gives every cell
+        # its own marginals, so no cell may reuse another's report
+        n, s = 4, 4
+        mass = np.random.default_rng(0).uniform(0, 1, (n * s, n * s))
+        plan = TransportPlan(mass / mass.sum())
+        solves, cells = self._check(monkeypatch, diag_M(2.0), plan, n, s)
+        assert solves == cells == n * n
 
 
 class TestWeakStarDistance:

@@ -1,14 +1,28 @@
 """Command surface: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gaplab
 from gaplab import save_instance
 from gaplab.catalog import diag_inf
 from gaplab.cli import _fmt, main, parse_set_descriptor
 from gaplab.core import ConfigurationError
+
+
+def run_process(*argv):
+    """Run the CLI in a child process, so that a hang fails instead of blocking."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gaplab.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "gaplab.cli", *argv],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
 
 
 def run(tmp_path, *argv):
@@ -154,11 +168,44 @@ class TestGapScan:
         _, second = run(tmp_path, *args)
         assert first == second
 
-    def test_jobs_flag_keeps_row_order(self, tmp_path):
-        base = ("gap-scan", "--catalog", "diag_inf", "--n", "4..16", "--eps", "1/n")
-        _, serial = run(tmp_path, *base, "--jobs", "1")
-        _, parallel = run(tmp_path, *base, "--jobs", "4")
-        assert serial == parallel
+    def test_scans_write_rows_in_ascending_n(self, tmp_path):
+        for cmd in ("solve", "gap-scan"):
+            code, text = run(tmp_path, cmd, "--catalog", "diag_inf", "--n", "16,4,8")
+            assert code == 0
+            ns = [int(l.split(",")[1]) for l in text.strip().splitlines()[1:]]
+            assert ns[:3] == [4, 8, 16], cmd
+        code, text = run(tmp_path, "negligible", "diagonal", "--n", "16,4,8")
+        assert code == 0
+        assert [r["n"] for r in json.loads(text)["max_plan_mass"]] == [4, 8, 16]
+
+
+class TestResolutionList:
+    @pytest.mark.parametrize("spec", ["0..8", "-2..8"])
+    def test_range_from_below_one_exits_2(self, tmp_path, spec):
+        # a doubling range from n < 1 never grows: it must fail, not hang
+        out = tmp_path / "o.csv"
+        proc = run_process(
+            "solve", "--catalog", "diag_inf", f"--n={spec}", "--out", str(out)
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: resolution list")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", ["4..0", "0", "4,0,8", ","])
+    @pytest.mark.parametrize("cmd", ["solve", "gap-scan", "approximate"])
+    def test_bad_resolutions_exit_2(self, tmp_path, capsys, cmd, spec):
+        code, text = run(tmp_path, cmd, "--catalog", "diag_inf", "--n", spec)
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith("error: resolution list")
+
+    def test_negligible_rejects_empty_range(self, tmp_path):
+        code, text = run(tmp_path, "negligible", "diagonal", "--n", "4..0")
+        assert code == 2 and text == ""
+
+    def test_doubling_range(self, tmp_path):
+        code, text = run(tmp_path, "solve", "--catalog", "diag_inf", "--n", "1..8")
+        assert code == 0
+        assert [l.split(",")[1] for l in text.splitlines()[1:]] == ["1", "2", "4", "8"]
 
 
 class TestRectify:
