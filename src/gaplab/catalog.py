@@ -74,11 +74,11 @@ def rational_enumeration(count: int) -> list[Fraction]:
 
 def excluded_intervals(alpha: float, count: int) -> list[tuple[float, float]]:
     """Open intervals (q_k - alpha/2^k, q_k + alpha/2^k) for k = 1..count."""
-    qs = rational_enumeration(count)
-    return [
-        (float(q) - alpha / 2**k, float(q) + alpha / 2**k)
-        for k, q in enumerate(qs, start=1)
-    ]
+    return _intervals_around([float(q) for q in rational_enumeration(count)], alpha)
+
+
+def _intervals_around(qs: list[float], alpha: float) -> list[tuple[float, float]]:
+    return [(q - alpha / 2**k, q + alpha / 2**k) for k, q in enumerate(qs, start=1)]
 
 
 def _union_measure(intervals, lo: float = 0.0, hi: float = 1.0) -> float:
@@ -116,11 +116,18 @@ def fat_set_alpha(target: float = 0.5, depth: int = _ALPHA_DEPTH) -> float:
     alpha until the union covers [0, 1], so plain bisection is exact to
     floating precision.  Intervals past ``depth`` have total length below
     2*alpha*2^-depth and cannot move the answer at double precision.
+
+    Once ``mid`` equals ``lo`` or ``hi`` the bracket can no longer shrink and
+    every later step yields the same ``mid``, so the loop stops there with
+    the bits a full 200-step run would return.
     """
+    qs = [float(q) for q in rational_enumeration(depth)]
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if complement_measure(mid, depth) > target:
+        if mid == lo or mid == hi:
+            return mid
+        if 1.0 - _union_measure(_intervals_around(qs, mid)) > target:
             lo = mid
         else:
             hi = mid

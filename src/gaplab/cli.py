@@ -24,7 +24,7 @@ from .approximate import (
     weak_star_distance,
 )
 from .catalog import catalog, catalog_names, get_instance
-from .core import ConfigurationError
+from .core import ConfigurationError, DiscreteMeasure, Grid
 from .costs import Segment
 from .instance import discretize, load_instance
 from .negligible import (
@@ -76,33 +76,47 @@ def _write_rows(header, rows, out, fmt) -> None:
 def _parse_n_list(spec: str) -> list[int]:
     """Accept "8", "4,8,16" or a doubling range "4..64"; every n must be >= 1."""
     spec = spec.strip()
-    if ".." in spec:
-        lo, hi = (int(tok) for tok in spec.split(".."))
-        out, n = [], lo
-        while 1 <= n <= hi:  # n < 1 would never grow: leave the list empty
-            out.append(n)
-            n *= 2
-    else:
-        out = [int(tok) for tok in spec.split(",") if tok]
+    try:
+        if ".." in spec:
+            lo, hi = (int(tok) for tok in spec.split(".."))
+            out, n = [], lo
+            while 1 <= n <= hi:  # n < 1 would never grow: leave the list empty
+                out.append(n)
+                n *= 2
+        else:
+            out = [int(tok) for tok in spec.split(",") if tok]
+    except ValueError:  # a token that is not an integer, or "a..b..c"
+        out = []
     if not out or min(out) < 1:
         raise ConfigurationError(
-            f"resolution list {spec!r} needs n >= 1 and at least one n"
+            f"resolution list {spec!r} needs integers n >= 1 and at least one n"
         )
     return out
 
 
 def _parse_eps(spec: str, n: int) -> list[float]:
-    """Either the literal token 1/n (per-resolution coupling) or a list."""
-    if spec.strip() == "1/n":
-        return [1.0 / n]
+    """A comma list of eps >= 0: numbers, fractions p/q, or the token 1/n
+    (the per-resolution coupling)."""
     vals = []
     for tok in spec.split(","):
         tok = tok.strip()
-        if "/" in tok:
-            num, den = tok.split("/")
-            vals.append(float(num) / float(den))
-        elif tok:
-            vals.append(float(tok))
+        if not tok:
+            continue
+        try:
+            if tok == "1/n":
+                v = 1.0 / n
+            elif "/" in tok:
+                num, den = tok.split("/")
+                v = float(num) / float(den)
+            else:
+                v = float(tok)
+        except (ValueError, ZeroDivisionError):
+            v = np.nan
+        if not v >= 0:  # also rejects NaN
+            raise ConfigurationError(f"eps list {spec!r}: {tok!r} is not a number >= 0")
+        vals.append(v)
+    if not vals:
+        raise ConfigurationError(f"eps list {spec!r} is empty")
     return vals
 
 
@@ -144,13 +158,14 @@ def cmd_solve(args) -> int:
 def cmd_gap_scan(args) -> int:
     inst = _load(args)
     ns = _parse_n_list(args.n)
+    eps_at = {n: _parse_eps(args.eps, n) for n in ns}  # reject bad lists first
 
     def one(n):
         C, mu, nu = discretize(inst, n)
         primal = solve_primal(C, mu, nu).value
         return [
             (inst.name, n, eps, solve_partial(C, mu, nu, eps).value, primal)
-            for eps in _parse_eps(args.eps, n)
+            for eps in eps_at[n]
         ]
 
     rows = sorted(
@@ -169,7 +184,12 @@ def cmd_gap_scan(args) -> int:
 
 def cmd_rectify(args) -> int:
     inst = _load(args)
-    n = int(args.n)
+    ns = _parse_n_list(args.n)
+    if len(ns) != 1:
+        raise ConfigurationError(f"rectify takes one resolution, got {args.n!r}")
+    n = ns[0]
+    if args.budget < 0:
+        raise ConfigurationError(f"budget must be non-negative, got {args.budget}")
     acc = generative_rectify(inst, n, budget=args.budget, rng_seed=args.seed)
     base = Path(args.out) if args.out else None
 
@@ -282,7 +302,8 @@ def cmd_approximate(args) -> int:
     rows = []
     for n in ns:
         N = n * args.s
-        _, mu, nu = discretize(inst, N)
+        mu = DiscreteMeasure.from_density(inst.marginal_x, Grid(N))
+        nu = DiscreteMeasure.from_density(inst.marginal_y, Grid(N))
         plan = _PLAN_BUILDERS[args.plan](N, mu, nu)
         step = block_approximate_plan(plan, inst, n, args.s)
         dist = weak_star_distance(step.plan, plan)

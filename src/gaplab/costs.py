@@ -11,11 +11,20 @@ sampling: ``discretize_cost`` blends it into each cell by the exact Lebesgue
 fraction of the cell lying outside the intervals, so that cost integrals
 against couplings reproduce interval measures exactly instead of atom
 counts.  Point queries through ``sample_cost`` remain pointwise.
+
+Rectangles are painted as index slices rather than masks.  The atoms are
+sorted, so each side of a box selects a contiguous run of atom indices, and
+the run's ends are ``np.searchsorted`` of the very thresholds the scalar and
+mask tests compare against; a degenerate side (rare) takes its ends from its
+own 1-D mask.  A run of consecutive rectangles is therefore painted with one
+``C[a:b, c:d] = v`` per box that covers an atom, in region order, and gives
+the same matrix, bit for bit, as painting box masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -246,6 +255,42 @@ def _axis_mask(lo: float, hi: float, atoms: np.ndarray) -> np.ndarray:
     return (atoms > lo + GEOM_TOL) & (atoms <= hi + GEOM_TOL)
 
 
+def _axis_slices(
+    lo: np.ndarray, hi: np.ndarray, atoms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per side, the [start, stop) index run of the atoms ``_axis_mask`` selects.
+
+    On sorted atoms, ``atoms > t`` holds exactly from
+    ``searchsorted(atoms, t, "right")`` on, so a non-degenerate side needs
+    two searches at its own thresholds.  Degenerate sides (and NaN ones,
+    which fail ``hi - lo > GEOM_TOL`` too) read their run off ``_axis_mask``.
+    """
+    start = np.searchsorted(atoms, lo + GEOM_TOL, "right")
+    stop = np.searchsorted(atoms, hi + GEOM_TOL, "right")
+    for k in np.flatnonzero(~(hi - lo > GEOM_TOL)):
+        hit = np.flatnonzero(_axis_mask(lo[k], hi[k], atoms))
+        start[k], stop[k] = (hit[0], hit[-1] + 1) if hit.size else (0, 0)
+    return start, stop
+
+
+def _paint_rectangles(
+    C: np.ndarray, painted: np.ndarray, run: list[Region], atoms: np.ndarray
+) -> None:
+    """Paint consecutive ``Rectangle`` regions in order, one slice per box."""
+    boxes = np.array(
+        [(r.where.x0, r.where.x1, r.where.y0, r.where.y1) for r in run], dtype=float
+    )
+    xs, xe = _axis_slices(boxes[:, 0], boxes[:, 1], atoms)
+    ys, ye = _axis_slices(boxes[:, 2], boxes[:, 3], atoms)
+    hits = np.flatnonzero((xs < xe) & (ys < ye))  # boxes that cover an atom
+    for k, a, b, c, d in zip(
+        hits.tolist(), xs[hits].tolist(), xe[hits].tolist(),
+        ys[hits].tolist(), ye[hits].tolist(),
+    ):
+        C[a:b, c:d] = run[k].value
+        painted[a:b, c:d] = True
+
+
 def _grid_mask(kind: RegionKind, atoms: np.ndarray) -> np.ndarray:
     """Boolean atom-pair mask for a point-sampled region kind."""
     x = atoms[:, None]
@@ -286,45 +331,60 @@ def discretize_cost(descriptor: CostDescriptor, grid: Grid) -> np.ndarray:
     per-cell fraction lying outside its intervals (cells fully outside take
     the region value, fully covered cells keep the value underneath), so that
     coupling integrals reproduce interval measures exactly.
+
+    Each run of consecutive ``Rectangle`` regions is painted as index slices
+    (see the module docstring): the same cells as their masks, in the same
+    order, so the last matching region still wins.
     """
     n = grid.n
     atoms = grid.atoms
     C = np.full((n, n), np.nan)
     painted = np.zeros((n, n), dtype=bool)
-    for region in descriptor.regions:
-        kind = region.where
-        if isinstance(kind, ComplementOfIntervals):
-            fracs = np.array(
-                [kind.outside_fraction(*grid.cell_bounds(i)) for i in range(n)]
-            )
-            under = np.where(painted, C, np.nan)
-            axis_fr = (
-                np.repeat(fracs[:, None], n, axis=1)
-                if kind.axis == "x"
-                else np.repeat(fracs[None, :], n, axis=0)
-            )
-            full = axis_fr >= 1.0 - GEOM_TOL
-            empty = axis_fr <= GEOM_TOL
-            partial = ~full & ~empty
-            if np.any(partial & ~painted):
-                raise ConfigurationError(
-                    "complement_of_intervals blends into uncovered cells"
-                )
-            # partial cells blend with the value underneath; inf stays inf
-            with np.errstate(invalid="ignore"):
-                mixed = axis_fr * region.value + (1.0 - axis_fr) * under
-            C[full] = region.value
-            C[partial] = mixed[partial]
-            painted |= ~empty
-        elif isinstance(kind, CountableMarker):
+    runs = groupby(descriptor.regions, key=lambda r: isinstance(r.where, Rectangle))
+    for boxes, run in runs:
+        if boxes:
+            _paint_rectangles(C, painted, list(run), atoms)
             continue
-        else:
-            mask = _grid_mask(kind, atoms)
-            C[mask] = region.value
-            painted |= mask
+        for region in run:
+            _paint_region(C, painted, region, grid)
     if not painted.all():
         raise ConfigurationError("descriptor regions do not cover the grid")
     return C
+
+
+def _paint_region(
+    C: np.ndarray, painted: np.ndarray, region: Region, grid: Grid
+) -> None:
+    """Paint one region that is not a ``Rectangle``."""
+    n = grid.n
+    kind = region.where
+    if isinstance(kind, ComplementOfIntervals):
+        fracs = np.array(
+            [kind.outside_fraction(*grid.cell_bounds(i)) for i in range(n)]
+        )
+        under = np.where(painted, C, np.nan)
+        axis_fr = (
+            np.repeat(fracs[:, None], n, axis=1)
+            if kind.axis == "x"
+            else np.repeat(fracs[None, :], n, axis=0)
+        )
+        full = axis_fr >= 1.0 - GEOM_TOL
+        empty = axis_fr <= GEOM_TOL
+        partial = ~full & ~empty
+        if np.any(partial & ~painted):
+            raise ConfigurationError(
+                "complement_of_intervals blends into uncovered cells"
+            )
+        # partial cells blend with the value underneath; inf stays inf
+        with np.errstate(invalid="ignore"):
+            mixed = axis_fr * region.value + (1.0 - axis_fr) * under
+        C[full] = region.value
+        C[partial] = mixed[partial]
+        painted |= ~empty
+    elif not isinstance(kind, CountableMarker):
+        mask = _grid_mask(kind, grid.atoms)
+        C[mask] = region.value
+        painted |= mask
 
 
 def truncate_cost(C: np.ndarray, level: int) -> np.ndarray:

@@ -40,6 +40,19 @@ class TestFatSetConstruction:
         alpha = fat_set_alpha()
         assert complement_measure(alpha, 80) == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("depth", [20, 80])
+    @pytest.mark.parametrize("target", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_alpha_bits_match_full_bisection(self, target, depth):
+        # the early stop must return what all 200 bisection steps return
+        lo, hi = 0.0, 1.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if complement_measure(mid, depth) > target:
+                lo = mid
+            else:
+                hi = mid
+        assert fat_set_alpha(target, depth) == 0.5 * (lo + hi)
+
     def test_complement_measure_matches_independent_sweep(self):
         alpha = fat_set_alpha()
         for K in (1, 5, 20):

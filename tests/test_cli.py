@@ -191,7 +191,9 @@ class TestResolutionList:
         assert proc.stderr.startswith("error: resolution list")
         assert not out.exists()
 
-    @pytest.mark.parametrize("spec", ["4..0", "0", "4,0,8", ","])
+    @pytest.mark.parametrize(
+        "spec", ["4..0", "0", "4,0,8", ",", "abc", "4..x", "4.5", "4..8..16"]
+    )
     @pytest.mark.parametrize("cmd", ["solve", "gap-scan", "approximate"])
     def test_bad_resolutions_exit_2(self, tmp_path, capsys, cmd, spec):
         code, text = run(tmp_path, cmd, "--catalog", "diag_inf", "--n", spec)
@@ -206,6 +208,39 @@ class TestResolutionList:
         code, text = run(tmp_path, "solve", "--catalog", "diag_inf", "--n", "1..8")
         assert code == 0
         assert [l.split(",")[1] for l in text.splitlines()[1:]] == ["1", "2", "4", "8"]
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gap-scan", "--n", "4", "--eps", "0.5,abc"],
+            ["gap-scan", "--n", "4", "--eps", "1/0"],
+            ["gap-scan", "--n", "4", "--eps", ","],
+            ["gap-scan", "--n", "4", "--eps", "-0.5"],
+            ["gap-scan", "--n", "4", "--eps", "nan"],
+            ["gap-scan", "--n", "4", "--eps", "1/2/3"],
+            ["rectify", "--n", "4..8"],
+            ["rectify", "--n", "0"],
+            ["rectify", "--n", "4", "--budget", "-1"],
+        ],
+    )
+    def test_bad_arguments_exit_2(self, tmp_path, capsys, argv):
+        code, text = run(tmp_path, *argv, "--catalog", "diag_inf")
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_eps_token_1_over_n_inside_a_list(self, tmp_path):
+        code, text = run(
+            tmp_path, "gap-scan", "--catalog", "diag_inf", "--n", "4,8",
+            "--eps", "1/n,0.5",
+        )
+        assert code == 0
+        rows = [l.split(",") for l in text.splitlines()[1:]]
+        assert [(r[1], r[2]) for r in rows] == [
+            ("4", "0.5"), ("4", "0.25"), ("8", "0.5"), ("8", "0.125"),
+            ("8", "estimate"),
+        ]
 
 
 class TestRectify:
@@ -312,6 +347,21 @@ class TestApproximate:
         row = text.strip().splitlines()[1].split(",")
         assert float(row[4]) == 0.0  # cost_c
         assert row[7] == "True"
+
+    def test_fine_cost_painted_once_per_row(self, tmp_path, monkeypatch):
+        import gaplab.instance
+
+        calls = []
+        paint = gaplab.instance.discretize_cost
+        monkeypatch.setattr(
+            gaplab.instance, "discretize_cost",
+            lambda desc, grid: calls.append(grid.n) or paint(desc, grid),
+        )
+        code, _ = run(
+            tmp_path, "approximate", "--catalog", "diag_M", "--n", "2,4",
+            "--s", "4", "--plan", "product",
+        )
+        assert code == 0 and calls == [8, 16]
 
     def test_missing_rectified_target_exits_4(self, tmp_path):
         code = main(

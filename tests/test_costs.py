@@ -21,7 +21,23 @@ from gaplab import (
     truncate_cost,
     whole_square,
 )
-from gaplab.catalog import diag_M, excluded_intervals, fat_set_alpha
+from gaplab.catalog import (
+    catalog,
+    diag_M,
+    excluded_intervals,
+    fat_set_alpha,
+    random_finite,
+)
+from gaplab.core import GEOM_TOL
+from gaplab.costs import (
+    BelowDiagonal,
+    ComplementOfIntervals,
+    CountableMarker,
+    Diagonal,
+    Rectangle,
+    Region,
+    _grid_mask,
+)
 
 
 DIAG = diag_inf().cost
@@ -192,3 +208,149 @@ class TestRectifiedDominance:
                 Cr = discretize_cost(inst.known_rectified, grid)
                 with np.errstate(invalid="ignore"):
                     assert np.all((Cr <= C + 1e-12) | np.isinf(C))
+
+
+# ---------------------------------------------------------------------------
+# rectangles painted as index slices
+# ---------------------------------------------------------------------------
+
+
+def sampled_matrix(desc, n):
+    """The scalar definition at every atom pair: last matching region wins."""
+    atoms = Grid(n).atoms
+    return np.array([[sample_cost(desc, x, y) for y in atoms] for x in atoms])
+
+
+def mask_painted(desc, n):
+    """Paint every region through its full n x n mask, as before slices."""
+    grid = Grid(n)
+    C = np.full((n, n), np.nan)
+    painted = np.zeros((n, n), dtype=bool)
+    for region in desc.regions:
+        kind = region.where
+        if isinstance(kind, CountableMarker):
+            continue
+        if isinstance(kind, ComplementOfIntervals):
+            fr = np.array([kind.outside_fraction(*grid.cell_bounds(i)) for i in range(n)])
+            fr = np.broadcast_to(fr[:, None] if kind.axis == "x" else fr[None, :], (n, n))
+            full, empty = fr >= 1.0 - GEOM_TOL, fr <= GEOM_TOL
+            partial = ~full & ~empty
+            with np.errstate(invalid="ignore"):
+                mixed = fr * region.value + (1.0 - fr) * C
+            C[full] = region.value
+            C[partial] = mixed[partial]
+            painted |= ~empty
+        else:
+            mask = _grid_mask(kind, grid.atoms)
+            C[mask] = region.value
+            painted |= mask
+    assert painted.all()
+    return C
+
+
+_OFFSETS = [0.0, *(sign * f * GEOM_TOL for f in (0.5, 1.0, 2.0) for sign in (1, -1))]
+_VALUES = [0.0, 0.25, 1.0, 3.0, INF]
+
+
+@st.composite
+def box_edge(draw, n):
+    """An atom i/n (i = 0..n), nudged by 0, +-GEOM_TOL/2 or +-2 GEOM_TOL, or
+    any float a little outside [0, 1]."""
+    if draw(st.booleans()):
+        return draw(st.integers(0, n)) / n + draw(st.sampled_from(_OFFSETS))
+    return draw(st.floats(-0.25, 1.25))
+
+
+@st.composite
+def box_side(draw, n):
+    lo = draw(box_edge(n))
+    if draw(st.integers(0, 3)) == 0:  # degenerate: within GEOM_TOL of lo
+        return lo, lo + draw(st.sampled_from([0.0, GEOM_TOL / 2, GEOM_TOL]))
+    return lo, draw(box_edge(n))  # may be inverted (hi < lo)
+
+
+@st.composite
+def region_list(draw):
+    n = draw(st.integers(1, 64))
+    regions = [Region(Rectangle(0.0, 1.0, 0.0, 1.0), draw(st.sampled_from(_VALUES)))]
+    for _ in range(draw(st.integers(0, 12))):
+        value = draw(st.sampled_from(_VALUES))
+        pick = draw(st.sampled_from(["box", "box", "box", "diagonal", "below"]))
+        if pick == "diagonal":
+            regions.append(Region(Diagonal(), value))
+        elif pick == "below":
+            regions.append(Region(BelowDiagonal(), value))
+        else:
+            (x0, x1), (y0, y1) = draw(box_side(n)), draw(box_side(n))
+            regions.append(Region(Rectangle(x0, x1, y0, y1), value))
+    return n, CostDescriptor(tuple(regions))
+
+
+class TestSlicePainting:
+    @given(case=region_list())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_pointwise_sampling(self, case):
+        n, desc = case
+        C = discretize_cost(desc, Grid(n))
+        assert np.array_equal(C, sampled_matrix(desc, n))
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_every_side_near_an_atom_matches_sampling(self, n):
+        # each (lo, hi) from atoms i/n nudged by every offset, on either axis;
+        # lo == hi and hi < lo are the degenerate sides
+        edges = [i / n + off for i in range(n + 1) for off in _OFFSETS]
+        for lo in edges:
+            for hi in edges:
+                for box in (Rectangle(lo, hi, 0.0, 1.0), Rectangle(0.0, 1.0, lo, hi)):
+                    desc = CostDescriptor((whole_square(0.0), Region(box, 1.0)))
+                    C = discretize_cost(desc, Grid(n))
+                    assert np.array_equal(C, sampled_matrix(desc, n)), box
+
+    def test_overlapping_boxes_last_one_wins(self):
+        desc = CostDescriptor(
+            (
+                whole_square(0.0),
+                Region(Rectangle(0.0, 0.75, 0.0, 0.75), 1.0),
+                Region(Rectangle(0.25, 1.0, 0.25, 1.0), 2.0),
+                Region(Diagonal(), 3.0),
+                Region(Rectangle(0.5, 0.5, 0.0, 1.0), 4.0),  # degenerate: row 0.5
+            )
+        )
+        C = discretize_cost(desc, Grid(4))
+        assert np.array_equal(
+            C,
+            [[3.0, 1.0, 1.0, 0.0],
+             [4.0, 4.0, 4.0, 4.0],
+             [1.0, 2.0, 3.0, 2.0],
+             [0.0, 2.0, 2.0, 3.0]],
+        )
+        assert np.array_equal(C, sampled_matrix(desc, 4))
+
+    @pytest.mark.parametrize("n", [*range(1, 41), 64, 128, 256])
+    def test_catalog_costs_match_mask_painting(self, n):
+        entries = [e.instance for e in catalog(K=20)] + [random_finite(3, 13)]
+        for inst in entries:
+            for desc in (inst.cost, inst.known_rectified):
+                if desc is not None:
+                    assert np.array_equal(
+                        discretize_cost(desc, Grid(n)), mask_painted(desc, n)
+                    ), (inst.name, n)
+
+    @pytest.mark.parametrize("n", [1, 5, 63, 64, 100])
+    def test_random_finite_64_matches_mask_painting(self, n):
+        desc = random_finite(0, 64).cost
+        assert np.array_equal(discretize_cost(desc, Grid(n)), mask_painted(desc, n))
+
+    def test_uncovered_row_raises(self):
+        # rows x in (0, 1/2] and (3/4, 1] are covered; the atom 3/4 is not
+        desc = CostDescriptor(
+            (
+                Region(Rectangle(0.0, 0.5, 0.0, 1.0), 1.0),
+                Region(Rectangle(0.75, 1.0, 0.0, 1.0), 2.0),
+            )
+        )
+        with pytest.raises(ConfigurationError, match="do not cover"):
+            discretize_cost(desc, Grid(4))
+        with pytest.raises(ConfigurationError):
+            sample_cost(desc, 0.75, 0.5)
+        assert discretize_cost(desc, Grid(2)).tolist() == [[1.0, 1.0], [2.0, 2.0]]
