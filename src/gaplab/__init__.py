@@ -36,6 +36,7 @@ from .core import (
     Grid,
 )
 from .costs import (
+    CellTable,
     CostDescriptor,
     Region,
     Segment,

@@ -16,12 +16,13 @@ import numpy as np
 
 from .core import INF, ConfigurationError, DensitySpec
 from .costs import (
+    CellTable,
     ComplementOfIntervals,
     CostDescriptor,
     CountableMarker,
-    Rectangle,
     Region,
     diagonal_split,
+    union_measure,
     whole_square,
 )
 from .instance import Instance
@@ -81,28 +82,9 @@ def _intervals_around(qs: list[float], alpha: float) -> list[tuple[float, float]
     return [(q - alpha / 2**k, q + alpha / 2**k) for k, q in enumerate(qs, start=1)]
 
 
-def _union_measure(intervals, lo: float = 0.0, hi: float = 1.0) -> float:
-    """Lebesgue measure of (union of open intervals) intersected with [lo, hi]."""
-    clipped = sorted(
-        (max(a, lo), min(b, hi)) for a, b in intervals if min(b, hi) > max(a, lo)
-    )
-    total = 0.0
-    cur_lo = cur_hi = None
-    for a, b in clipped:
-        if cur_hi is None or a > cur_hi:
-            if cur_hi is not None:
-                total += cur_hi - cur_lo
-            cur_lo, cur_hi = a, b
-        else:
-            cur_hi = max(cur_hi, b)
-    if cur_hi is not None:
-        total += cur_hi - cur_lo
-    return total
-
-
 def complement_measure(alpha: float, count: int) -> float:
     """lambda([0,1] minus the first ``count`` excluded intervals)."""
-    return 1.0 - _union_measure(excluded_intervals(alpha, count))
+    return 1.0 - union_measure(excluded_intervals(alpha, count))
 
 
 #: enough intervals that the neglected tail is far below double precision
@@ -127,7 +109,7 @@ def fat_set_alpha(target: float = 0.5, depth: int = _ALPHA_DEPTH) -> float:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return mid
-        if 1.0 - _union_measure(_intervals_around(qs, mid)) > target:
+        if 1.0 - union_measure(_intervals_around(qs, mid)) > target:
             lo = mid
         else:
             hi = mid
@@ -154,9 +136,10 @@ def diag_inf() -> Instance:
 
 
 def diag_M(M: float = 2.0) -> Instance:
-    """Finite variant: the forbidden region costs M > 1 instead of +inf."""
-    if not M > 1:
-        raise ConfigurationError(f"the finite variant needs M > 1, got {M}")
+    """Finite variant: the forbidden region costs a finite M > 1 instead of
+    +inf (M = inf would be ``diag_inf``, whose known values differ)."""
+    if not (M > 1 and math.isfinite(M)):
+        raise ConfigurationError(f"the finite variant needs a finite M > 1, got {M}")
     return Instance(
         name=f"diag_M_{M:g}",
         marginal_x=_UNIFORM,
@@ -223,31 +206,22 @@ def trivial_zero() -> Instance:
 def random_finite(
     seed: int, n: int, value_range: tuple[float, float] = (0.0, 1.0)
 ) -> Instance:
-    """Seeded finite-cost instance: one constant value per grid cell, uniform
-    marginals.  Deterministic per (seed, n, value_range)."""
-    if n > 64:
-        raise ConfigurationError("random instances are capped at n = 64")
+    """Seeded finite-cost instance: one constant value per cell of an n x n
+    grid (a ``CellTable``), uniform marginals.  Deterministic per
+    (seed, n, value_range)."""
+    if not 1 <= n <= 64:
+        raise ConfigurationError(f"random instances need 1 <= n <= 64, got n = {n}")
+    if seed < 0:
+        raise ConfigurationError(f"random instances need a seed >= 0, got {seed}")
     lo, hi = value_range
     if not (0 <= lo < hi):
         raise ConfigurationError("value range must satisfy 0 <= lo < hi")
-    rng = np.random.default_rng(seed)
-    values = rng.uniform(lo, hi, size=(n, n))
-    regions = [whole_square(float(values[0, 0]))]
-    for i in range(n):
-        for j in range(n):
-            if i == 0 and j == 0:
-                continue
-            regions.append(
-                Region(
-                    Rectangle(i / n, (i + 1) / n, j / n, (j + 1) / n),
-                    float(values[i, j]),
-                )
-            )
+    values = np.random.default_rng(seed).uniform(lo, hi, size=(n, n))
     return Instance(
         name=f"random_finite_s{seed}_n{n}",
         marginal_x=_UNIFORM,
         marginal_y=_UNIFORM,
-        cost=CostDescriptor(tuple(regions)),
+        cost=CostDescriptor((CellTable(values),)),
     )
 
 

@@ -190,6 +190,8 @@ def cmd_rectify(args) -> int:
     n = ns[0]
     if args.budget < 0:
         raise ConfigurationError(f"budget must be non-negative, got {args.budget}")
+    if args.seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {args.seed}")
     acc = generative_rectify(inst, n, budget=args.budget, rng_seed=args.seed)
     base = Path(args.out) if args.out else None
 

@@ -144,9 +144,20 @@ class DensitySpec:
         return total
 
     def cell_weights(self, grid: Grid) -> np.ndarray:
-        """Integrate the density over each grid cell."""
+        """Integrate the density over each grid cell.
+
+        One vector pass per density piece, adding the pieces in order as
+        ``measure`` does, so each weight has the bits of ``measure`` over its
+        cell.
+        """
         n = grid.n
-        return np.array([self.measure(i / n, (i + 1) / n) for i in range(n)])
+        a = np.arange(n) / n
+        b = np.arange(1, n + 1) / n
+        total = np.zeros(n)
+        for lo, hi, v in zip(self.breakpoints, self.breakpoints[1:], self.values):
+            overlap = np.minimum(b, hi) - np.maximum(a, lo)
+            total += np.where(overlap > 0, v * overlap, 0.0)
+        return total
 
     def to_json_dict(self) -> dict:
         if self.is_uniform:

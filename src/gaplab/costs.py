@@ -12,6 +12,15 @@ fraction of the cell lying outside the intervals, so that cost integrals
 against couplings reproduce interval measures exactly instead of atom
 counts.  Point queries through ``sample_cost`` remain pointwise.
 
+The ``cell_table`` kind (:class:`CellTable`) is a piecewise-constant cost on
+an n x n cell grid that carries one value per cell, so it is a region by
+itself rather than the ``where`` of a :class:`Region`.  A coordinate t lies
+in cell i iff ``i/n + GEOM_TOL < t <= (i+1)/n + GEOM_TOL``, the very
+thresholds a ``Rectangle`` over that cell compares against, so a table
+samples and paints exactly like the n^2 cell rectangles it stands for; its
+grid realization is one gather ``values[ix[:, None], ix[None, :]]``.  Like
+every region it sits in the ordered list, so later regions paint over it.
+
 Rectangles are painted as index slices rather than masks.  The atoms are
 sorted, so each side of a box selects a contiguous run of atom indices, and
 the run's ends are ``np.searchsorted`` of the very thresholds the scalar and
@@ -168,21 +177,31 @@ class ComplementOfIntervals:
         """Lebesgue fraction of (lo, hi] not covered by the open intervals."""
         if hi <= lo:
             return 0.0
-        covered = 0.0
-        events = sorted((max(a, lo), min(b, hi)) for a, b in self.intervals)
-        cur_lo, cur_hi = None, None
-        for a, b in events:
-            if b <= a:
-                continue
-            if cur_hi is None or a > cur_hi:
-                if cur_hi is not None:
-                    covered += cur_hi - cur_lo
-                cur_lo, cur_hi = a, b
-            else:
-                cur_hi = max(cur_hi, b)
-        if cur_hi is not None:
-            covered += cur_hi - cur_lo
+        covered = union_measure(self.intervals, lo, hi)
         return max(0.0, (hi - lo) - covered) / (hi - lo)
+
+
+def union_measure(intervals, lo: float = 0.0, hi: float = 1.0) -> float:
+    """Lebesgue measure of (union of open intervals) intersected with [lo, hi].
+
+    One sweep over the clipped intervals in sorted order, summing each merged
+    run as it closes.
+    """
+    clipped = sorted(
+        (max(a, lo), min(b, hi)) for a, b in intervals if min(b, hi) > max(a, lo)
+    )
+    total = 0.0
+    cur_lo = cur_hi = None
+    for a, b in clipped:
+        if cur_hi is None or a > cur_hi:
+            if cur_hi is not None:
+                total += cur_hi - cur_lo
+            cur_lo, cur_hi = a, b
+        else:
+            cur_hi = max(cur_hi, b)
+    if cur_hi is not None:
+        total += cur_hi - cur_lo
+    return total
 
 
 RegionKind = (
@@ -205,12 +224,56 @@ class Region:
     def __post_init__(self):
         object.__setattr__(self, "value", check_cost_value(self.value))
 
+    def value_at(self, x: float, y: float) -> float | None:
+        return self.value if self.where.matches(x, y) else None
+
+
+@dataclass(frozen=True, eq=False)
+class CellTable:
+    """``values[i, j]`` on the cell (i/n, (i+1)/n] x (j/n, (j+1)/n].
+
+    Every entry is checked like a region value: in [0, +inf], NaN rejected.
+    """
+
+    values: np.ndarray
+
+    def __post_init__(self):
+        try:
+            v = np.array(self.values, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"cell table values: {exc}") from exc
+        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.size == 0:
+            raise ConfigurationError(
+                f"a cell table needs n x n values with n >= 1, got shape {v.shape}"
+            )
+        bad = np.isnan(v) | (v < 0)
+        if bad.any():
+            bad_value = float(v[bad][0])
+            raise ConfigurationError(f"cost values live in [0, inf], got {bad_value!r}")
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CellTable) and np.array_equal(self.values, other.values)
+
+    def cells(self, t: np.ndarray) -> np.ndarray:
+        """Index of the cell owning each coordinate; n above the last cell."""
+        n = self.values.shape[0]
+        return np.searchsorted(np.arange(1, n + 1) / n + GEOM_TOL, t, "left")
+
+    def value_at(self, x: float, y: float) -> float | None:
+        i, j = self.cells(np.array([x, y], dtype=float)).tolist()
+        n = self.values.shape[0]
+        if min(x, y) <= GEOM_TOL or max(i, j) == n:
+            return None
+        return float(self.values[i, j])
+
 
 @dataclass(frozen=True)
 class CostDescriptor:
     """Ordered region list; the last matching region wins at every point."""
 
-    regions: tuple[Region, ...]
+    regions: tuple[Region | CellTable, ...]
 
     def __post_init__(self):
         if not self.regions:
@@ -242,8 +305,9 @@ def sample_cost(descriptor: CostDescriptor, x: float, y: float) -> float:
         raise ConfigurationError(f"sample point ({x}, {y}) outside (0, 1]^2")
     value = None
     for region in descriptor.regions:
-        if region.where.matches(x, y):
-            value = region.value
+        hit = region.value_at(x, y)
+        if hit is not None:
+            value = hit
     if value is None:
         raise ConfigurationError(f"descriptor has no region matching ({x}, {y})")
     return value
@@ -333,14 +397,18 @@ def discretize_cost(descriptor: CostDescriptor, grid: Grid) -> np.ndarray:
     coupling integrals reproduce interval measures exactly.
 
     Each run of consecutive ``Rectangle`` regions is painted as index slices
-    (see the module docstring): the same cells as their masks, in the same
-    order, so the last matching region still wins.
+    and a ``CellTable`` as one gather (see the module docstring): the same
+    cells as their masks, in the same order, so the last matching region
+    still wins.
     """
     n = grid.n
     atoms = grid.atoms
     C = np.full((n, n), np.nan)
     painted = np.zeros((n, n), dtype=bool)
-    runs = groupby(descriptor.regions, key=lambda r: isinstance(r.where, Rectangle))
+    runs = groupby(
+        descriptor.regions,
+        key=lambda r: isinstance(r, Region) and isinstance(r.where, Rectangle),
+    )
     for boxes, run in runs:
         if boxes:
             _paint_rectangles(C, painted, list(run), atoms)
@@ -353,10 +421,15 @@ def discretize_cost(descriptor: CostDescriptor, grid: Grid) -> np.ndarray:
 
 
 def _paint_region(
-    C: np.ndarray, painted: np.ndarray, region: Region, grid: Grid
+    C: np.ndarray, painted: np.ndarray, region: Region | CellTable, grid: Grid
 ) -> None:
     """Paint one region that is not a ``Rectangle``."""
     n = grid.n
+    if isinstance(region, CellTable):  # covers every atom of the grid
+        ix = region.cells(grid.atoms)
+        C[...] = region.values[ix[:, None], ix[None, :]]
+        painted[...] = True
+        return
     kind = region.where
     if isinstance(kind, ComplementOfIntervals):
         fracs = np.array(
@@ -418,7 +491,10 @@ def max_finite_entry(C: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def region_to_json(region: Region) -> dict:
+def region_to_json(region: Region | CellTable) -> dict:
+    if isinstance(region, CellTable):
+        rows = [list(map(extreal_to_json, r)) for r in region.values.tolist()]
+        return {"kind": "cell_table", "values": rows}
     k = region.where
     v = extreal_to_json(region.value)
     if isinstance(k, BelowDiagonal):
@@ -449,8 +525,10 @@ def region_to_json(region: Region) -> dict:
     raise ConfigurationError(f"unserializable region kind {k!r}")
 
 
-def region_from_json(d: dict) -> Region:
+def region_from_json(d: dict) -> Region | CellTable:
     kind = d.get("kind")
+    if kind == "cell_table":
+        return CellTable([list(map(extreal_from_json, r)) for r in d["values"]])
     value = extreal_from_json(d["value"])
     if kind == "below_diagonal":
         return Region(BelowDiagonal(), value)

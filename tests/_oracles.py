@@ -14,6 +14,8 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
+from gaplab.costs import CostDescriptor, Rectangle, Region
+
 
 def _tree_flow(n, m, edges, a, b):
     """Unique flow on a spanning tree of K_{n,m}; None if the edges do not
@@ -238,3 +240,17 @@ def envelope_lp(C, i, j):
     if res.status != 0:
         raise RuntimeError(f"envelope LP failed at ({i},{j}): {res.message}")
     return float(-res.fun)
+
+
+def random_finite_rectangles(seed, n):
+    """``random_finite(seed, n)``'s cost as n^2 rectangles: a whole-square
+    region holding cell (0, 0)'s value, then one ``Rectangle`` per other cell,
+    drawn from the same ``default_rng(seed).uniform`` call."""
+    values = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, n))
+    regions = [Region(Rectangle(0.0, 1.0, 0.0, 1.0), float(values[0, 0]))]
+    for i in range(n):
+        for j in range(n):
+            if i or j:
+                box = Rectangle(i / n, (i + 1) / n, j / n, (j + 1) / n)
+                regions.append(Region(box, float(values[i, j])))
+    return CostDescriptor(tuple(regions))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gaplab import (
+    INF,
     ConfigurationError,
     discretize,
     dumps_instance,
@@ -119,6 +120,12 @@ class TestCatalogEntries:
         with pytest.raises(ConfigurationError):
             diag_M(1.0)
 
+    @pytest.mark.parametrize("M", [INF, np.nan])
+    def test_finite_variant_requires_finite_M(self, M):
+        # M = inf is diag_inf, whose P_c is 1, not the finite variant's 0
+        with pytest.raises(ConfigurationError):
+            diag_M(M)
+
     def test_get_instance_dispatch(self):
         assert get_instance("diag_M", M=3.0).name == "diag_M_3"
         assert get_instance("fat_set", K=5).name == "fat_set_5"
@@ -148,6 +155,11 @@ class TestRandomFinite:
     def test_resolution_cap(self):
         with pytest.raises(ConfigurationError):
             random_finite(0, 65)
+
+    @pytest.mark.parametrize("seed, n", [(0, 0), (0, -1), (-1, 4)])
+    def test_bad_seed_or_resolution_raises(self, seed, n):
+        with pytest.raises(ConfigurationError):
+            random_finite(seed, n)
 
 
 class TestInstanceFiles:

@@ -223,10 +223,28 @@ class TestArgumentErrors:
             ["rectify", "--n", "4..8"],
             ["rectify", "--n", "0"],
             ["rectify", "--n", "4", "--budget", "-1"],
+            ["rectify", "--n", "4", "--seed", "-1"],
         ],
     )
     def test_bad_arguments_exit_2(self, tmp_path, capsys, argv):
         code, text = run(tmp_path, *argv, "--catalog", "diag_inf")
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--catalog", "random_finite", "--catalog-n", "0", "--n", "4"],
+            ["solve", "--catalog", "random_finite", "--catalog-n", "-1", "--n", "4"],
+            ["solve", "--catalog", "random_finite", "--seed", "-1", "--n", "4"],
+            ["solve", "--catalog", "diag_M", "--M", "inf", "--n", "4"],
+            ["catalog", "--catalog-n", "0"],
+            ["catalog", "--seed", "-1"],
+            ["catalog", "--M", "inf"],
+        ],
+    )
+    def test_bad_catalog_parameters_exit_2(self, tmp_path, capsys, argv):
+        code, text = run(tmp_path, *argv)
         assert code == 2 and text == ""
         assert capsys.readouterr().err.startswith("error: ")
 

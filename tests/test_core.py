@@ -66,6 +66,20 @@ class TestDensitySpec:
         spec = DensitySpec((0.0, 0.3, 1.0), (2.0, 4.0 / 7.0))
         assert 0 <= spec.measure(lo, hi) <= spec.measure(0, 1) + 1e-12
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cell_weights_equal_per_cell_measure(self, seed):
+        # uniform, and seeded piecewise densities cut at multiples of 1/20
+        rng = np.random.default_rng([seed, 1])
+        pieces = int(rng.integers(2, 6))
+        cuts = np.sort(rng.choice(np.arange(1, 20), pieces - 1, replace=False)) / 20
+        bp = np.concatenate([[0.0], cuts, [1.0]])
+        w = rng.uniform(0.2, 2.0, size=pieces)
+        specs = [DensitySpec.uniform(), DensitySpec(tuple(bp), tuple(w / (w @ np.diff(bp))))]
+        for spec in specs:
+            for n in [*range(1, 130), 256, 512, 1000, 1024]:
+                loop = [spec.measure(i / n, (i + 1) / n) for i in range(n)]
+                assert np.array_equal(spec.cell_weights(Grid(n)), loop), n
+
 
 class TestDiscreteMeasure:
     def test_from_density_uniform(self):

@@ -1,5 +1,7 @@
 """Descriptor sampling, grid realization, truncation and plan integrals."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from gaplab.catalog import (
 from gaplab.core import GEOM_TOL
 from gaplab.costs import (
     BelowDiagonal,
+    CellTable,
     ComplementOfIntervals,
     CountableMarker,
     Diagonal,
@@ -38,6 +41,15 @@ from gaplab.costs import (
     Region,
     _grid_mask,
 )
+from gaplab.instance import dumps_instance, instance_to_json_dict, loads_instance
+from gaplab.negligible import (
+    PointSetPiece,
+    RectanglePiece,
+    SetDescriptor,
+    apply_null_modification,
+)
+
+from _oracles import random_finite_rectangles
 
 
 DIAG = diag_inf().cost
@@ -328,18 +340,27 @@ class TestSlicePainting:
 
     @pytest.mark.parametrize("n", [*range(1, 41), 64, 128, 256])
     def test_catalog_costs_match_mask_painting(self, n):
-        entries = [e.instance for e in catalog(K=20)] + [random_finite(3, 13)]
-        for inst in entries:
+        # a random_finite cell table is compared with the rectangles it
+        # stands for; the catalog's entry is random_finite(0, 8)
+        pairs = [(random_finite(3, 13).cost, random_finite_rectangles(3, 13))]
+        for entry in catalog(K=20):
+            inst = entry.instance
+            if inst.name == "random_finite_s0_n8":
+                pairs.append((inst.cost, random_finite_rectangles(0, 8)))
+                continue
             for desc in (inst.cost, inst.known_rectified):
                 if desc is not None:
-                    assert np.array_equal(
-                        discretize_cost(desc, Grid(n)), mask_painted(desc, n)
-                    ), (inst.name, n)
+                    pairs.append((desc, desc))
+        for desc, reference in pairs:
+            assert np.array_equal(
+                discretize_cost(desc, Grid(n)), mask_painted(reference, n)
+            ), n
 
     @pytest.mark.parametrize("n", [1, 5, 63, 64, 100])
     def test_random_finite_64_matches_mask_painting(self, n):
         desc = random_finite(0, 64).cost
-        assert np.array_equal(discretize_cost(desc, Grid(n)), mask_painted(desc, n))
+        reference = mask_painted(random_finite_rectangles(0, 64), n)
+        assert np.array_equal(discretize_cost(desc, Grid(n)), reference)
 
     def test_uncovered_row_raises(self):
         # rows x in (0, 1/2] and (3/4, 1] are covered; the atom 3/4 is not
@@ -354,3 +375,90 @@ class TestSlicePainting:
         with pytest.raises(ConfigurationError):
             sample_cost(desc, 0.75, 0.5)
         assert discretize_cost(desc, Grid(2)).tolist() == [[1.0, 1.0], [2.0, 2.0]]
+
+
+# ---------------------------------------------------------------------------
+# cell tables
+# ---------------------------------------------------------------------------
+
+
+_TABLE_GRIDS = [*range(1, 41), 63, 64, 100, 128, 256]
+
+
+class TestCellTable:
+    @pytest.mark.parametrize("n", [1, 2, 13, 64])
+    def test_matches_mask_painted_rectangles(self, n):
+        seed = 100 + n
+        desc = random_finite(seed, n).cost
+        rectangles = random_finite_rectangles(seed, n)
+        for N in _TABLE_GRIDS:
+            assert np.array_equal(
+                discretize_cost(desc, Grid(N)), mask_painted(rectangles, N)
+            ), N
+
+    @pytest.mark.parametrize("N", [1, 3, 13, 20, 64])
+    def test_sample_cost_reads_the_matrix(self, N):
+        desc = random_finite(5, 13).cost
+        assert np.array_equal(sampled_matrix(desc, N), discretize_cost(desc, Grid(N)))
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_cell_edges_sample_like_the_rectangles(self, n):
+        # coordinates i/n nudged by every offset, some outside every cell
+        desc, rectangles = random_finite(8, n).cost, random_finite_rectangles(8, n)
+        edges = [t for i in range(n + 1) for off in _OFFSETS if 0 < (t := i / n + off)]
+        for x in edges:
+            for y in edges:
+                try:
+                    want = sample_cost(rectangles, x, y)
+                except ConfigurationError:
+                    with pytest.raises(ConfigurationError):
+                        sample_cost(desc, x, y)
+                    continue
+                assert sample_cost(desc, x, y) == want, (x, y)
+
+    def test_json_round_trip_is_byte_exact(self):
+        uniform = DensitySpec.uniform()
+        table = CellTable([[0.0, INF, 0.5], [1e-300, 3.0, 0.1], [2.5, 1e300, 7.0]])
+        inst = Instance("table", uniform, uniform, CostDescriptor((table,)))
+        text = dumps_instance(inst)
+        assert '"kind": "cell_table"' in text and '"inf"' in text
+        again = loads_instance(text)
+        assert dumps_instance(again) == text
+        assert again.cost == inst.cost
+        big = random_finite(4, 64)
+        assert dumps_instance(loads_instance(dumps_instance(big))) == dumps_instance(big)
+
+    def test_negligible_override_paints_over_the_table(self):
+        base = random_finite(5, 8)
+        A = SetDescriptor(
+            (RectanglePiece(0.5, 0.5, 0.0, 1.0), PointSetPiece(((0.25, 0.75),)))
+        )
+        mod = apply_null_modification(base, A, INF)
+        override = mod.cost.regions[1:]
+        assert mod.cost.regions[0] == base.cost.regions[0] and len(override) == 2
+        reference = CostDescriptor(random_finite_rectangles(5, 8).regions + override)
+        for N in (4, 8, 12, 16):
+            C = discretize_cost(mod.cost, Grid(N))
+            assert np.array_equal(C, mask_painted(reference, N)), N
+        C = discretize_cost(mod.cost, Grid(8))
+        table = discretize_cost(base.cost, Grid(8))
+        hit = np.zeros((8, 8), dtype=bool)
+        hit[3, :] = hit[1, 5] = True  # the row x = 1/2 and the point (1/4, 3/4)
+        assert np.all(np.isinf(C[hit])) and np.array_equal(C[~hit], table[~hit])
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, -INF, -1e-300])
+    def test_nan_and_negative_entries_raise(self, bad):
+        with pytest.raises(ConfigurationError, match=r"\[0, inf\]"):
+            CellTable([[0.0, 1.0], [bad, 2.0]])
+        uniform = DensitySpec.uniform()
+        doc = instance_to_json_dict(
+            Instance("t", uniform, uniform, CostDescriptor((CellTable([[1.0]]),)))
+        )
+        doc["cost"]["regions"][0]["values"] = [[bad]]
+        with pytest.raises(ConfigurationError):
+            loads_instance(json.dumps(doc))
+
+    @pytest.mark.parametrize("values", [[[1.0, 2.0]], [1.0], [], [[1.0], [2.0, 3.0]]])
+    def test_non_square_tables_raise(self, values):
+        with pytest.raises(ConfigurationError):
+            CellTable(values)
