@@ -299,6 +299,8 @@ _PLAN_BUILDERS = {
 
 
 def cmd_approximate(args) -> int:
+    if args.s < 1:
+        raise ConfigurationError(f"--s must be >= 1, got {args.s}")
     inst = _load(args)
     ns = _parse_n_list(args.n)
     rows = []

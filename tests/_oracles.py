@@ -254,3 +254,26 @@ def random_finite_rectangles(seed, n):
                 box = Rectangle(i / n, (i + 1) / n, j / n, (j + 1) / n)
                 regions.append(Region(box, float(values[i, j])))
     return CostDescriptor(tuple(regions))
+
+
+def jacobi_potentials(D, col):
+    """Dual pair (u, v) of the optimal assignment i -> col[i] by plain
+    Bellman-Ford sweeps from u = 0, capped at N + 1 sweeps; returns
+    (u, v, settled), settled False when the cap was hit.
+
+    Each sweep makes the matched arcs tight (u_i = D_i,col[i] - v_col[i])
+    and then restores feasibility (v_j = min_i D_ij - u_i); the loop stops
+    when a sweep leaves u unchanged, at the least fixed point u >= 0.
+    """
+    D = np.asarray(D, dtype=float)
+    N = D.shape[0]
+    matched = D[np.arange(N), col]
+    u = np.zeros(N)
+    v = D.min(axis=0)
+    for _ in range(N + 1):
+        tight = matched - v[col]
+        if np.array_equal(tight, u):
+            return u, v, True
+        u = tight
+        v = (D - u[:, None]).min(axis=0)
+    return u, v, False

@@ -224,12 +224,23 @@ class TestArgumentErrors:
             ["rectify", "--n", "0"],
             ["rectify", "--n", "4", "--budget", "-1"],
             ["rectify", "--n", "4", "--seed", "-1"],
+            ["approximate", "--n", "4", "--s", "0"],
+            ["approximate", "--n", "4", "--s", "-1"],
         ],
     )
     def test_bad_arguments_exit_2(self, tmp_path, capsys, argv):
         code, text = run(tmp_path, *argv, "--catalog", "diag_inf")
         assert code == 2 and text == ""
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("s", ["0", "-1"])
+    def test_bad_cell_side_names_the_flag(self, tmp_path, capsys, s):
+        code, _ = run(
+            tmp_path, "approximate", "--catalog", "diag_inf", "--n", "4", "--s", s
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--s" in err and f"got {s}" in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,9 +1,15 @@
 """Primal/dual/partial solves against brute-force and closed-form oracles."""
 
+import math
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
+
+import gaplab.solver as solver
 
 from gaplab import (
     INF,
@@ -29,6 +35,8 @@ from gaplab.solver import (
     InputError,
     SolveReport,
     TransportPlan,
+    _assignment_potentials,
+    _forest_levels,
     _highs_lp,
 )
 
@@ -36,6 +44,8 @@ from _oracles import (
     brute_force_partial_matching,
     brute_force_primal,
     greedy_row_drop_value,
+    jacobi_potentials,
+    partial_dual_objective,
 )
 
 
@@ -289,8 +299,7 @@ def _certified(r, C, mu, nu, cap):
     assert r.value == pytest.approx(
         float((C[carried] * r.plan.mass[carried]).sum()), rel=1e-12, abs=1e-12
     )
-    if cap is None:
-        assert abs(r.value - r.potentials.objective) <= 1e-9 * max(1.0, abs(r.value))
+    assert abs(r.value - r.potentials.objective) <= 1e-9 * max(1.0, abs(r.value))
 
 
 def _cross_check(C, mu, nu, k):
@@ -418,3 +427,205 @@ class TestAssignmentPath:
     def test_solve_dual_keeps_the_path(self):
         C, mu, nu = discretize(diag_inf(), 8)
         assert solve_dual(C, mu, nu).path == "assignment"
+
+
+# ---------------------------------------------------------------------------
+# partial dual objective: a.phi + b.psi - cap*(alpha + beta) bounds the value
+# ---------------------------------------------------------------------------
+
+
+def _check_partial_dual(r, C, a, b, eps):
+    """The report's dual objective is the oracle's objective of its own
+    (phi, psi, alpha, beta), which is feasible and meets the primal value."""
+    p = r.potentials
+    assert p.alpha >= 0 and math.copysign(1.0, p.alpha) == 1.0
+    assert p.beta >= 0 and math.copysign(1.0, p.beta) == 1.0
+    alpha, beta = p.alpha, p.beta
+    if eps == 0:  # a full solve: the caps bind nothing, so any alpha >= phi do
+        assert alpha == beta == 0.0
+        alpha, beta = max(p.phi.max(), 0.0), max(p.psi.max(), 0.0)
+    bound = partial_dual_objective(C, a, b, eps, p.phi, p.psi, alpha, beta, tol=1e-9)
+    scale = max(1.0, abs(r.value))
+    assert abs(p.objective - bound) <= 1e-9 * scale
+    assert abs(p.objective - r.value) <= 1e-9 * scale
+    assert abs(r.to_json_dict()["objective_gap"]) <= 1e-9 * scale
+
+
+class TestPartialDualObjective:
+    @pytest.mark.parametrize(
+        "name,n,eps,path,value",
+        [
+            ("diag_inf", 8, 1 / 16, "highs", 0.5),  # half an atom
+            ("fat_set", 16, 1 / 8, "assignment", None),
+            ("fat_set", 16, 1 / 32, "highs", None),
+            ("diag_inf", 16, 1 / 16, "assignment", 0.0),
+            ("diag_M", 16, 3 / 16, "assignment", None),
+            ("random_finite", 8, 3 / 8, "assignment", None),
+            ("random_finite", 8, 0.3, "highs", None),
+            ("fat_set", 8, 0.0, "assignment", None),
+            ("fat_set", 8, 1.0, "assignment", 0.0),
+            ("fat_set", 8, 2.5, "assignment", 0.0),
+        ],
+    )
+    def test_catalog(self, name, n, eps, path, value):
+        C, mu, nu = discretize(get_instance(name), n)
+        r = solve_partial(C, mu, nu, eps)
+        assert r.path == path and r.status == "optimal"
+        if value is not None:
+            assert r.value == pytest.approx(value, abs=1e-12)
+        _check_partial_dual(r, C, mu.weights, nu.weights, eps)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.25, 0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("c", [-2.0, 0.0, 3.0])
+    def test_single_atom(self, c, eps):
+        # eps = 0.25 and 0.5 are no whole atom: the HiGHS path
+        C, a = np.array([[c]]), np.array([1.0])
+        r = solve_partial(C, a, a, eps)
+        assert r.path == ("highs" if eps in (0.25, 0.5) else "assignment")
+        _check_partial_dual(r, C, a, a, eps)
+
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    def test_negative_costs_need_the_shift(self, k):
+        # max_plan_mass's costs: every kept atom pays -1, so the dummy
+        # potentials come out negative before the shift
+        C = np.where(np.random.default_rng(7).random((6, 6)) < 0.4, -1.0, 0.0)
+        a = np.full(6, 1 / 6)
+        r = solve_partial(C, a, a, k / 6)
+        assert r.path == "assignment"
+        _check_partial_dual(r, C, a, a, k / 6)
+        ref = _highs_lp(C, a, a, k / 6)
+        _check_partial_dual(ref, C, a, a, k / 6)
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 6),
+        uniform_weights=st.booleans(),
+        eps=st.sampled_from([0.0, 0.1, 0.5, 1.0, 1.5]),
+        atoms=st.sampled_from([None, 1, 2]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_costs_on_both_paths(self, seed, n, uniform_weights, eps, atoms):
+        rng = np.random.default_rng(seed)
+        C = rng.uniform(-1.0, 2.0, (n, n))
+        C[rng.random((n, n)) < 0.3] = INF
+        if uniform_weights:
+            a = np.full(n, 1.0 / n)
+        else:
+            a = rng.uniform(0.5, 1.0, n)
+            a /= a.sum()
+        b = a[rng.permutation(n)]
+        if atoms is not None:  # a whole number of atoms: the assignment path
+            eps = min(atoms / n, 1.0)
+        r = solve_partial(C, a, b, eps)
+        if r.status == "optimal":
+            _check_partial_dual(r, C, a, b, eps)
+
+
+# ---------------------------------------------------------------------------
+# assignment potentials: the forest pass returns the plain sweeps' result
+# ---------------------------------------------------------------------------
+
+
+def _assignment(C, k):
+    """The (n+k)-square assignment matrix of _assignment_lp and an optimal
+    matching of it; None when no perfect matching is finite."""
+    n = C.shape[0]
+    D = np.zeros((n + k, n + k))
+    D[:n, :n] = np.where(np.isfinite(C), C, INF)
+    try:
+        _, col = linear_sum_assignment(D)
+    except ValueError:
+        return None
+    return D, col
+
+
+def _matches_jacobi(D, col):
+    """Bit-equal to the plain sweeps wherever they settle; returns whether
+    they did."""
+    u, v = _assignment_potentials(D, col)
+    ju, jv, settled = jacobi_potentials(D, col)
+    if settled:
+        assert np.array_equal(u, ju) and np.array_equal(v, jv)
+    else:  # rounding drift around a zero-length cycle: a certified pair
+        finite = np.isfinite(D)
+        assert (u[:, None] + v[None, :] - D)[finite].max() <= 1e-9
+        assert np.abs(u + v[col] - D[np.arange(D.shape[0]), col]).max() <= 1e-9
+    return settled
+
+
+#: 0 runs a forest pass after every sweep, so small inputs exercise it too
+PLAIN_SWEEPS = [solver._PLAIN_SWEEPS, 0]
+
+
+class TestAssignmentPotentials:
+    @pytest.mark.parametrize("plain", PLAIN_SWEEPS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 64, 256])
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_matches_jacobi(self, monkeypatch, name, n, plain):
+        monkeypatch.setattr(solver, "_PLAIN_SWEEPS", plain)
+        C, _, _ = discretize(get_instance(name), n)
+        for k in (0, 1, 2):
+            problem = _assignment(C, k)
+            if problem is not None:
+                assert _matches_jacobi(*problem)
+
+    @given(
+        data=st.data(),
+        n=st.integers(1, 12),
+        k=st.integers(0, 2),
+        plain=st.sampled_from([0, 1, 3, solver._PLAIN_SWEEPS]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_costs_with_ties_and_inf_match_jacobi(self, data, n, k, plain):
+        values = data.draw(
+            st.lists(
+                st.sampled_from([-1.0, 0.0, 0.0, 0.5, 1.0, 1 / 3, 2.0, INF, INF]),
+                min_size=n * n,
+                max_size=n * n,
+            )
+        )
+        problem = _assignment(np.array(values).reshape(n, n), k)
+        if problem is None:
+            return
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_PLAIN_SWEEPS", plain)
+            _matches_jacobi(*problem)
+
+    def test_deep_chain_within_budget(self):
+        # diag_inf's finite arcs are lower triangular with a finite diagonal,
+        # so the identity is its only perfect matching; the shortest paths
+        # form one chain of n - 1 arcs, n - 1 plain sweeps of n^2 each
+        n = 1024
+        C, _, _ = discretize(diag_inf(), n)
+        D, col = np.where(np.isfinite(C), C, INF), np.arange(n)
+        start = time.perf_counter()
+        u, v = _assignment_potentials(D, col)
+        elapsed = time.perf_counter() - start
+        ju, jv, settled = jacobi_potentials(D, col)
+        assert settled
+        assert np.array_equal(u, ju) and np.array_equal(v, jv)
+        assert elapsed < 1.0
+
+    def test_chain_settles_in_one_forest_pass(self, monkeypatch):
+        passes = []
+
+        def counted(pred):
+            passes.append(pred)
+            return _forest_levels(pred)
+
+        monkeypatch.setattr(solver, "_forest_levels", counted)
+        C, mu, nu = discretize(diag_inf(), 128)
+        r = solve_primal(C, mu, nu)
+        assert r.path == "assignment" and r.value == pytest.approx(1.0, abs=1e-12)
+        assert len(passes) == 1
+
+    def test_forest_levels(self):
+        # 0 and 3 are roots; 6 <-> 7 is a cycle without a root and 8 hangs
+        # off it, so those three reach no root and are left out
+        pred = np.array([0, 0, 1, 3, 3, 4, 7, 6, 6])
+        levels = _forest_levels(pred)
+        assert [lv.tolist() for lv in levels] == [[0, 3], [1, 4], [2, 5]]
+        assert _forest_levels(np.array([1, 2, 0])) == []
+        assert [lv.tolist() for lv in _forest_levels(np.array([0]))] == [[0]]
+        chain = np.concatenate([[0], np.arange(99)])  # i -> i - 1
+        assert [lv.tolist() for lv in _forest_levels(chain)] == [[i] for i in range(100)]
