@@ -461,7 +461,8 @@ def _paint_region(
 
 
 def truncate_cost(C: np.ndarray, level: int) -> np.ndarray:
-    """Clamp every entry into [0, level]; +inf maps to the level."""
+    """min(C, level) entrywise: +inf maps to the level, and entries below
+    it, negative ones included, stay as they are."""
     if level < 1:
         raise ValueError(f"truncation level must be a positive integer, got {level}")
     return np.minimum(np.asarray(C, dtype=float), float(level))

@@ -11,9 +11,13 @@ Two independent routes to the same object:
   pointwise supremum of explicitly constructed feasible pairs: the zero
   pair, box-infimum pairs over all dyadic index boxes, and dual optimizers
   of reweighted marginals solved against a truncation ladder of the cost.
+  Each of those dual LPs keeps only the arcs between the atoms of positive
+  weight; the zero-weight atoms get exact c-transforms.
 
-The generative supremum can never exceed the pointwise envelope (every
-accumulated pair is feasible), which the test-suite checks both ways.
+The generative supremum can never exceed the pointwise envelope: every
+generated pair satisfies phi_i + psi_j <= C_ij in floating point, with no
+tolerance, and the test-suite checks both ways.  ``PAIR_TOL`` is the slack
+allowed of pairs supplied from outside.
 """
 
 from __future__ import annotations
@@ -247,6 +251,25 @@ def _batched_reweighted_duals(
     Each block is the dual LP itself: maximise a.phi + b.psi subject to
     phi_i + psi_j <= C_ij with free potentials, so a block has n + m columns
     rather than n * m, and (phi, psi) is read off the solution directly.
+    A block keeps only the rows of its support arcs S x T, where
+    S = {a > 0} and T = {b > 0}; each (a, b) needs positive mass on both
+    sides.  The zero-weight atoms are then filled by c-transforms, first
+    psi_j = min over i in S of (C_ij - phi_i) for j not in T, then
+    phi_i = min over all j of (C_ij - psi_j) for i not in S.  This is exact:
+
+    * every plan with marginals (a, b) lives on S x T, so the restricted LP
+      has the optimal value of the full one;
+    * the filled atoms carry zero weight, so the objective does not change;
+    * the fill makes every arc feasible by construction: the S x not-T arcs
+      through the first transform, the not-S rows through the second.
+
+    Rounding can still leave phi_i + psi_j above C_ij by an ulp or so, on a
+    filled arc or on a support arc of HiGHS's vertex.  So a potential whose
+    arcs exceed C is stepped down by its largest excess and one more ulp,
+    until no sum exceeds C in floating point: first psi against the rows in
+    S, then phi against every column.  Every returned pair is feasible
+    against all of C with no tolerance.
+
     Every block reaches its problem's optimal value, though not necessarily
     the same optimal pair as one primal solve per problem would report.
     One LP holds at most ``max(1, ARCS_PER_LP // C.size)`` blocks.
@@ -259,17 +282,20 @@ def _batched_reweighted_duals(
     for start in range(0, len(marginals), per_lp):
         part = marginals[start : start + per_lp]
         k = len(part)
-        base = (np.arange(k) * (n + m))[:, None]
-        indices = np.stack([base + rows, base + n + cols], axis=-1).ravel()
+        a = np.stack([ab[0] for ab in part])
+        b = np.stack([ab[1] for ab in part])
+        S, T = a > 0, b > 0
+        block, arc = np.nonzero(S[:, rows] & T[:, cols])
+        base = block * (n + m)
+        indices = np.stack([base + rows[arc], base + n + cols[arc]], axis=-1).ravel()
         A_ub = sparse.csr_matrix(
             (np.ones(indices.size), indices, np.arange(0, indices.size + 1, 2)),
-            shape=(k * narc, k * (n + m)),
+            shape=(arc.size, k * (n + m)),
         )
-        gain = np.concatenate([np.concatenate([a, b]) for a, b in part])
         res = linprog(
-            -gain,
+            -np.concatenate([a, b], axis=1).ravel(),
             A_ub=A_ub,
-            b_ub=np.tile(C.ravel(), k),
+            b_ub=C.ravel()[arc],
             bounds=(None, None),
             method="highs",
             options=_HIGHS_OPTS,
@@ -277,10 +303,34 @@ def _batched_reweighted_duals(
         if res.status != 0:
             raise RuntimeError(f"batched dual solve failed: {res.message}")
         pots = np.asarray(res.x, dtype=float).reshape(k, n + m)
-        for (a, b), pot in zip(part, pots):
-            phi, psi = pot[:n], pot[n:]
-            out.append((phi, psi, float(phi @ a + psi @ b)))
+        phi, psi = pots[:, :n], pots[:, n:]
+        fill = np.where(S[:, :, None], C - phi[:, :, None], INF).min(axis=1)
+        psi = _lower_until_feasible(np.where(T, psi, fill), phi, S, C)
+        phi = np.where(S, phi, (C - psi[:, None, :]).min(axis=2))
+        phi = _lower_until_feasible(phi, psi, np.ones_like(T), C.T)
+        for (at, bt), ph, ps in zip(part, phi, psi):
+            out.append((ph, ps, float(ph @ at + ps @ bt)))
     return out
+
+
+def _lower_until_feasible(
+    pot: np.ndarray, other: np.ndarray, rows: np.ndarray, C: np.ndarray
+) -> np.ndarray:
+    """Lower pot[t, j] until other[t, i] + pot[t, j] <= C[i, j] holds in
+    floating point for every i with rows[t, i].
+
+    An offending potential drops by its largest excess and then one ulp, and
+    the check repeats: near 0 an ulp is ~5e-324, so one ulp at a time
+    would never finish.
+    """
+    while True:
+        excess = np.where(
+            rows[:, :, None], other[:, :, None] + pot[:, None, :] - C, -INF
+        ).max(axis=1)
+        over = excess > 0
+        if not over.any():
+            return pot
+        pot = np.where(over, np.nextafter(pot - excess, -INF), pot)
 
 
 def dyadic_index_ranges(n: int) -> list[tuple[int, int]]:

@@ -140,7 +140,8 @@ class TestTruncate:
         assert np.array_equal(truncate_cost(C, 2), [[1.0, 2.0], [0.0, 1.0]])
 
     def test_identity_when_level_dominates(self):
-        C = np.array([[1.0, 3.0], [0.0, 2.0]])
+        # negative entries are not clamped to 0
+        C = np.array([[1.0, 3.0], [-2.5, 2.0]])
         assert np.array_equal(truncate_cost(C, 5), C)
 
     def test_matches_finite_variant_descriptor(self):

@@ -16,7 +16,14 @@ from gaplab import (
     sample_reweight_pair,
     truncate_cost,
 )
-from gaplab.catalog import diag_M, random_finite, rational_nullmod, trivial_zero
+from gaplab.catalog import (
+    diag_M,
+    fat_set,
+    get_instance,
+    random_finite,
+    rational_nullmod,
+    trivial_zero,
+)
 from gaplab.rectify import (
     ARCS_PER_LP,
     PAIR_TOL,
@@ -246,6 +253,113 @@ class TestBatchedReweightedDuals:
             ref = solve_primal(C, DiscreteMeasure(a), DiscreteMeasure(b)).value
             assert abs(obj - ref) <= 1e-9
 
+    # support patterns (S, T) of one block: a one-atom S or T, one side
+    # full and the other partial, both partial, full support
+    @staticmethod
+    def _supports(n, m):
+        pats = [
+            ([n - 1], range(m)),
+            (range(n), [0]),
+            ([0], [m - 1]),
+            (range(n), range(0, m, 2)),
+            (range(1, n, 2) or [0], range(m)),
+            (range(0, n, 2), range(m - 1, -1, -2)),
+            (range(n), range(m)),
+        ]
+        return [(list(S), list(T)) for S, T in pats]
+
+    @staticmethod
+    def _weights(n, m, S, T, rng):
+        a = np.zeros(n)
+        b = np.zeros(m)
+        a[S] = rng.uniform(0.2, 1.0, len(S))
+        b[T] = rng.uniform(0.2, 1.0, len(T))
+        return a / a.sum(), b / b.sum()
+
+    @staticmethod
+    def _cost(kind, n, m):
+        if kind == "random":
+            return np.random.default_rng(10 * n + m).uniform(-1.0, 3.0, (n, m))
+        # exact zeros, ties and a truncated +inf region
+        return truncate_cost(discretize(get_instance(kind), n)[0], 1)
+
+    @pytest.mark.parametrize(
+        "kind, n, m",
+        [
+            ("random", 1, 1),
+            ("random", 2, 3),
+            ("random", 3, 3),
+            ("random", 6, 5),
+            ("random", 8, 8),
+            ("diag_inf", 8, 8),
+            ("fat_set", 16, 16),
+        ],
+    )
+    def test_support_rows_exact_optimal_and_tight(self, kind, n, m, monkeypatch):
+        import gaplab.rectify
+
+        C = self._cost(kind, n, m)
+        rng = np.random.default_rng(n + m)
+        supports = self._supports(n, m)
+        marginals = [self._weights(n, m, S, T, rng) for S, T in supports]
+        shapes = []
+        real = gaplab.rectify.linprog
+
+        def spy(*args, **kwargs):
+            shapes.append(kwargs["A_ub"].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gaplab.rectify, "linprog", spy)
+        solved = _batched_reweighted_duals(C, marginals)
+        assert shapes == [
+            (sum(len(S) * len(T) for S, T in supports), len(supports) * (n + m))
+        ]
+        for (S, T), (a, b), (phi, psi, obj) in zip(supports, marginals, solved):
+            # feasible in floating point, with no tolerance
+            assert (phi[:, None] + psi[None, :] - C).max() <= 0.0
+            assert abs(obj - (phi @ a + psi @ b)) <= 1e-12
+            ref = solve_primal(C, DiscreteMeasure(a), DiscreteMeasure(b)).value
+            assert abs(obj - ref) <= 1e-9
+            if n <= 3 and m <= 3:
+                assert abs(obj - brute_force_primal(C, a, b)[0]) <= 1e-9
+            # the zero-weight atoms carry the c-transforms, psi off T against
+            # the rows in S first, then phi off S against every column
+            top = max(np.abs(C).max(), np.abs(phi).max(), np.abs(psi).max())
+            ulps = 4 * np.spacing(top)
+            offT = np.setdiff1d(np.arange(m), T)
+            offS = np.setdiff1d(np.arange(n), S)
+            psi_ct = (C[S][:, offT] - phi[S][:, None]).min(axis=0)
+            phi_ct = (C[offS] - psi[None, :]).min(axis=1)
+            assert np.all(np.abs(psi[offT] - psi_ct) <= ulps)
+            assert np.all(np.abs(phi[offS] - phi_ct) <= ulps)
+
+    def test_rows_span_only_support_arcs_across_lps(self, monkeypatch):
+        import gaplab.rectify
+
+        n = 32
+        per_lp = ARCS_PER_LP // (n * n)
+        C = truncate_cost(discretize(fat_set(), n)[0], 2)
+        marginals = self._marginals(n, 2 * per_lp + 3, seed=3)
+        rows = []
+        real = gaplab.rectify.linprog
+
+        def spy(*args, **kwargs):
+            rows.append(kwargs["A_ub"].shape[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gaplab.rectify, "linprog", spy)
+        solved = _batched_reweighted_duals(C, marginals)
+        assert len(rows) == 3 and len(solved) == len(marginals)
+        support = [int((a > 0).sum() * (b > 0).sum()) for a, b in marginals]
+        starts = range(0, len(support), per_lp)
+        assert rows == [sum(support[s : s + per_lp]) for s in starts]
+        assert sum(rows) < len(marginals) * n * n
+        for phi, psi, _ in solved:
+            assert (phi[:, None] + psi[None, :] - C).max() <= 0.0
+
+    def test_empty_batch(self):
+        assert _batched_reweighted_duals(np.zeros((3, 3)), []) == []
+
 
 class TestBoxPairs:
     def test_constant_cost_whole_grid_box(self):
@@ -302,6 +416,15 @@ class TestGenerativeRectify:
         for budget in (0, 10, 50):
             acc = generative_rectify(inst, 4, budget=budget, rng_seed=5)
             assert np.all(acc.lower_envelope <= E + 1e-7)
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_generative_envelope_never_exceeds_cost(self, seed):
+        # at these seeds HiGHS's dual vertex sat one ulp above zero-cost arcs
+        acc = generative_rectify(fat_set(), 32, 200, seed)
+        finite = np.isfinite(acc.C)
+        assert np.all(acc.lower_envelope[finite] <= acc.C[finite])
+        slacks = [s for prov, _, s in acc.log if prov.startswith("reweighted_dual")]
+        assert len(slacks) == 200 and max(slacks) <= 0.0
 
     def test_monotone_in_accumulation(self):
         C, mu, nu = discretize(diag_M(2.0), 4)
