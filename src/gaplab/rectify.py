@@ -12,7 +12,12 @@ Two independent routes to the same object:
   pair, box-infimum pairs over all dyadic index boxes, and dual optimizers
   of reweighted marginals solved against a truncation ladder of the cost.
   Each of those dual LPs keeps only the arcs between the atoms of positive
-  weight; the zero-weight atoms get exact c-transforms.
+  weight; the zero-weight atoms get exact c-transforms.  The LPs run on
+  classes of identical rows and columns, which is exact because a class
+  plan splits proportionally into an atom plan of the same cost; a block
+  with one class on a side has a forced plan and needs no LP; and the
+  potentials are boxed, because the double c-transform of an optimal pair,
+  shifted to max psi = 0, lies in the box.
 
 The generative supremum can never exceed the pointwise envelope: every
 generated pair satisfies phi_i + psi_j <= C_ij in floating point, with no
@@ -113,7 +118,9 @@ class RectifiedAccumulator:
             raise InputError(
                 f"pair {pair.provenance} is infeasible or NaN (slack {slack:.3e})"
             )
-        self.lower_envelope = np.maximum(self.lower_envelope, tensor)
+        # on a tie np.maximum keeps its second operand, so a -0.0 sum would
+        # replace a 0.0; adding 0.0 turns -0.0 into 0.0
+        self.lower_envelope = np.maximum(self.lower_envelope, tensor) + 0.0
         self.pair_count += 1
         key = pair.provenance.split("(")[0]
         self.provenance_counts[key] = self.provenance_counts.get(key, 0) + 1
@@ -248,14 +255,42 @@ def _batched_reweighted_duals(
     """Dual optimizers for many independent transport problems over the same
     bounded cost, solved a few at a time as one block-diagonal LP.
 
-    Each block is the dual LP itself: maximise a.phi + b.psi subject to
-    phi_i + psi_j <= C_ij with free potentials, so a block has n + m columns
-    rather than n * m, and (phi, psi) is read off the solution directly.
-    A block keeps only the rows of its support arcs S x T, where
-    S = {a > 0} and T = {b > 0}; each (a, b) needs positive mass on both
-    sides.  The zero-weight atoms are then filled by c-transforms, first
-    psi_j = min over i in S of (C_ij - phi_i) for j not in T, then
-    phi_i = min over all j of (C_ij - psi_j) for i not in S.  This is exact:
+    Identical rows of C form a row class and identical columns a column
+    class; Cc is the r x c cost between classes.  A block sums its weights
+    per class, and its dual LP is posed on the classes: maximise
+    A.phi + B.psi subject to phi_r + psi_c <= Cc_rc on the class arcs
+    where both class weights are positive.  Each class potential is then
+    copied to the atoms of positive weight in it.  This is exact:
+
+    * a class-level plan splits proportionally, pi_ij = P_rc a_i b_j /
+      (A_r B_c), into an atom-level plan with marginals (a, b) and the same
+      cost, and an atom-level plan sums to a class-level one, so both LPs
+      have the same optimal value;
+    * twin rows (columns) carry identical constraints, so the class
+      potential is feasible and optimal for every member.
+
+    A block whose support has a single row class r needs no LP: its plan is
+    forced (all of A_r goes to B), and phi = 0 on r, psi = Cc[r, .] meets
+    every support arc with equality, so the pair is feasible with the forced
+    plan's cost.  A single column class is the transpose.
+
+    The LP columns are boxed, with R = max Cc - min Cc: psi in [-R, 0] and
+    phi in [min Cc, max Cc].  The box holds an optimal pair.  Take any
+    optimal pair and its double c-transform over the support arcs,
+    psi_c = min over supported r of (Cc_rc - phi_r), then phi_r = min over
+    supported c of (Cc_rc - psi_c): it is feasible and no worse.  There
+    psi_c - psi_c' is at most max over r of (Cc_rc - Cc_rc') <= R.  Shifting
+    to (phi + s, psi - s) with max psi = 0 keeps the objective, as the
+    masses balance, and puts psi in [-R, 0] and each phi_r, a minimum of
+    Cc_rc - psi_c that includes the c with psi_c = 0, in [min Cc, max Cc].
+    With every column bounded HiGHS starts from a bound instead of pivoting
+    free columns in, and with only support arcs of distinct classes
+    presolve has nothing to remove, so it is off.
+
+    The zero-weight atoms, S = {a > 0} and T = {b > 0} being the rest, are
+    then filled by c-transforms, first psi_j = min over i in S of
+    (C_ij - phi_i) for j not in T, then phi_i = min over all j of
+    (C_ij - psi_j) for i not in S.  This is exact:
 
     * every plan with marginals (a, b) lives on S x T, so the restricted LP
       has the optimal value of the full one;
@@ -268,42 +303,65 @@ def _batched_reweighted_duals(
     arcs exceed C is stepped down by its largest excess and one more ulp,
     until no sum exceeds C in floating point: first psi against the rows in
     S, then phi against every column.  Every returned pair is feasible
-    against all of C with no tolerance.
+    against all of C with no tolerance.  Each (a, b) needs positive mass
+    on both sides.
 
     Every block reaches its problem's optimal value, though not necessarily
     the same optimal pair as one primal solve per problem would report.
-    One LP holds at most ``max(1, ARCS_PER_LP // C.size)`` blocks.
+    The blocks are taken ``max(1, ARCS_PER_LP // C.size)`` at a time, so
+    every (blocks, n, m) temporary holds at most ``ARCS_PER_LP`` entries;
+    the blocks of one such chunk that need an LP share one.
     """
     n, m = C.shape
-    narc = n * m
-    rows, cols = np.divmod(np.arange(narc), m)
-    per_lp = max(1, ARCS_PER_LP // narc)
+    per_lp = max(1, ARCS_PER_LP // (n * m))
+    _, row_rep, row_cls = np.unique(C, axis=0, return_index=True, return_inverse=True)
+    _, col_rep, col_cls = np.unique(C, axis=1, return_index=True, return_inverse=True)
+    Cc = C[np.ix_(row_rep, col_rep)]
+    r, c = Cc.shape
+    # sum a block's weights per class: a @ row_sum is (blocks, r)
+    row_sum, col_sum = np.eye(r)[row_cls], np.eye(c)[col_cls]
+    crow, ccol = np.divmod(np.arange(r * c), c)
+    # HiGHS's tolerances are absolute and it reads 1e20 as infinite, so the
+    # LP is posed at the power of two that brings max |Cc| into [1/2, 1);
+    # a power of two scales a float exactly
+    scale = math.ldexp(1.0, -math.frexp(float(np.abs(Cc).max()))[1])
+    Cs = Cc * scale
+    lo, hi = float(Cs.min()), float(Cs.max())
+    box = np.array([(lo, hi)] * r + [(lo - hi, 0.0)] * c)
     out = []
     for start in range(0, len(marginals), per_lp):
         part = marginals[start : start + per_lp]
-        k = len(part)
         a = np.stack([ab[0] for ab in part])
         b = np.stack([ab[1] for ab in part])
+        A, B = a @ row_sum, b @ col_sum
+        Sc, Tc = A > 0, B > 0
+        one_row = Sc.sum(axis=1) == 1
+        one_col = ~one_row & (Tc.sum(axis=1) == 1)
+        phi_c = np.where(one_col[:, None], Cc[:, Tc.argmax(axis=1)].T, 0.0)
+        psi_c = np.where(one_row[:, None], Cc[Sc.argmax(axis=1)], 0.0)
+        lp = np.flatnonzero(~(one_row | one_col))
+        if lp.size:
+            block, arc = np.nonzero(Sc[lp][:, crow] & Tc[lp][:, ccol])
+            base = block * (r + c)
+            indices = np.stack([base + crow[arc], base + r + ccol[arc]], axis=-1).ravel()
+            A_ub = sparse.csr_matrix(
+                (np.ones(indices.size), indices, np.arange(0, indices.size + 1, 2)),
+                shape=(arc.size, lp.size * (r + c)),
+            )
+            res = linprog(
+                -np.concatenate([A[lp], B[lp]], axis=1).ravel(),
+                A_ub=A_ub,
+                b_ub=Cs.ravel()[arc],
+                bounds=np.tile(box, (lp.size, 1)),
+                method="highs",
+                options={**_HIGHS_OPTS, "presolve": False},
+            )
+            if res.status != 0:
+                raise RuntimeError(f"batched dual solve failed: {res.message}")
+            pots = np.asarray(res.x, dtype=float).reshape(lp.size, r + c) / scale
+            phi_c[lp], psi_c[lp] = pots[:, :r], pots[:, r:]
+        phi, psi = phi_c[:, row_cls], psi_c[:, col_cls]
         S, T = a > 0, b > 0
-        block, arc = np.nonzero(S[:, rows] & T[:, cols])
-        base = block * (n + m)
-        indices = np.stack([base + rows[arc], base + n + cols[arc]], axis=-1).ravel()
-        A_ub = sparse.csr_matrix(
-            (np.ones(indices.size), indices, np.arange(0, indices.size + 1, 2)),
-            shape=(arc.size, k * (n + m)),
-        )
-        res = linprog(
-            -np.concatenate([a, b], axis=1).ravel(),
-            A_ub=A_ub,
-            b_ub=C.ravel()[arc],
-            bounds=(None, None),
-            method="highs",
-            options=_HIGHS_OPTS,
-        )
-        if res.status != 0:
-            raise RuntimeError(f"batched dual solve failed: {res.message}")
-        pots = np.asarray(res.x, dtype=float).reshape(k, n + m)
-        phi, psi = pots[:, :n], pots[:, n:]
         fill = np.where(S[:, :, None], C - phi[:, :, None], INF).min(axis=1)
         psi = _lower_until_feasible(np.where(T, psi, fill), phi, S, C)
         phi = np.where(S, phi, (C - psi[:, None, :]).min(axis=2))
@@ -386,11 +444,13 @@ def box_infimum_pairs(C: np.ndarray, boxes=None) -> list[FeasiblePair]:
 
 
 def truncation_ladder(C: np.ndarray) -> list[int]:
-    """Powers of two covering the finite range of C (at least level 1)."""
+    """Powers of two covering the finite range of C (at least level 1), up
+    to 2**1023, the largest power of two a float holds."""
     top = max_finite_entry(C)
     levels = [1]
     k = 1
-    while 2**k <= max(2.0 * top, 1.0):
+    # an int against a float compares exactly, with no 2 * top to overflow
+    while k <= 1023 and 2 ** (k - 1) <= top:
         levels.append(2**k)
         k += 1
     return levels

@@ -282,6 +282,15 @@ class TestRectify:
         row = text.strip().splitlines()[1].split(",")
         assert float(row[5]) == 0.0  # sup gap
 
+    def test_cost_near_the_float_limit_exits(self):
+        # 2 * top overflowed to inf and the truncation ladder never ended
+        proc = run_process(
+            "rectify", "--catalog", "diag_M", "--M", "1e308", "--n", "4", "--budget", "1"
+        )
+        assert proc.returncode == 0, proc.stderr
+        row = proc.stdout.strip().splitlines()[1].split(",")
+        assert row[0] == "diag_M_1e+308" and row[4] == "51"
+
     def test_diag_budget_200_writes_artifacts(self, tmp_path):
         out = tmp_path / "rect.csv"
         code = main(

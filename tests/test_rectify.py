@@ -32,6 +32,7 @@ from gaplab.rectify import (
     ReweightPair,
     _batched_reweighted_duals,
     dyadic_index_ranges,
+    truncation_ladder,
 )
 from gaplab.solver import InputError, solve_primal
 
@@ -51,6 +52,30 @@ def assert_matches_envelope_lp(C, E, tol=1e-7):
             assert e == INF, (i, j, e)
         else:
             assert abs(e - ref) <= tol * max(1.0, abs(ref)), (i, j, e, ref)
+
+
+def cost_classes(C):
+    """Class index of every row and of every column of C: twins (equal
+    entry by entry) share one."""
+    def classes(lines):
+        first = {}
+        return np.array([first.setdefault(tuple(line), len(first)) for line in lines])
+
+    return classes(C), classes(C.T)
+
+
+def class_lp_shape(C, marginals):
+    """(rows, columns) of the class-level dual LP over the blocks that have
+    two or more classes on both sides of their support."""
+    rcls, ccls = cost_classes(C)
+    r, c = rcls.max() + 1, ccls.max() + 1
+    rows = cols = 0
+    for a, b in marginals:
+        s, t = len(set(rcls[a > 0])), len(set(ccls[b > 0]))
+        if s > 1 and t > 1:
+            rows += s * t
+            cols += r + c
+    return rows, cols
 
 
 class TestPointwiseEnvelope:
@@ -311,9 +336,12 @@ class TestBatchedReweightedDuals:
 
         monkeypatch.setattr(gaplab.rectify, "linprog", spy)
         solved = _batched_reweighted_duals(C, marginals)
-        assert shapes == [
-            (sum(len(S) * len(T) for S, T in supports), len(supports) * (n + m))
-        ]
+        # one LP for the blocks with two or more classes on both sides, on
+        # their class-level support arcs
+        lp_shape = class_lp_shape(C, marginals)
+        assert shapes == ([lp_shape] if lp_shape[0] else [])
+        if kind == "fat_set":
+            assert shapes == []
         for (S, T), (a, b), (phi, psi, obj) in zip(supports, marginals, solved):
             # feasible in floating point, with no tolerance
             assert (phi[:, None] + psi[None, :] - C).max() <= 0.0
@@ -333,32 +361,203 @@ class TestBatchedReweightedDuals:
             assert np.all(np.abs(psi[offT] - psi_ct) <= ulps)
             assert np.all(np.abs(phi[offS] - phi_ct) <= ulps)
 
-    def test_rows_span_only_support_arcs_across_lps(self, monkeypatch):
+    def _split_across_lps(self, inst, monkeypatch):
+        """Solve 2 * per_lp + 3 blocks at n = 32 and check each block; returns
+        the (rows, columns) of every LP and the expected ones."""
         import gaplab.rectify
 
         n = 32
         per_lp = ARCS_PER_LP // (n * n)
-        C = truncate_cost(discretize(fat_set(), n)[0], 2)
+        C = truncate_cost(discretize(inst, n)[0], 2)
         marginals = self._marginals(n, 2 * per_lp + 3, seed=3)
-        rows = []
+        shapes = []
         real = gaplab.rectify.linprog
 
         def spy(*args, **kwargs):
-            rows.append(kwargs["A_ub"].shape[0])
+            shapes.append(kwargs["A_ub"].shape)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(gaplab.rectify, "linprog", spy)
         solved = _batched_reweighted_duals(C, marginals)
-        assert len(rows) == 3 and len(solved) == len(marginals)
-        support = [int((a > 0).sum() * (b > 0).sum()) for a, b in marginals]
-        starts = range(0, len(support), per_lp)
-        assert rows == [sum(support[s : s + per_lp]) for s in starts]
-        assert sum(rows) < len(marginals) * n * n
-        for phi, psi, _ in solved:
+        assert len(solved) == len(marginals)
+        for (a, b), (phi, psi, obj) in zip(marginals, solved):
             assert (phi[:, None] + psi[None, :] - C).max() <= 0.0
+            ref = solve_primal(C, DiscreteMeasure(a), DiscreteMeasure(b)).value
+            assert abs(obj - ref) <= 1e-9
+        # chunks of per_lp blocks, as at the atom level; a chunk whose
+        # blocks are all one-class needs no LP
+        chunks = [marginals[s : s + per_lp] for s in range(0, len(marginals), per_lp)]
+        expected = [class_lp_shape(C, chunk) for chunk in chunks]
+        return shapes, [shape for shape in expected if shape[0]]
+
+    def test_rows_span_only_support_arcs_across_lps(self, monkeypatch):
+        # the cost depends on x only: one column class, so no block needs an LP
+        shapes, expected = self._split_across_lps(fat_set(), monkeypatch)
+        assert shapes == expected == []
+
+    def test_class_rows_across_lps(self, monkeypatch):
+        # an 8 x 8 cell table at n = 32: eight twin rows and columns a class
+        shapes, expected = self._split_across_lps(random_finite(4, 8), monkeypatch)
+        assert shapes == expected and len(shapes) == 3
+        assert all(cols % (8 + 8) == 0 for _, cols in shapes)
 
     def test_empty_batch(self):
         assert _batched_reweighted_duals(np.zeros((3, 3)), []) == []
+
+
+class TestCostClassReductions:
+    """The batched dual LP runs on classes of twin rows and columns, skips
+    the blocks with one class on a side and boxes its columns; every block
+    must still be optimal and exactly feasible."""
+
+    @staticmethod
+    def _cost(kind, n):
+        if kind == "copied":
+            # negative entries, twin rows and a twin column
+            C = np.random.default_rng(n).uniform(-2.0, 1.0, (n, n))
+            C[n - 1] = C[0]
+            if n > 3:
+                C[n - 3] = C[1]
+            C[:, n - 1] = C[:, 1]
+            return C
+        inst = random_finite(3, 8) if kind == "random_finite8" else get_instance(kind)
+        return discretize(inst, n)[0]
+
+    @staticmethod
+    def _class_supports(C):
+        """Supports (S, T) that single out the reductions: one row class, one
+        column class, and a supported class with a zero-weight twin."""
+        rcls, ccls = cost_classes(C)
+        n, m = C.shape
+        every_row, every_col = list(range(n)), list(range(m))
+        one_row = list(np.flatnonzero(rcls == rcls[0]))
+        one_col = list(np.flatnonzero(ccls == ccls[m - 1]))
+        def part(cls):
+            # the largest class less its last twin, and one other atom
+            big = np.bincount(cls).argmax()
+            twins, others = np.flatnonzero(cls == big), np.flatnonzero(cls != big)
+            return list(twins[:-1]) + list(others[:1])
+
+        part_r, part_c = part(rcls), part(ccls)
+        return [
+            (one_row, every_col),
+            (one_row[:1], every_col[::2]),
+            (every_row, one_col),
+            (every_row[1::2] or [0], one_col[-1:]),
+            (part_r or [0], every_col),
+            (every_row, part_c or [0]),
+            (part_r or [0], part_c or [0]),
+        ]
+
+    @pytest.mark.parametrize(
+        "kind, n",
+        [
+            ("rational_nullmod", 16),
+            ("trivial_zero", 16),
+            ("fat_set", 16),
+            ("fat_set", 32),
+            ("random_finite8", 32),
+            ("copied", 3),
+            ("copied", 7),
+        ],
+    )
+    def test_blocks_optimal_and_exactly_feasible(self, kind, n):
+        C = self._cost(kind, n)
+        assert np.all(np.isfinite(C))
+        rng = np.random.default_rng(n)
+        marginals = [
+            TestBatchedReweightedDuals._weights(n, n, S, T, rng)
+            for S, T in self._class_supports(C)
+        ]
+        marginals += TestBatchedReweightedDuals._marginals(n, 6, seed=n)
+        solved = _batched_reweighted_duals(C, marginals)
+        assert len(solved) == len(marginals)
+        rcls, ccls = cost_classes(C)
+        for (a, b), (phi, psi, obj) in zip(marginals, solved):
+            assert (phi[:, None] + psi[None, :] - C).max() <= 0.0
+            assert abs(obj - (phi @ a + psi @ b)) <= 1e-12
+            ref = solve_primal(C, DiscreteMeasure(a), DiscreteMeasure(b)).value
+            assert abs(obj - ref) <= 1e-9
+            if n <= 3:
+                assert abs(obj - brute_force_primal(C, a, b)[0]) <= 1e-9
+            # twins of positive weight carry their class's potential
+            for i in np.flatnonzero(a > 0):
+                assert np.all(phi[(rcls == rcls[i]) & (a > 0)] == phi[i])
+            for j in np.flatnonzero(b > 0):
+                assert np.all(psi[(ccls == ccls[j]) & (b > 0)] == psi[j])
+
+    @pytest.mark.parametrize("side", ["row", "column"])
+    def test_one_class_block_needs_no_lp(self, side, monkeypatch):
+        import gaplab.rectify
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("a one-class block reached linprog")
+
+        monkeypatch.setattr(gaplab.rectify, "linprog", no_lp)
+        n = 7
+        C = self._cost("copied", n)
+        a, b = np.zeros(n), np.zeros(n)
+        if side == "row":
+            a[[0, n - 1]] = [0.25, 0.75]  # twin rows: one row class
+            b[:] = np.arange(1.0, n + 1) / np.arange(1.0, n + 1).sum()
+            forced = b @ C[0]
+        else:
+            a[:] = np.arange(1.0, n + 1) / np.arange(1.0, n + 1).sum()
+            b[[1, n - 1]] = [0.5, 0.5]  # twin columns: one column class
+            forced = a @ C[:, 1]
+        ((phi, psi, obj),) = _batched_reweighted_duals(C, [(a, b)])
+        assert (phi[:, None] + psi[None, :] - C).max() <= 0.0
+        assert abs(obj - forced) <= 1e-12
+        ref = solve_primal(C, DiscreteMeasure(a), DiscreteMeasure(b)).value
+        assert abs(obj - ref) <= 1e-9
+
+    @pytest.mark.parametrize("level", [2**46, 2**70, 2**1000], ids=["2^46", "2^70", "2^1000"])
+    def test_huge_cost_levels_stay_solvable(self, level):
+        # bounds of this size broke HiGHS's optimality check, and rows of
+        # 1e20 or more read as infinite made the LP unbounded
+        C = truncate_cost(discretize(diag_M(1e300), 3)[0], level)
+        marginals = TestBatchedReweightedDuals._marginals(3, 9, seed=5)
+        for (a, b), (phi, psi, obj) in zip(marginals, _batched_reweighted_duals(C, marginals)):
+            assert (phi[:, None] + psi[None, :] - C).max() <= 0.0
+            assert abs(obj - brute_force_primal(C, a, b)[0]) <= 1e-9 * level
+
+    @pytest.mark.parametrize("M", [1e15, 1e30])
+    def test_huge_costs_along_the_ladder(self, M):
+        acc = generative_rectify(diag_M(M), 4, budget=100, rng_seed=0)
+        slacks = [s for prov, _, s in acc.log if prov.startswith("reweighted_dual")]
+        assert len(slacks) == 100 and max(slacks) <= 0.0
+        assert np.all(acc.lower_envelope <= acc.C)
+
+    def test_class_lp_is_boxed_without_presolve(self, monkeypatch):
+        import gaplab.rectify
+
+        calls = []
+        real = gaplab.rectify.linprog
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gaplab.rectify, "linprog", spy)
+        n = 7
+        C = self._cost("copied", n)
+        marginals = TestBatchedReweightedDuals._marginals(n, 5, seed=1)
+        solved = _batched_reweighted_duals(C, marginals)
+        (kwargs,) = calls
+        assert kwargs["options"]["presolve"] is False
+        rcls, ccls = cost_classes(C)
+        r, c = rcls.max() + 1, ccls.max() + 1
+        assert (r, c) == (n - 2, n - 1)
+        # posed at the power of two that brings max |C| into [1/2, 1)
+        scale = 2.0 ** -np.frexp(np.abs(C).max())[1]
+        assert 0.5 <= np.abs(kwargs["b_ub"]).max() < 1.0
+        lo, hi = C.min() * scale, C.max() * scale
+        box = np.asarray(kwargs["bounds"]).reshape(-1, r + c, 2)
+        assert np.all(box[:, :r] == (lo, hi))
+        assert np.all(box[:, r:] == (lo - hi, 0.0))
+        for (a, b), (phi, psi, obj) in zip(marginals, solved):
+            ref = solve_primal(C, DiscreteMeasure(a), DiscreteMeasure(b)).value
+            assert abs(obj - ref) <= 1e-9
 
 
 class TestBoxPairs:
@@ -437,6 +636,30 @@ class TestGenerativeRectify:
             snapshots.append(acc.lower_envelope.copy())
         for before, after in zip(snapshots, snapshots[1:]):
             assert np.all(after >= before - 1e-15)
+
+    def test_envelope_holds_no_negative_zero(self):
+        acc = RectifiedAccumulator(np.zeros((2, 2)))
+        acc.add_pair(FeasiblePair(np.zeros(2), np.zeros(2), "zero_pair"))
+        acc.add_pair(FeasiblePair(np.full(2, -0.0), np.full(2, -0.0), "user"))
+        assert np.all(acc.lower_envelope == 0.0)
+        assert not np.signbit(acc.lower_envelope).any()
+
+    def test_truncation_ladder_near_the_float_limit(self):
+        def old_ladder(top):
+            # the former loop, sound while 2 * top stays finite
+            levels, k = [1], 1
+            while 2**k <= max(2.0 * top, 1.0):
+                levels.append(2**k)
+                k += 1
+            return levels
+
+        below = float(np.nextafter(2.0**1023, 0.0))
+        for top in (-1.0, 0.0, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 1e300, below):
+            assert truncation_ladder(np.array([[top, INF]])) == old_ladder(top)
+        for top in (2.0**1023, 1e308, np.finfo(float).max):
+            levels = truncation_ladder(np.array([[top]]))
+            assert levels == [2**k for k in range(1024)]
+            assert all(np.isfinite(float(level)) for level in levels)
 
     def test_infeasible_pair_rejected(self):
         acc = RectifiedAccumulator(np.zeros((2, 2)))
