@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -91,6 +92,7 @@ def complement_measure(alpha: float, count: int) -> float:
 _ALPHA_DEPTH = 80
 
 
+@cache
 def fat_set_alpha(target: float = 0.5, depth: int = _ALPHA_DEPTH) -> float:
     """Solve complement_measure(alpha, depth) == target by bisection.
 
@@ -102,6 +104,9 @@ def fat_set_alpha(target: float = 0.5, depth: int = _ALPHA_DEPTH) -> float:
     Once ``mid`` equals ``lo`` or ``hi`` the bracket can no longer shrink and
     every later step yields the same ``mid``, so the loop stops there with
     the bits a full 200-step run would return.
+
+    Cached: with its defaults the result is a constant that every
+    ``fat_set()`` would otherwise bisect for again.
     """
     qs = [float(q) for q in rational_enumeration(depth)]
     lo, hi = 0.0, 1.0

@@ -10,7 +10,14 @@ Every solve takes one of two paths, picked from the input alone:
   and k dummy columns at cost 0 (Chapel, Alaya & Gasso, NeurIPS 2020); the
   zero dummy-dummy block lets it drop fewer than k atoms, which keeps the
   reduction exact under negative costs.  Network flows with integral data
-  have integral optima, so the value is the LP value exactly.
+  have integral optima, so the value is the LP value exactly.  A full solve
+  with a forbidden arc is first split along the Dulmage-Mendelsohn
+  decomposition of its finite arcs (Dulmage & Mendelsohn 1958; Pothen & Fan,
+  ACM TOMS 16, 1990): one Hopcroft-Karp matching, then the strong components
+  of its alternating row graph.  No perfect matching uses an arc between two
+  components, so each component's block is its own assignment problem, and
+  a one-row block is a forced arc that needs no solve (every arc on
+  ``diag_inf``).
 * **highs** -- everything else (non-square C, unequal or zero weights, a
   cap that is no multiple of w) is a linear program handed to HiGHS
   (scipy.optimize.linprog), which is also the cross-check of the first path.
@@ -235,11 +242,17 @@ def _assignment_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray, k: int) -> Solve
     columns, each real matched arc carrying mass w."""
     n = C.shape[0]
     w = float(a.mean())
+    finite = np.isfinite(C)
     D = np.zeros((n + k, n + k))
-    D[:n, :n] = np.where(np.isfinite(C), C, INF)
-    try:
-        _, col = linear_sum_assignment(D)
-    except ValueError:  # no perfect matching over the finite arcs
+    D[:n, :n] = np.where(finite, C, INF)
+    if k == 0 and not finite.all():
+        col = _split_assignment(D, finite)
+    else:
+        try:
+            _, col = linear_sum_assignment(D)
+        except ValueError:  # no perfect matching over the finite arcs
+            col = None
+    if col is None:
         return SolveReport(value=INF, status="infeasible_finite", path="assignment")
     u, v = _assignment_potentials(D, col)
     rows = np.flatnonzero(col[:n] < n)
@@ -271,6 +284,52 @@ def _assignment_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray, k: int) -> Solve
         ),
         path="assignment",
     )
+
+
+def _split_assignment(D: np.ndarray, finite: np.ndarray) -> np.ndarray | None:
+    """Optimal assignment i -> col[i] of the square D over its finite arcs,
+    solved one Dulmage-Mendelsohn block at a time; None when the finite arcs
+    hold no perfect matching.
+
+    Take one perfect matching, owner[c] the row matched to column c, and the
+    row graph with an edge r -> owner[c] for each finite arc (r, c).  An
+    unmatched arc (i, j) lies in some perfect matching only if it closes an
+    alternating cycle, that is only if a path leads from owner[j] back to i:
+    i and owner[j] sit in one strong component (Dulmage & Mendelsohn 1958;
+    Pothen & Fan 1990).  So every perfect matching, the optimal ones
+    included, stays inside the blocks formed by a component's rows and their
+    matched columns, and each block is an assignment problem of its own.  A
+    one-row block is a forced arc and needs no solve.
+    """
+    # imported here: only full solves with a forbidden arc get this far, and
+    # a module-level import costs every process about 1.2 MB of memory
+    from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
+
+    n = D.shape[0]
+    rows, cols = np.nonzero(finite)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    ones = np.ones(rows.size)
+    col = maximum_bipartite_matching(
+        sparse.csr_matrix((ones, cols, indptr), shape=(n, n)), perm_type="column"
+    ).astype(np.intp)
+    if np.any(col < 0):
+        return None
+    owner = np.empty(n, dtype=np.intp)
+    owner[col] = np.arange(n)
+    count, labels = connected_components(
+        sparse.csr_matrix((ones, owner[cols], indptr), shape=(n, n)),
+        connection="strong",
+    )
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels, minlength=count)
+    starts = np.cumsum(sizes) - sizes
+    shared = sizes > 1  # the other components are forced arcs
+    for lo, size in zip(starts[shared].tolist(), sizes[shared].tolist()):
+        block = order[lo : lo + size]
+        block_cols = col[block]
+        _, sub = linear_sum_assignment(D[np.ix_(block, block_cols)])
+        col[block] = block_cols[sub]
+    return col
 
 
 def _assignment_potentials(
@@ -319,7 +378,9 @@ def _assignment_potentials(
         if sweep + 1 < _PLAIN_SWEEPS:
             v = R.min(axis=0)
         else:
-            best = R.argmin(axis=0)
+            # the first row of each column's minimum, as argmin finds it, but
+            # a column min and a compare sweep C-ordered R several times faster
+            best = (R == R.min(axis=0)).argmax(axis=0)
             v = R[best, rows]
             pred = best[col]
     return u, v

@@ -277,3 +277,31 @@ def jacobi_potentials(D, col):
         u = tight
         v = (D - u[:, None]).min(axis=0)
     return u, v, False
+
+
+def unique_optimal_matching(C, col, phi, psi, tol=1e-9):
+    """Whether i -> col[i] is the only optimal perfect matching of the finite
+    arcs of the square C, given optimal potentials (phi, psi).
+
+    Every optimal matching uses only tight arcs (complementary slackness),
+    and another perfect matching on them would close an alternating cycle:
+    the graph with an edge i -> r for each tight unmatched arc (i, col[r])
+    would have a cycle.  Kahn's algorithm peels rows of in-degree zero; the
+    matching is unique when every row peels.  The tolerance only widens the
+    tight set, so a near-tie counts as a second optimum, never the reverse.
+    """
+    C = np.asarray(C, dtype=float)
+    n = C.shape[0]
+    finite = np.isfinite(C)
+    reduced = np.abs(np.where(finite, C, 0.0) - phi[:, None] - psi[None, :])
+    tight = finite & (reduced <= tol * max(1.0, np.abs(C[finite]).max(initial=0.0)))
+    tight[np.arange(n), col] = False
+    edges = tight[:, col]  # edges[i, r]: i -> r
+    indegree = edges.sum(axis=0)
+    alive = np.ones(n, dtype=bool)
+    while True:
+        peel = alive & (indegree == 0)
+        if not peel.any():
+            return not alive.any()
+        alive &= ~peel
+        indegree -= edges[peel].sum(axis=0)

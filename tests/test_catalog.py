@@ -1,5 +1,7 @@
 """Catalog entries, the fat-set construction, instance-file round trips."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,21 @@ class TestFatSetConstruction:
             else:
                 hi = mid
         assert fat_set_alpha(target, depth) == 0.5 * (lo + hi)
+
+    def test_alpha_is_bisected_once(self, monkeypatch):
+        # cached, with the bits of a fresh bisection
+        assert fat_set_alpha() == fat_set_alpha.__wrapped__()
+        misses = fat_set_alpha.cache_info().misses
+        fat_set()
+        fat_set(5)
+        assert fat_set_alpha.cache_info().misses == misses
+
+        def refused(*args):
+            raise AssertionError("an explicit alpha needs no bisection")
+
+        # the package attribute gaplab.catalog is the catalog() function
+        monkeypatch.setattr(sys.modules["gaplab.catalog"], "fat_set_alpha", refused)
+        assert fat_set(5, alpha=0.25).name == "fat_set_5"
 
     def test_complement_measure_matches_independent_sweep(self):
         alpha = fat_set_alpha()

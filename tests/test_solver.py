@@ -31,6 +31,7 @@ from gaplab.catalog import (
     trivial_zero,
 )
 from gaplab.solver import (
+    DUALITY_TOL,
     DualPotentials,
     InputError,
     SolveReport,
@@ -46,6 +47,7 @@ from _oracles import (
     greedy_row_drop_value,
     jacobi_potentials,
     partial_dual_objective,
+    unique_optimal_matching,
 )
 
 
@@ -629,3 +631,134 @@ class TestAssignmentPotentials:
         assert [lv.tolist() for lv in _forest_levels(np.array([0]))] == [[0]]
         chain = np.concatenate([[0], np.arange(99)])  # i -> i - 1
         assert [lv.tolist() for lv in _forest_levels(chain)] == [[i] for i in range(100)]
+
+
+# ---------------------------------------------------------------------------
+# forced arcs first: full solves with a forbidden arc split along the
+# Dulmage-Mendelsohn decomposition before linear_sum_assignment
+# ---------------------------------------------------------------------------
+
+
+def _plain_assignment(D, finite):
+    """The split's stand-in: one linear_sum_assignment over the whole D."""
+    try:
+        return linear_sum_assignment(D)[1]
+    except ValueError:
+        return None
+
+
+@st.composite
+def _forbidden_patterns(draw, max_n=9):
+    """Square costs with +inf arcs: block lower-triangular patterns whose
+    blocks have a finite diagonal, with tied costs, under random row and
+    column permutations; or, now and then, a free pattern that may hold no
+    perfect matching."""
+    n = draw(st.integers(1, max_n))
+    ties = st.sampled_from([-1.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1 / 3, 2.0])
+    C = np.array(draw(st.lists(ties, min_size=n * n, max_size=n * n))).reshape(n, n)
+    finite = np.array(
+        draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    ).reshape(n, n)
+    if draw(st.integers(0, 4)):  # block lower-triangular
+        cuts = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+        block = np.cumsum([0, *cuts])
+        finite &= block[:, None] >= block[None, :]
+        finite[np.arange(n), np.arange(n)] = True
+    C[~finite] = INF
+    rows = draw(st.permutations(range(n)))
+    cols = draw(st.permutations(range(n)))
+    return C[np.ix_(rows, cols)]
+
+
+class TestForcedArcSplit:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 64, 256])
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_bit_identical_where_unique(self, monkeypatch, name, n):
+        C, mu, nu = discretize(get_instance(name), n)
+        split = solve_primal(C, mu, nu)
+        monkeypatch.setattr(solver, "_split_assignment", _plain_assignment)
+        plain = solve_primal(C, mu, nu)
+        assert split.path == plain.path == "assignment"
+        col = plain.plan.mass.argmax(axis=1)
+        p = plain.potentials
+        if unique_optimal_matching(C, col, p.phi, p.psi):
+            assert split.value == plain.value
+            assert np.array_equal(split.plan.mass, plain.plan.mass)
+            assert np.array_equal(split.potentials.phi, p.phi)
+            assert np.array_equal(split.potentials.psi, p.psi)
+            assert split.potentials.objective == p.objective
+        else:
+            assert split.value == pytest.approx(plain.value, rel=1e-12, abs=1e-12)
+            _certified(split, C, mu, nu, None)
+        if name == "diag_inf" and n > 1:  # every arc is forced
+            assert unique_optimal_matching(C, col, p.phi, p.psi)
+
+    @given(C=_forbidden_patterns())
+    @settings(max_examples=200, deadline=None)
+    def test_forbidden_patterns_match_highs(self, C):
+        n = C.shape[0]
+        mu = nu = uniform(n)
+        r = solve_primal(C, mu, nu)
+        ref = _highs_lp(C, mu.weights, nu.weights)
+        assert r.path == "assignment"
+        assert r.status == ref.status
+        if n <= 3:
+            bf, _ = brute_force_primal(C, mu.weights, nu.weights)
+            assert r.value == pytest.approx(bf, abs=1e-9)
+        if r.status != "optimal":
+            assert r.value == INF
+            return
+        assert abs(r.value - ref.value) <= 1e-9
+        ok, violations = check_complementary_slackness(r, C)
+        assert ok, violations
+        assert r.potentials.feasibility_slack(C) <= 1e-9
+        assert abs(r.value - solve_dual(C, mu, nu).value) <= DUALITY_TOL
+
+    @pytest.mark.parametrize(
+        "C",
+        [
+            [[INF, INF, INF], [0.0, 1.0, INF], [2.0, 0.0, 1.0]],  # a row all +inf
+            [[INF]],
+            [[1.0, INF, INF], [2.0, INF, INF], [0.0, 1.0, 2.0]],  # Hall violation
+        ],
+    )
+    def test_infeasible_patterns(self, monkeypatch, C):
+        C = np.array(C)
+        split, calls = solver._split_assignment, []
+
+        def spied(D, finite):
+            calls.append(split(D, finite))
+            return calls[-1]
+
+        monkeypatch.setattr(solver, "_split_assignment", spied)
+        n = C.shape[0]
+        r = _cross_check(C, uniform(n), uniform(n), 0)
+        assert r.status == "infeasible_finite" and r.plan is None
+        assert calls == [None]
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_no_forbidden_arc_never_splits(self, monkeypatch, name):
+        def refused(D, finite):
+            raise AssertionError("the split ran")
+
+        monkeypatch.setattr(solver, "_split_assignment", refused)
+        C, mu, nu = discretize(get_instance(name), 16)
+        if np.isfinite(C).all():
+            assert solve_primal(C, mu, nu).path == "assignment"
+        for k in (1, 2):  # partial solves keep one linear_sum_assignment call
+            assert solve_partial(C, mu, nu, k / 16).path == "assignment"
+
+    def test_diag_inf_1024_within_budget(self):
+        # one linear_sum_assignment over this matrix takes over a second;
+        # every arc of its only finite matching is forced, so the split
+        # solves no block
+        n = 1024
+        C, mu, nu = discretize(diag_inf(), n)
+        start = time.perf_counter()
+        r = solve_primal(C, mu, nu)
+        elapsed = time.perf_counter() - start
+        assert r.path == "assignment" and r.status == "optimal"
+        assert r.value == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(r.plan.mass > 0, np.eye(n, dtype=bool))
+        _certified(r, C, mu, nu, None)
+        assert elapsed < 1.0
