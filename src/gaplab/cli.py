@@ -276,7 +276,9 @@ def cmd_negligible(args) -> int:
     ns = _parse_n_list(args.n)
 
     def one(n):
-        C, mu, nu = discretize(inst, n)
+        grid = Grid(n)
+        mu = DiscreteMeasure.from_density(inst.marginal_x, grid)
+        nu = DiscreteMeasure.from_density(inst.marginal_y, grid)
         return (n, max_plan_mass(A, mu, nu, n))
 
     masses = sorted(one(n) for n in ns)

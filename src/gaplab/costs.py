@@ -432,9 +432,7 @@ def _paint_region(
         return
     kind = region.where
     if isinstance(kind, ComplementOfIntervals):
-        fracs = np.array(
-            [kind.outside_fraction(*grid.cell_bounds(i)) for i in range(n)]
-        )
+        fracs = _outside_fractions(kind.intervals, n)
         under = np.where(painted, C, np.nan)
         axis_fr = (
             np.repeat(fracs[:, None], n, axis=1)
@@ -458,6 +456,28 @@ def _paint_region(
         mask = _grid_mask(kind, grid.atoms)
         C[mask] = region.value
         painted |= mask
+
+
+def _outside_fractions(intervals, n: int) -> np.ndarray:
+    """``outside_fraction`` of every cell (i/n, (i+1)/n], bit for bit.
+
+    The intervals are merged into runs once, as ``union_measure`` merges
+    them.  A cell's sweep meets the same runs clipped to the cell, in the
+    same order, so adding each run's clipped length min(B, hi) - max(A, lo)
+    to every cell, run by run, gives the same float sums (a run that misses
+    a cell adds 0.0).
+    """
+    runs: list[list[float]] = []
+    for a, b in sorted(iv for iv in intervals if iv[1] > iv[0]):
+        if runs and a <= runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], b)
+        else:
+            runs.append([a, b])
+    lo, hi = np.arange(n) / n, np.arange(1, n + 1) / n
+    covered = np.zeros(n)
+    for a, b in runs:
+        covered += np.maximum(np.minimum(b, hi) - np.maximum(a, lo), 0.0)
+    return np.maximum((hi - lo) - covered, 0.0) / (hi - lo)
 
 
 def truncate_cost(C: np.ndarray, level: int) -> np.ndarray:

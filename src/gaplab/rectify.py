@@ -285,7 +285,7 @@ def _batched_reweighted_duals(
     Cc_rc - psi_c that includes the c with psi_c = 0, in [min Cc, max Cc].
     With every column bounded HiGHS starts from a bound instead of pivoting
     free columns in, and with only support arcs of distinct classes
-    presolve has nothing to remove, so it is off.
+    presolve has nothing to remove; ``_HIGHS_OPTS`` leaves it off.
 
     The zero-weight atoms, S = {a > 0} and T = {b > 0} being the rest, are
     then filled by c-transforms, first psi_j = min over i in S of
@@ -354,7 +354,7 @@ def _batched_reweighted_duals(
                 b_ub=Cs.ravel()[arc],
                 bounds=np.tile(box, (lp.size, 1)),
                 method="highs",
-                options={**_HIGHS_OPTS, "presolve": False},
+                options=_HIGHS_OPTS,
             )
             if res.status != 0:
                 raise RuntimeError(f"batched dual solve failed: {res.message}")

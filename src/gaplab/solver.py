@@ -21,6 +21,8 @@ Every solve takes one of two paths, picked from the input alone:
 * **highs** -- everything else (non-square C, unequal or zero weights, a
   cap that is no multiple of w) is a linear program handed to HiGHS
   (scipy.optimize.linprog), which is also the cross-check of the first path.
+  A partial solve is posed the assignment path's way, with one dummy row
+  and one dummy column of mass cap each, and solved as a full transport LP.
 
 On both paths arcs with a non-finite cost are forbidden, so they can never
 carry mass, and infeasibility over the remaining arcs is exactly the
@@ -29,11 +31,11 @@ statement "no finite-cost coupling exists".
 Dual potentials are the equality-constraint multipliers of the optimal
 basis on the HiGHS path, and shortest-path distances on the residual graph
 of the optimal assignment on the other.  A partial solve also reports the
-multipliers alpha, beta >= 0 of its two caps on dropped mass, with
-phi <= alpha and psi <= beta.  Either way the dual objective
-a.phi + b.psi - cap*(alpha + beta) equals the primal value, and the
-feasibility slack phi[i] + psi[j] - C[i][j] is non-positive on every finite
-arc up to solver tolerance (well below the 1e-9 contract).
+multipliers alpha, beta >= 0 of its two caps on dropped mass, read off
+the dummies' potentials, with phi <= alpha and psi <= beta.  Either way the
+dual objective a.phi + b.psi - cap*(alpha + beta) equals the primal value,
+and the feasibility slack phi[i] + psi[j] - C[i][j] is non-positive on every
+finite arc up to solver tolerance (well below the 1e-9 contract).
 """
 
 from __future__ import annotations
@@ -60,7 +62,9 @@ __all__ = [
 ]
 
 _HIGHS_OPTS = {
-    "presolve": True,
+    # a transport LP (two unit entries per arc column) leaves presolve little
+    # to remove, and its pass costs more than it saves
+    "presolve": False,
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
@@ -74,7 +78,11 @@ DUALITY_TOL = 1e-7
 #: plain sweeps of _assignment_potentials before each sweep is followed by a
 #: pass down the shortest-path forest: the assignment solves of a
 #: ``many_small`` benchmark pass settle within 18 sweeps, most within 6,
-#: while ``diag_inf`` at n atoms needs n - 1
+#: while ``diag_inf`` at n atoms needs n - 1.  Fewer do not pay at benchmark
+#: sizes, where a forest sweep costs more than a plain one: raw in-process
+#: passes (medians, 2-core VM) of ``many_small`` took 175 ms at 16, 201 ms at
+#: 1 and 197 ms at 0, and ``grid_scan`` stayed within its noise (120, 115,
+#: 113 ms); only ``diag_inf`` at n ~ 1024 gains from 0
 _PLAIN_SWEEPS = 16
 
 #: relative spread allowed among equal weights, and between a slack cap and
@@ -259,29 +267,13 @@ def _assignment_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray, k: int) -> Solve
     cols = col[rows]
     plan = np.zeros((n, n))
     plan[rows, cols] = w
-    phi, psi = u[:n], v[:n]
-    alpha = beta = 0.0
-    if k:
-        # a real row may go to any dummy column (cost 0), so phi <= alpha;
-        # likewise psi <= beta, and the zero dummy block gives alpha + beta >= 0.
-        # Shifting t from psi to phi keeps every arc sum and makes both caps'
-        # multipliers non-negative.
-        alpha, beta = -float(v[n:].max()), -float(u[n:].max())
-        t = -alpha if alpha < 0 else min(beta, 0.0)
-        if t:
-            phi, psi, alpha, beta = phi + t, psi - t, alpha + t, beta - t
-        alpha, beta = alpha + 0.0, beta + 0.0  # no -0.0
+    # a dummy column's potential is -alpha, a dummy row's -beta
+    alpha, beta = (-float(v[n:].max()), -float(u[n:].max())) if k else (0.0, 0.0)
     return SolveReport(
         value=w * float(C[rows, cols].sum()),
         status="optimal",
         plan=TransportPlan(plan),
-        potentials=DualPotentials(
-            phi=phi,
-            psi=psi,
-            objective=float(phi @ a + psi @ b) - k * w * (alpha + beta),
-            alpha=alpha,
-            beta=beta,
-        ),
+        potentials=_cap_potentials(u[:n], v[:n], alpha, beta, a, b, k * w),
         path="assignment",
     )
 
@@ -412,17 +404,21 @@ def _highs_lp(
 ) -> SolveReport:
     """Min-cost (sub-)coupling LP over the finite arcs of C, solved by HiGHS.
 
-    With ``slack_cap`` set, one zero-cost slack column per row and slack row
-    per column is added and the dropped mass on each side is capped, which
-    is exactly the relaxed problem with mass floor total - slack_cap.
+    With ``slack_cap`` set, C gets one dummy row and one dummy column of mass
+    slack_cap each, joined to every atom and to each other at cost 0, and
+    the full transport LP of the padded problem is solved: mass a real atom
+    sends to a dummy is dropped, and the dummy-dummy arc absorbs the part of
+    the cap left unused.  That is exactly the relaxed problem with mass
+    floor total - slack_cap, posed as the assignment path poses it.
     """
     n, m = C.shape
-    finite = np.isfinite(C)
-    rows, cols = np.nonzero(finite)
+    if slack_cap is not None:
+        C = np.pad(C, ((0, 1), (0, 1)))
+        a, b = np.append(a, slack_cap), np.append(b, slack_cap)
+    rows, cols = np.nonzero(np.isfinite(C))
     narc = rows.size
-    if narc == 0:
-        droppable = float(a.sum()) if slack_cap is None else float(a.sum()) - slack_cap
-        if droppable <= SUPPORT_TOL:  # nothing (left) to ship
+    if narc == 0:  # a full solve without a finite arc
+        if a.sum() <= SUPPORT_TOL:  # nothing to ship
             return SolveReport(
                 value=0.0,
                 status="optimal",
@@ -430,42 +426,18 @@ def _highs_lp(
                 potentials=DualPotentials(np.zeros(n), np.zeros(m), 0.0),
             )
         return SolveReport(value=INF, status="infeasible_finite")
-    nslack = (n + m) if slack_cap is not None else 0
+    N, M = C.shape
 
-    # rows of A_eq: n row-sum constraints then m column-sum constraints
-    data = np.ones(2 * narc)
-    ridx = np.concatenate([rows, n + cols])
-    cidx = np.concatenate([np.arange(narc), np.arange(narc)])
-    if nslack:
-        data = np.concatenate([data, np.ones(nslack)])
-        ridx = np.concatenate([ridx, np.arange(n + m)])
-        cidx = np.concatenate([cidx, narc + np.arange(nslack)])
-    A_eq = sparse.coo_matrix((data, (ridx, cidx)), shape=(n + m, narc + nslack))
+    # rows of A_eq: N row-sum constraints then M column-sum constraints
+    ridx = np.concatenate([rows, N + cols])
+    cidx = np.tile(np.arange(narc), 2)
+    A_eq = sparse.coo_matrix((np.ones(2 * narc), (ridx, cidx)), shape=(N + M, narc))
     # tiny LPs go through faster as dense systems
-    A_eq = A_eq.toarray() if (n + m) * (narc + nslack) <= 50_000 else A_eq.tocsr()
-    b_eq = np.concatenate([a, b])
-    cost = np.concatenate([C[rows, cols], np.zeros(nslack)])
-
-    A_ub = b_ub = None
-    if nslack:
-        cap = sparse.coo_matrix(
-            (
-                np.ones(nslack),
-                (
-                    np.concatenate([np.zeros(n, dtype=int), np.ones(m, dtype=int)]),
-                    narc + np.arange(nslack),
-                ),
-            ),
-            shape=(2, narc + nslack),
-        )
-        A_ub, b_ub = cap, np.array([slack_cap, slack_cap])
-
+    A_eq = A_eq.toarray() if (N + M) * narc <= 50_000 else A_eq.tocsr()
     res = linprog(
-        cost,
-        A_ub=A_ub,
-        b_ub=b_ub,
+        C[rows, cols],
         A_eq=A_eq,
-        b_eq=b_eq,
+        b_eq=np.concatenate([a, b]),
         bounds=(0, None),
         method="highs",
         options=_HIGHS_OPTS,
@@ -475,25 +447,50 @@ def _highs_lp(
     if res.status != 0:
         raise RuntimeError(f"LP solver failed: {res.message}")
 
-    plan = np.zeros((n, m))
-    plan[rows, cols] = np.maximum(res.x[:narc], 0.0)
+    plan = np.zeros((N, M))
+    plan[rows, cols] = np.maximum(res.x, 0.0)
     duals = np.asarray(res.eqlin.marginals, dtype=float)
-    phi, psi = duals[:n], duals[n:]
+    phi, psi = duals[:N], duals[N:]
     alpha = beta = 0.0
-    if nslack:  # the caps are <= rows, so their marginals are <= 0
-        alpha, beta = (-float(x) + 0.0 for x in res.ineqlin.marginals)
-    potentials = DualPotentials(
-        phi=phi,
-        psi=psi,
-        objective=float(phi @ a + psi @ b) - (slack_cap or 0.0) * (alpha + beta),
-        alpha=alpha,
-        beta=beta,
-    )
+    if slack_cap is not None:  # the dummy column's potential is -alpha
+        alpha, beta = -float(psi[m]), -float(phi[n])
     return SolveReport(
         value=float(res.fun),
         status="optimal",
-        plan=TransportPlan(plan),
-        potentials=potentials,
+        plan=TransportPlan(plan[:n, :m]),
+        potentials=_cap_potentials(
+            phi[:n], psi[:m], alpha, beta, a[:n], b[:m], slack_cap or 0.0
+        ),
+    )
+
+
+def _cap_potentials(
+    phi: np.ndarray,
+    psi: np.ndarray,
+    alpha: float,
+    beta: float,
+    a: np.ndarray,
+    b: np.ndarray,
+    cap: float,
+) -> DualPotentials:
+    """The potentials of a solve that may drop ``cap`` mass on each side,
+    read off its dummy atoms (alpha = 0 = beta for a full solve).
+
+    A real row may ship to a dummy column at cost 0, so phi <= alpha;
+    likewise psi <= beta, and the zero dummy-dummy arcs give
+    alpha + beta >= 0.  Shifting t from psi to phi keeps every arc sum and
+    makes both caps' multipliers non-negative.
+    """
+    t = -alpha if alpha < 0 else min(beta, 0.0)
+    if t:
+        phi, psi, alpha, beta = phi + t, psi - t, alpha + t, beta - t
+    alpha, beta = alpha + 0.0, beta + 0.0  # no -0.0
+    return DualPotentials(
+        phi=phi,
+        psi=psi,
+        objective=float(phi @ a + psi @ b) - cap * (alpha + beta),
+        alpha=alpha,
+        beta=beta,
     )
 
 

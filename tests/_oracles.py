@@ -305,3 +305,41 @@ def unique_optimal_matching(C, col, phi, psi, tol=1e-9):
             return not alive.any()
         alive &= ~peel
         indegree -= edges[peel].sum(axis=0)
+
+
+def partial_lp_slack(C, a, b, cap):
+    """Value of the partial LP (math.inf when infeasible) in its textbook
+    shape: one zero-cost slack column per row and per column of C takes the
+    dropped mass, and two inequality rows cap each side's slack at ``cap``.
+    HiGHS runs with presolve on, unlike the library's LPs."""
+    C = np.asarray(C, dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    n, m = C.shape
+    rows, cols = np.nonzero(np.isfinite(C))
+    narc = rows.size
+    A_eq = np.zeros((n + m, narc + n + m))
+    A_eq[rows, np.arange(narc)] = 1.0
+    A_eq[n + cols, np.arange(narc)] = 1.0
+    A_eq[np.arange(n + m), narc + np.arange(n + m)] = 1.0
+    A_ub = np.zeros((2, narc + n + m))
+    A_ub[0, narc : narc + n] = 1.0
+    A_ub[1, narc + n :] = 1.0
+    res = linprog(
+        np.concatenate([C[rows, cols], np.zeros(n + m)]),
+        A_ub=A_ub,
+        b_ub=[cap, cap],
+        A_eq=A_eq,
+        b_eq=np.concatenate([a, b]),
+        bounds=(0, None),
+        method="highs",
+        options={
+            "presolve": True,
+            "primal_feasibility_tolerance": 1e-10,
+            "dual_feasibility_tolerance": 1e-10,
+        },
+    )
+    if res.status == 2:
+        return math.inf
+    if res.status != 0:
+        raise RuntimeError(f"slack-column partial LP failed: {res.message}")
+    return float(res.fun)

@@ -40,6 +40,7 @@ from gaplab.costs import (
     Rectangle,
     Region,
     _grid_mask,
+    _outside_fractions,
 )
 from gaplab.instance import dumps_instance, instance_to_json_dict, loads_instance
 from gaplab.negligible import (
@@ -110,6 +111,31 @@ class TestDiscretize:
             frac = 1.0 - covered / 0.25
             assert C[i, 0] == pytest.approx(frac, abs=1e-14)
             assert np.all(C[i] == C[i, 0])  # constant along y
+
+    # endpoints on a 1/16 lattice touch each other and the cell edges; some
+    # lie outside [0, 1], and a reversed pair is an empty interval
+    _END = st.one_of(st.integers(-4, 20).map(lambda k: k / 16), st.floats(-0.2, 1.2))
+
+    @given(
+        n=st.sampled_from([1, 2, 3, 7, 16, 64, 256, 1024]),
+        ends=st.lists(st.tuples(_END, _END), max_size=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cell_fractions_match_the_per_cell_sweep(self, n, ends):
+        kind = ComplementOfIntervals(tuple(ends))
+        grid = Grid(n)
+        swept = np.array([kind.outside_fraction(*grid.cell_bounds(i)) for i in range(n)])
+        got = _outside_fractions(kind.intervals, n)
+        assert np.array_equal(got, swept)
+        assert np.array_equal(np.signbit(got), np.signbit(swept))
+
+    @pytest.mark.parametrize("n", [7, 64, 1024])
+    def test_fat_set_cell_fractions_match_the_per_cell_sweep(self, n):
+        regions = fat_set().cost.regions
+        kind = next(r.where for r in regions if isinstance(r.where, ComplementOfIntervals))
+        grid = Grid(n)
+        swept = np.array([kind.outside_fraction(*grid.cell_bounds(i)) for i in range(n)])
+        assert np.array_equal(_outside_fractions(kind.intervals, n), swept)
 
     @given(n=st.integers(2, 24))
     @settings(max_examples=20, deadline=None)

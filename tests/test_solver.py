@@ -47,6 +47,7 @@ from _oracles import (
     greedy_row_drop_value,
     jacobi_potentials,
     partial_dual_objective,
+    partial_lp_slack,
     unique_optimal_matching,
 )
 
@@ -521,6 +522,112 @@ class TestPartialDualObjective:
         r = solve_partial(C, a, b, eps)
         if r.status == "optimal":
             _check_partial_dual(r, C, a, b, eps)
+
+
+# ---------------------------------------------------------------------------
+# HiGHS partial solves: the dummy-atom LP against the slack-column LP
+# ---------------------------------------------------------------------------
+
+
+def _matches_slack_lp(C, a, b, eps):
+    """solve_partial on the HiGHS path against the slack-column oracle: the
+    same value or the same infeasibility, and certified potentials."""
+    C, a, b = np.asarray(C, dtype=float), np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    cap = min(eps, float(a.sum()))
+    r = solve_partial(C, a, b, eps)
+    assert r.path == "highs"
+    expected = partial_lp_slack(C, a, b, cap)
+    if math.isinf(expected):
+        assert r.status == "infeasible_finite" and r.value == INF
+        return r
+    assert r.status == "optimal"
+    assert abs(r.value - expected) <= 1e-9
+    p = r.potentials
+    assert p.alpha >= 0 and p.beta >= 0
+    bound = partial_dual_objective(C, a, b, cap, p.phi, p.psi, p.alpha, p.beta, tol=1e-9)
+    assert abs(bound - r.value) <= DUALITY_TOL
+    assert p.feasibility_slack(C) <= 1e-9
+    return r
+
+
+@st.composite
+def _nonuniform_partials(draw):
+    """Non-uniform marginals, zero-weight atoms now and then, costs in
+    [-1, 2) with +inf arcs, and a cap that may exceed the total mass."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    C = rng.uniform(-1.0, 2.0, (n, m))
+    C[rng.random((n, m)) < 0.3] = INF
+
+    def weights(k):
+        w = rng.uniform(0.5, 1.0, k)
+        if k > 1 and draw(st.booleans()):
+            w[rng.integers(k)] = 0.0
+        return w / w.sum()
+
+    eps = draw(st.sampled_from([0.05, 0.1, 0.3, 0.5, 0.9, 1.0, 1.5]))
+    return C, weights(n), weights(m), eps
+
+
+class TestHighsPartialMatchesSlackLP:
+    @given(case=_nonuniform_partials())
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_costs(self, case):
+        C, a, b, eps = case
+        if C.shape == (1, 1) and eps >= 1.0:  # a whole atom: the assignment path
+            eps = 0.5
+        _matches_slack_lp(C, a, b, eps)
+
+    @pytest.mark.parametrize("eps", [1.0, 1.5, 10.0])
+    def test_eps_at_or_above_total_mass(self, eps):
+        rng = np.random.default_rng(5)
+        C = rng.uniform(-1.0, 1.0, (4, 4))
+        C[0, 1] = C[2, 3] = INF
+        a = np.array([0.1, 0.2, 0.3, 0.4])
+        r = _matches_slack_lp(C, a, a[::-1], eps)
+        assert r.plan.total <= 1.0 + 1e-12
+
+    def test_all_forbidden_row(self):
+        C = np.array([[INF, INF, INF], [0.0, 1.0, INF], [2.0, 0.0, 1.0]])
+        a, b = np.array([0.1, 0.3, 0.6]), np.array([0.3, 0.3, 0.4])
+        for eps in (0.1, 0.2):  # the row's mass fits under the cap
+            assert _matches_slack_lp(C, a, b, eps).status == "optimal"
+        r = _matches_slack_lp(C, a, b, 0.05)  # it does not
+        assert r.status == "infeasible_finite" and r.plan is None
+
+    @pytest.mark.parametrize("eps", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("c", [-2.0, 0.0, 3.0, INF])
+    def test_single_atom(self, c, eps):
+        r = _matches_slack_lp(np.array([[c]]), [1.0], [1.0], eps)
+        if c == INF:
+            assert r.status == "infeasible_finite"
+
+    def test_zero_weight_atoms(self):
+        C = np.array([[0.0, 1.0, 2.0], [1.0, INF, 1.0], [2.0, 1.0, -0.5]])
+        a, b = np.array([0.0, 0.5, 0.5]), np.array([0.25, 0.0, 0.75])
+        for eps in (0.1, 0.25, 0.5, 1.0):
+            _matches_slack_lp(C, a, b, eps)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 3), (5, 3)])
+    def test_non_square(self, shape):
+        n, m = shape
+        C = np.random.default_rng(n * m).uniform(-1.0, 2.0, shape)
+        C[0, -1] = INF
+        for eps in (0.1, 0.4, 1.0):
+            _matches_slack_lp(C, np.full(n, 1 / n), np.full(m, 1 / m), eps)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_max_plan_mass_costs(self, seed):
+        # -1 on the atoms of a set, 0 elsewhere: every kept atom pays, so the
+        # dummy potentials come out negative before the shift
+        rng = np.random.default_rng(seed)
+        C = np.where(rng.random((6, 6)) < 0.4, -1.0, 0.0)
+        a = rng.uniform(0.5, 1.0, 6)
+        a /= a.sum()
+        for eps in (0.1, 1 / 3, 0.5):
+            _matches_slack_lp(C, a, a[::-1], eps)
+        # uniform weights, a cap off the atom lattice
+        _matches_slack_lp(C, np.full(6, 1 / 6), np.full(6, 1 / 6), 0.25)
 
 
 # ---------------------------------------------------------------------------
