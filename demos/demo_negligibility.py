@@ -8,10 +8,10 @@ set and watches it vanish (negligible) or stay put (not negligible).
 """
 
 from gaplab import (
-    CountableSetPiece,
+    CountableMarker,
     DensitySpec,
-    GraphPiece,
-    PointSetPiece,
+    Graph,
+    PointSet,
     Segment,
     SetDescriptor,
     apply_null_modification,
@@ -25,12 +25,12 @@ from gaplab.catalog import rational_nullmod, trivial_zero
 UNIF = DensitySpec.uniform()
 
 battery = {
-    "diagonal y=x": SetDescriptor((GraphPiece((Segment(0.0, 1.0, 0.0, 1.0),)),)),
+    "diagonal y=x": SetDescriptor((Graph((Segment(0.0, 1.0, 0.0, 1.0),)),)),
     "segment y=0.3, x in [0, 0.5]": SetDescriptor(
-        (GraphPiece((Segment(0.0, 0.5, 0.3, 0.3),)),)
+        (Graph((Segment(0.0, 0.5, 0.3, 0.3),)),)
     ),
-    "point (0.5, 0.5)": SetDescriptor((PointSetPiece(((0.5, 0.5),)),)),
-    "all rational pairs": SetDescriptor((CountableSetPiece(),)),
+    "point (0.5, 0.5)": SetDescriptor((PointSet(((0.5, 0.5),)),)),
+    "all rational pairs": SetDescriptor((CountableMarker(),)),
 }
 
 print(f"{'set':35}  verdict          mass at n=4, 8, 16, 32")
@@ -48,7 +48,7 @@ print("null modification in action: start from cost == 1, zero it on the")
 print("rational pairs.  Every grid atom is rational, yet the modification is")
 print("symbolic on a null set, so nothing changes:")
 inst = apply_null_modification(
-    rational_nullmod(), SetDescriptor((CountableSetPiece(),)), 0.0
+    rational_nullmod(), SetDescriptor((CountableMarker(),)), 0.0
 )
 for n in (4, 16):
     C, mu, nu = discretize(inst, n)

@@ -38,6 +38,10 @@ from .core import (
 from .costs import (
     CellTable,
     CostDescriptor,
+    CountableMarker,
+    Graph,
+    PointSet,
+    Rectangle,
     Region,
     Segment,
     diagonal_split,
@@ -57,12 +61,8 @@ from .instance import (
     save_instance,
 )
 from .negligible import (
-    CountableSetPiece,
-    GraphPiece,
     NegligibilityVerdict,
     NotNegligibleError,
-    PointSetPiece,
-    RectanglePiece,
     SetDescriptor,
     apply_null_modification,
     grid_indicator,

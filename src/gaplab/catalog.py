@@ -49,9 +49,13 @@ __all__ = [
 @dataclass(frozen=True)
 class CatalogEntry:
     instance: Instance
-    continuum_values: dict
     notes: dict
     tags: tuple[str, ...]
+
+    @property
+    def continuum_values(self) -> dict:
+        """The instance's attached known values; {} when it has none."""
+        return self.instance.known_values or {}
 
 
 # ---------------------------------------------------------------------------
@@ -177,22 +181,15 @@ def fat_set(K: int = 20, alpha: float | None = None) -> Instance:
     if alpha is None:
         alpha = fat_set_alpha()
     intervals = tuple(excluded_intervals(alpha, K))
+    cost = CostDescriptor(
+        (whole_square(0.0), Region(ComplementOfIntervals(intervals, "x"), 1.0))
+    )
     return Instance(
         name=f"fat_set_{K}",
         marginal_x=_UNIFORM,
         marginal_y=_UNIFORM,
-        cost=CostDescriptor(
-            (
-                whole_square(0.0),
-                Region(ComplementOfIntervals(intervals, "x"), 1.0),
-            )
-        ),
-        known_rectified=CostDescriptor(
-            (
-                whole_square(0.0),
-                Region(ComplementOfIntervals(intervals, "x"), 1.0),
-            )
-        ),
+        cost=cost,
+        known_rectified=cost,
         known_values={"P_c": 0.5, "D_c": 0.5, "P_rectified": 0.5},
     )
 
@@ -235,66 +232,67 @@ def random_finite(
 # ---------------------------------------------------------------------------
 
 
+#: family name -> (instance from the parameters (M, K, seed, n), notes, tags)
+_FAMILIES = {
+    "diag_inf": (
+        lambda M, K, seed, n: diag_inf(),
+        {
+            "P_c": "the only finite-cost coupling is the diagonal one",
+            "D_c": "feasible pairs exceed zero on at most countably many x",
+            "P_rectified": "zeroing the diagonal value restores duality",
+        },
+        ("duality-gap", "forbidden-arcs"),
+    ),
+    "diag_M": (
+        lambda M, K, seed, n: diag_M(M),
+        {
+            "P_c": "infimum 0 not attained; optimizers drift to the diagonal",
+            "D_c": "bounded cost, duality holds",
+            "P_rectified": "rectified cost vanishes on and below the diagonal",
+        },
+        ("non-attainment", "finite-cost"),
+    ),
+    "rational_nullmod": (
+        lambda M, K, seed, n: rational_nullmod(),
+        {
+            "P_c": "modification lives on a null set; equivalent to cost 1",
+            "D_c": "same",
+            "P_rectified": "rectification leaves the constant cost alone",
+        },
+        ("null-modification",),
+    ),
+    "fat_set": (
+        lambda M, K, seed, n: fat_set(K),
+        {
+            "P_c": "cost depends on x only: every coupling pays mu(D)",
+            "D_c": "indicator pair (I_D, 0) is an optimal dual pair",
+            "P_rectified": "no lower semi-continuous minorant does better",
+        },
+        ("fat-set", "attained"),
+    ),
+    "trivial_zero": (
+        lambda M, K, seed, n: trivial_zero(),
+        {"P_c": "zero cost", "D_c": "zero cost", "P_rectified": "zero cost"},
+        ("trivial",),
+    ),
+    "random_finite": (
+        lambda M, K, seed, n: random_finite(seed, n),
+        {},
+        ("random", "finite-cost"),
+    ),
+}
+
+
 def catalog(M: float = 2.0, K: int = 20, seed: int = 0, n: int = 8) -> list[CatalogEntry]:
     """All canonical entries; parameters feed the parametrized families."""
     return [
-        CatalogEntry(
-            instance=diag_inf(),
-            continuum_values={"P_c": 1.0, "D_c": 0.0, "P_rectified": 0.0},
-            notes={
-                "P_c": "the only finite-cost coupling is the diagonal one",
-                "D_c": "feasible pairs exceed zero on at most countably many x",
-                "P_rectified": "zeroing the diagonal value restores duality",
-            },
-            tags=("duality-gap", "forbidden-arcs"),
-        ),
-        CatalogEntry(
-            instance=diag_M(M),
-            continuum_values={"P_c": 0.0, "D_c": 0.0, "P_rectified": 0.0},
-            notes={
-                "P_c": "infimum 0 not attained; optimizers drift to the diagonal",
-                "D_c": "bounded cost, duality holds",
-                "P_rectified": "rectified cost vanishes on and below the diagonal",
-            },
-            tags=("non-attainment", "finite-cost"),
-        ),
-        CatalogEntry(
-            instance=rational_nullmod(),
-            continuum_values={"P_c": 1.0, "D_c": 1.0, "P_rectified": 1.0},
-            notes={
-                "P_c": "modification lives on a null set; equivalent to cost 1",
-                "D_c": "same",
-                "P_rectified": "rectification leaves the constant cost alone",
-            },
-            tags=("null-modification",),
-        ),
-        CatalogEntry(
-            instance=fat_set(K),
-            continuum_values={"P_c": 0.5, "D_c": 0.5, "P_rectified": 0.5},
-            notes={
-                "P_c": "cost depends on x only: every coupling pays mu(D)",
-                "D_c": "indicator pair (I_D, 0) is an optimal dual pair",
-                "P_rectified": "no lower semi-continuous minorant does better",
-            },
-            tags=("fat-set", "attained"),
-        ),
-        CatalogEntry(
-            instance=trivial_zero(),
-            continuum_values={"P_c": 0.0, "D_c": 0.0, "P_rectified": 0.0},
-            notes={"P_c": "zero cost", "D_c": "zero cost", "P_rectified": "zero cost"},
-            tags=("trivial",),
-        ),
-        CatalogEntry(
-            instance=random_finite(seed, n),
-            continuum_values={},
-            notes={},
-            tags=("random", "finite-cost"),
-        ),
+        CatalogEntry(make(M, K, seed, n), dict(notes), tags)
+        for make, notes, tags in _FAMILIES.values()
     ]
 
 
 def catalog_names() -> list[str]:
-    return ["diag_inf", "diag_M", "rational_nullmod", "fat_set", "trivial_zero", "random_finite"]
+    return list(_FAMILIES)
 
 
 def get_instance(
@@ -305,16 +303,6 @@ def get_instance(
     n: int = 8,
 ) -> Instance:
     """Instantiate a catalog family by name (CLI entry point)."""
-    if name == "diag_inf":
-        return diag_inf()
-    if name == "diag_M":
-        return diag_M(M)
-    if name == "rational_nullmod":
-        return rational_nullmod()
-    if name == "fat_set":
-        return fat_set(K)
-    if name == "trivial_zero":
-        return trivial_zero()
-    if name == "random_finite":
-        return random_finite(seed, n)
-    raise ConfigurationError(f"unknown catalog instance {name!r}")
+    if name not in _FAMILIES:
+        raise ConfigurationError(f"unknown catalog instance {name!r}")
+    return _FAMILIES[name][0](M, K, seed, n)

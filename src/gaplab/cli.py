@@ -24,14 +24,10 @@ from .approximate import (
     weak_star_distance,
 )
 from .catalog import catalog, catalog_names, get_instance
-from .core import ConfigurationError, DiscreteMeasure, Grid
-from .costs import Segment
+from .core import ConfigurationError, DiscreteMeasure, Grid, malformed
+from .costs import CountableMarker, Graph, PointSet, Rectangle, Segment
 from .instance import discretize, load_instance
 from .negligible import (
-    CountableSetPiece,
-    GraphPiece,
-    PointSetPiece,
-    RectanglePiece,
     SetDescriptor,
     is_L_negligible,
     max_plan_mass,
@@ -245,28 +241,29 @@ def parse_set_descriptor(text: str) -> SetDescriptor:
     or a path to a JSON document {"pieces": [...]}.
     """
     text = text.strip()
-    if text.endswith(".json") and Path(text).exists():
-        return set_descriptor_from_json(json.loads(Path(text).read_text()))
-    if text == "diagonal":
-        return SetDescriptor((GraphPiece((Segment(0.0, 1.0, 0.0, 1.0),)),))
-    if text in ("qxq", "countable"):
-        return SetDescriptor((CountableSetPiece(),))
-    m = _SEGMENT_RE.fullmatch(text)
-    if m:
-        y, x0, x1 = map(float, m.groups())
-        return SetDescriptor((GraphPiece((Segment(x0, x1, y, y),)),))
-    m = _POINTS_RE.fullmatch(text)
-    if m:
-        pts = re.findall(r"\(([0-9.]+)\s*,\s*([0-9.]+)\)", m.group(1))
-        if pts:
-            return SetDescriptor(
-                (PointSetPiece(tuple((float(a), float(b)) for a, b in pts)),)
-            )
-    m = _RECT_RE.fullmatch(text)
-    if m:
-        x0, x1, y0, y1 = map(float, m.groups())
-        return SetDescriptor((RectanglePiece(x0, x1, y0, y1),))
-    raise ConfigurationError(f"cannot parse set descriptor {text!r}")
+    with malformed(f"set descriptor {text!r}"):
+        if text.endswith(".json") and Path(text).exists():
+            return set_descriptor_from_json(json.loads(Path(text).read_text()))
+        if text == "diagonal":
+            return SetDescriptor((Graph((Segment(0.0, 1.0, 0.0, 1.0),)),))
+        if text in ("qxq", "countable"):
+            return SetDescriptor((CountableMarker(),))
+        m = _SEGMENT_RE.fullmatch(text)
+        if m:
+            y, x0, x1 = map(float, m.groups())
+            return SetDescriptor((Graph((Segment(x0, x1, y, y),)),))
+        m = _POINTS_RE.fullmatch(text)
+        if m:
+            pts = re.findall(r"\(([0-9.]+)\s*,\s*([0-9.]+)\)", m.group(1))
+            if pts:
+                return SetDescriptor(
+                    (PointSet(tuple((float(a), float(b)) for a, b in pts)),)
+                )
+        m = _RECT_RE.fullmatch(text)
+        if m:
+            x0, x1, y0, y1 = map(float, m.groups())
+            return SetDescriptor((Rectangle(x0, x1, y0, y1),))
+        raise ConfigurationError(f"cannot parse set descriptor {text!r}")
 
 
 def cmd_negligible(args) -> int:

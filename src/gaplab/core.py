@@ -19,6 +19,7 @@ so values can be shared freely across worker threads.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,18 @@ MASS_TOL = 1e-12
 
 class ConfigurationError(ValueError):
     """A descriptor or instance is malformed (does not cover, bad density, ...)."""
+
+
+@contextmanager
+def malformed(what: str):
+    """Raise a lookup, type or value error met while decoding ``what`` as a
+    :class:`ConfigurationError` that names it."""
+    try:
+        yield
+    except ConfigurationError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed {what}: {exc}") from exc
 
 
 def is_inf(v: float) -> bool:

@@ -146,11 +146,11 @@ class PointSet:
 
 @dataclass(frozen=True)
 class CountableMarker:
-    """Symbolic modification on a countable (hence L-negligible) set.
+    """Symbolic countable (hence L-negligible) set, e.g. all rational pairs.
 
     Every grid atom pair has rational coordinates, so sampling a countable
     modification would repaint the whole grid; the marker therefore never
-    matches and only records that the modification happened on a null set.
+    matches, owns no grid atom and records only that the set is null.
     """
 
     def matches(self, x: float, y: float) -> bool:
@@ -384,6 +384,8 @@ def _grid_mask(kind: RegionKind, atoms: np.ndarray) -> np.ndarray:
                 np.abs(atoms - py) <= GEOM_TOL
             )[None, :]
         return mask
+    if isinstance(kind, CountableMarker):  # null, and owns no grid atom
+        return np.zeros((atoms.size, atoms.size), dtype=bool)
     raise ConfigurationError(f"no grid mask for region kind {kind!r}")
 
 
@@ -452,7 +454,7 @@ def _paint_region(
         C[full] = region.value
         C[partial] = mixed[partial]
         painted |= ~empty
-    elif not isinstance(kind, CountableMarker):
+    else:
         mask = _grid_mask(kind, grid.atoms)
         C[mask] = region.value
         painted |= mask
@@ -508,69 +510,74 @@ def max_finite_entry(C: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# serialization: one shape registry for cost regions and set pieces
 # ---------------------------------------------------------------------------
+
+
+#: kind -> (shape type, its fields as JSON, decoder of a document of the kind)
+SHAPE_KINDS = {
+    "below_diagonal": (BelowDiagonal, lambda k: {}, lambda d: BelowDiagonal()),
+    "diagonal": (Diagonal, lambda k: {}, lambda d: Diagonal()),
+    "above_diagonal": (AboveDiagonal, lambda k: {}, lambda d: AboveDiagonal()),
+    "rectangle": (
+        Rectangle,
+        lambda k: {"box": [k.x0, k.x1, k.y0, k.y1]},
+        lambda d: Rectangle(*map(float, d["box"])),
+    ),
+    "graph": (
+        Graph,
+        lambda k: {"segments": [[s.x0, s.x1, s.y_start, s.y_end] for s in k.segments]},
+        lambda d: Graph(tuple(Segment(*map(float, s)) for s in d["segments"])),
+    ),
+    "point_set": (
+        PointSet,
+        lambda k: {"points": [list(p) for p in k.points]},
+        lambda d: PointSet(tuple((float(p[0]), float(p[1])) for p in d["points"])),
+    ),
+    "countable_marker": (CountableMarker, lambda k: {}, lambda d: CountableMarker()),
+    "complement_of_intervals": (
+        ComplementOfIntervals,
+        lambda k: {"intervals": [list(iv) for iv in k.intervals], "axis": k.axis},
+        lambda d: ComplementOfIntervals(
+            tuple((float(a), float(b)) for a, b in d["intervals"]), d.get("axis", "x")
+        ),
+    ),
+}
+_KIND_OF = {shape: kind for kind, (shape, _, _) in SHAPE_KINDS.items()}
+
+#: the one kind that set documents name differently; both names read anywhere
+_SET_NAME = {"countable_marker": "countable_set"}
+_READ_KIND = {alias: kind for kind, alias in _SET_NAME.items()}
+
+
+def shape_to_json(shape: RegionKind, set_piece: bool = False) -> dict:
+    """``{"kind": ..., **fields}``; a set piece is written under its set name."""
+    kind = _KIND_OF.get(type(shape))
+    if kind is None:
+        raise ConfigurationError(f"unserializable region kind {shape!r}")
+    name = _SET_NAME.get(kind, kind) if set_piece else kind
+    return {"kind": name, **SHAPE_KINDS[kind][1](shape)}
+
+
+def shape_from_json(d: dict, kinds=SHAPE_KINDS, what: str = "region") -> RegionKind:
+    """Decode a shape document whose kind is one of ``kinds``."""
+    kind = _READ_KIND.get(d.get("kind"), d.get("kind"))
+    if kind not in kinds:
+        raise ConfigurationError(f"unknown {what} kind {d.get('kind')!r}")
+    return SHAPE_KINDS[kind][2](d)
 
 
 def region_to_json(region: Region | CellTable) -> dict:
     if isinstance(region, CellTable):
         rows = [list(map(extreal_to_json, r)) for r in region.values.tolist()]
         return {"kind": "cell_table", "values": rows}
-    k = region.where
-    v = extreal_to_json(region.value)
-    if isinstance(k, BelowDiagonal):
-        return {"kind": "below_diagonal", "value": v}
-    if isinstance(k, Diagonal):
-        return {"kind": "diagonal", "value": v}
-    if isinstance(k, AboveDiagonal):
-        return {"kind": "above_diagonal", "value": v}
-    if isinstance(k, Rectangle):
-        return {"kind": "rectangle", "box": [k.x0, k.x1, k.y0, k.y1], "value": v}
-    if isinstance(k, Graph):
-        return {
-            "kind": "graph",
-            "segments": [[s.x0, s.x1, s.y_start, s.y_end] for s in k.segments],
-            "value": v,
-        }
-    if isinstance(k, PointSet):
-        return {"kind": "point_set", "points": [list(p) for p in k.points], "value": v}
-    if isinstance(k, CountableMarker):
-        return {"kind": "countable_marker", "value": v}
-    if isinstance(k, ComplementOfIntervals):
-        return {
-            "kind": "complement_of_intervals",
-            "intervals": [list(iv) for iv in k.intervals],
-            "axis": k.axis,
-            "value": v,
-        }
-    raise ConfigurationError(f"unserializable region kind {k!r}")
+    return {**shape_to_json(region.where), "value": extreal_to_json(region.value)}
 
 
 def region_from_json(d: dict) -> Region | CellTable:
-    kind = d.get("kind")
-    if kind == "cell_table":
+    if d.get("kind") == "cell_table":
         return CellTable([list(map(extreal_from_json, r)) for r in d["values"]])
-    value = extreal_from_json(d["value"])
-    if kind == "below_diagonal":
-        return Region(BelowDiagonal(), value)
-    if kind == "diagonal":
-        return Region(Diagonal(), value)
-    if kind == "above_diagonal":
-        return Region(AboveDiagonal(), value)
-    if kind == "rectangle":
-        return Region(Rectangle(*map(float, d["box"])), value)
-    if kind == "graph":
-        segs = tuple(Segment(*map(float, s)) for s in d["segments"])
-        return Region(Graph(segs), value)
-    if kind == "point_set":
-        pts = tuple((float(p[0]), float(p[1])) for p in d["points"])
-        return Region(PointSet(pts), value)
-    if kind == "countable_marker":
-        return Region(CountableMarker(), value)
-    if kind == "complement_of_intervals":
-        ivs = tuple((float(a), float(b)) for a, b in d["intervals"])
-        return Region(ComplementOfIntervals(ivs, d.get("axis", "x")), value)
-    raise ConfigurationError(f"unknown region kind {kind!r}")
+    return Region(shape_from_json(d), extreal_from_json(d["value"]))
 
 
 def descriptor_to_json(desc: CostDescriptor) -> dict:

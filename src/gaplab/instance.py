@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -15,13 +15,13 @@ from .core import (
     Grid,
     extreal_from_json,
     extreal_to_json,
+    malformed,
 )
 from .costs import (
     CostDescriptor,
     descriptor_from_json,
     descriptor_to_json,
     discretize_cost,
-    sample_cost,
 )
 
 
@@ -43,9 +43,6 @@ class Instance:
     known_values: dict | None = None
     modification: dict | None = None
 
-    def with_cost(self, cost: CostDescriptor, suffix: str = "") -> "Instance":
-        return replace(self, name=self.name + suffix, cost=cost)
-
 
 def discretize(
     instance: Instance, n: int
@@ -56,10 +53,6 @@ def discretize(
     mu = DiscreteMeasure.from_density(instance.marginal_x, grid)
     nu = DiscreteMeasure.from_density(instance.marginal_y, grid)
     return C, mu, nu
-
-
-def sample_instance_cost(instance: Instance, x: float, y: float) -> float:
-    return sample_cost(instance.cost, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +79,7 @@ def instance_to_json_dict(inst: Instance) -> dict:
 
 
 def instance_from_json_dict(d: dict) -> Instance:
-    try:
+    with malformed("instance document"):
         known_values = None
         if "known_values" in d:
             known_values = {
@@ -105,10 +98,6 @@ def instance_from_json_dict(d: dict) -> Instance:
             known_values=known_values,
             modification=d.get("modification"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigurationError):
-            raise
-        raise ConfigurationError(f"malformed instance document: {exc}") from exc
 
 
 def dumps_instance(inst: Instance) -> str:

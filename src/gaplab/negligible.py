@@ -1,10 +1,13 @@
 """Deciding L-negligibility for declarative subsets of the unit square.
 
 A set A is L-negligible when it fits inside (M x Y) union (X x N) for null
-sets M, N of the marginals.  Over the closed piece grammar below (rectangles,
-piecewise-linear graphs, finite point sets, symbolic countable sets) and
-atomless marginal densities, the decision is rule-based and produces an
-explicit witness cover (M, N) or the piece that blocks it.
+sets M, N of the marginals.  A set is a union of pieces drawn from four of
+the cost shapes of :mod:`gaplab.costs` (``Rectangle``, piecewise-linear
+``Graph``, finite ``PointSet``, symbolic countable ``CountableMarker``), so a
+set realizes on the grid, serializes and overrides a cost exactly as the
+same shapes do as cost regions.  Over these pieces and atomless marginal
+densities, the decision is rule-based and produces an explicit witness cover
+(M, N) or the piece that blocks it.
 
 The Kellerer-style numeric cross-check is :func:`max_plan_mass`: the largest
 mass any coupling can place on the set's grid atoms, obtained by minimizing
@@ -19,7 +22,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import GEOM_TOL, ConfigurationError, DensitySpec, Grid, extreal_to_json
+from .core import (
+    GEOM_TOL,
+    ConfigurationError,
+    DensitySpec,
+    Grid,
+    extreal_to_json,
+    malformed,
+)
 from .costs import (
     CostDescriptor,
     CountableMarker,
@@ -27,19 +37,15 @@ from .costs import (
     PointSet,
     Rectangle,
     Region,
-    Segment,
-    _axis_mask,
     _grid_mask,
     check_cost_value,
+    shape_from_json,
+    shape_to_json,
 )
 from .instance import Instance
 from .solver import solve_primal
 
 __all__ = [
-    "RectanglePiece",
-    "GraphPiece",
-    "PointSetPiece",
-    "CountableSetPiece",
     "SetDescriptor",
     "NullSet",
     "NegligibilityVerdict",
@@ -52,30 +58,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RectanglePiece:
-    x0: float
-    x1: float
-    y0: float
-    y1: float
-
-
-@dataclass(frozen=True)
-class GraphPiece:
-    segments: tuple[Segment, ...]
-
-
-@dataclass(frozen=True)
-class PointSetPiece:
-    points: tuple[tuple[float, float], ...]
-
-
-@dataclass(frozen=True)
-class CountableSetPiece:
-    """Symbolic countable subset (e.g. all rational pairs)."""
-
-
-Piece = RectanglePiece | GraphPiece | PointSetPiece | CountableSetPiece
+Piece = Rectangle | Graph | PointSet | CountableMarker
+_PIECE_KINDS = ("rectangle", "graph", "point_set", "countable_marker")
 
 
 @dataclass(frozen=True)
@@ -136,14 +120,14 @@ def is_L_negligible(
     M = NullSet()
     N = NullSet()
     for idx, piece in enumerate(A.pieces):
-        if isinstance(piece, RectanglePiece):
+        if isinstance(piece, Rectangle):
             if mu_spec.measure(piece.x0, piece.x1) <= GEOM_TOL:
                 M = M.union(_interval_null(piece.x0, piece.x1))
             elif nu_spec.measure(piece.y0, piece.y1) <= GEOM_TOL:
                 N = N.union(_interval_null(piece.y0, piece.y1))
             else:
                 return NegligibilityVerdict(False, blocking_piece=idx)
-        elif isinstance(piece, GraphPiece):
+        elif isinstance(piece, Graph):
             for seg in piece.segments:
                 if seg.is_constant:
                     N = N.union(NullSet(points=(seg.y_start,)))
@@ -155,9 +139,9 @@ def is_L_negligible(
                     # a strictly sloped segment maps positive mu-mass onto
                     # positive nu-mass: no null cover can exist
                     return NegligibilityVerdict(False, blocking_piece=idx)
-        elif isinstance(piece, PointSetPiece):
+        elif isinstance(piece, PointSet):
             M = M.union(NullSet(points=tuple(p[0] for p in piece.points)))
-        elif isinstance(piece, CountableSetPiece):
+        elif isinstance(piece, CountableMarker):
             M = M.union(NullSet(countable=True))
         else:
             raise ConfigurationError(f"unknown piece {piece!r}")
@@ -175,29 +159,11 @@ def _interval_null(a: float, b: float) -> NullSet:
 # ---------------------------------------------------------------------------
 
 
-def _piece_mask(piece: Piece, atoms: np.ndarray) -> np.ndarray:
-    n = atoms.size
-    if isinstance(piece, RectanglePiece):
-        return (
-            _axis_mask(piece.x0, piece.x1, atoms)[:, None]
-            & _axis_mask(piece.y0, piece.y1, atoms)[None, :]
-        )
-    if isinstance(piece, GraphPiece):
-        return _grid_mask(Graph(piece.segments), atoms)
-    if isinstance(piece, PointSetPiece):
-        return _grid_mask(PointSet(piece.points), atoms)
-    if isinstance(piece, CountableSetPiece):
-        # symbolic: every atom is rational, but the set is null; it owns no
-        # grid atoms, matching the sampling convention for markers
-        return np.zeros((n, n), dtype=bool)
-    raise ConfigurationError(f"unknown piece {piece!r}")
-
-
 def grid_indicator(A: SetDescriptor, grid: Grid) -> np.ndarray:
     atoms = grid.atoms
     mask = np.zeros((grid.n, grid.n), dtype=bool)
     for piece in A.pieces:
-        mask |= _piece_mask(piece, atoms)
+        mask |= _grid_mask(piece, atoms)
     return mask
 
 
@@ -238,56 +204,15 @@ def witness_cover_mass(
 # ---------------------------------------------------------------------------
 
 
-def _piece_to_region(piece: Piece, value: float) -> Region:
-    if isinstance(piece, RectanglePiece):
-        return Region(Rectangle(piece.x0, piece.x1, piece.y0, piece.y1), value)
-    if isinstance(piece, GraphPiece):
-        return Region(Graph(piece.segments), value)
-    if isinstance(piece, PointSetPiece):
-        return Region(PointSet(piece.points), value)
-    if isinstance(piece, CountableSetPiece):
-        return Region(CountableMarker(), value)
-    raise ConfigurationError(f"unknown piece {piece!r}")
-
-
 def set_descriptor_to_json(A: SetDescriptor) -> dict:
-    pieces = []
-    for p in A.pieces:
-        if isinstance(p, RectanglePiece):
-            pieces.append({"kind": "rectangle", "box": [p.x0, p.x1, p.y0, p.y1]})
-        elif isinstance(p, GraphPiece):
-            pieces.append(
-                {
-                    "kind": "graph",
-                    "segments": [[s.x0, s.x1, s.y_start, s.y_end] for s in p.segments],
-                }
-            )
-        elif isinstance(p, PointSetPiece):
-            pieces.append({"kind": "point_set", "points": [list(q) for q in p.points]})
-        elif isinstance(p, CountableSetPiece):
-            pieces.append({"kind": "countable_set"})
-    return {"pieces": pieces}
+    return {"pieces": [shape_to_json(p, set_piece=True) for p in A.pieces]}
 
 
 def set_descriptor_from_json(d: dict) -> SetDescriptor:
-    pieces: list[Piece] = []
-    for p in d["pieces"]:
-        kind = p.get("kind")
-        if kind == "rectangle":
-            pieces.append(RectanglePiece(*map(float, p["box"])))
-        elif kind == "graph":
-            pieces.append(
-                GraphPiece(tuple(Segment(*map(float, s)) for s in p["segments"]))
-            )
-        elif kind == "point_set":
-            pieces.append(
-                PointSetPiece(tuple((float(q[0]), float(q[1])) for q in p["points"]))
-            )
-        elif kind == "countable_set":
-            pieces.append(CountableSetPiece())
-        else:
-            raise ConfigurationError(f"unknown set piece kind {kind!r}")
-    return SetDescriptor(tuple(pieces))
+    with malformed("set descriptor"):
+        return SetDescriptor(
+            tuple(shape_from_json(p, _PIECE_KINDS, "set piece") for p in d["pieces"])
+        )
 
 
 def apply_null_modification(
@@ -303,7 +228,7 @@ def apply_null_modification(
     verdict = is_L_negligible(A, instance.marginal_x, instance.marginal_y)
     if not verdict.negligible:
         raise NotNegligibleError(verdict.blocking_piece)
-    override = tuple(_piece_to_region(p, new_value) for p in A.pieces)
+    override = tuple(Region(p, new_value) for p in A.pieces)
     return replace(
         instance,
         name=instance.name + "+mod",

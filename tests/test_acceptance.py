@@ -23,11 +23,11 @@ import time
 import numpy as np
 
 from gaplab import (
-    CountableSetPiece,
+    CountableMarker,
     DensitySpec,
-    GraphPiece,
-    PointSetPiece,
-    RectanglePiece,
+    Graph,
+    PointSet,
+    Rectangle,
     Segment,
     SetDescriptor,
     apply_null_modification,
@@ -321,17 +321,17 @@ def test_criterion_09_liminf_harness():
 def test_criterion_10_negligibility_battery():
     t0 = time.time()
     unif = DensitySpec.uniform()
-    diagonal = SetDescriptor((GraphPiece((Segment(0.0, 1.0, 0.0, 1.0),)),))
+    diagonal = SetDescriptor((Graph((Segment(0.0, 1.0, 0.0, 1.0),)),))
     battery = [
-        SetDescriptor((GraphPiece((Segment(0.0, 0.5, 0.3, 0.3),)),)),
-        SetDescriptor((GraphPiece((Segment(0.0, 1.0, 0.5, 0.5),)),)),
-        SetDescriptor((GraphPiece((Segment(0.25, 1.0, 1.0, 1.0),)),)),
-        SetDescriptor((PointSetPiece(((0.5, 0.5),)),)),
-        SetDescriptor((PointSetPiece(((0.25, 0.75), (0.75, 0.25))),)),
-        SetDescriptor((PointSetPiece(((0.125, 0.125),)),)),
-        SetDescriptor((CountableSetPiece(),)),
-        SetDescriptor((RectanglePiece(0.7, 0.7, 0.2, 0.9),)),
-        SetDescriptor((RectanglePiece(0.0, 1.0, 0.4, 0.4),)),
+        SetDescriptor((Graph((Segment(0.0, 0.5, 0.3, 0.3),)),)),
+        SetDescriptor((Graph((Segment(0.0, 1.0, 0.5, 0.5),)),)),
+        SetDescriptor((Graph((Segment(0.25, 1.0, 1.0, 1.0),)),)),
+        SetDescriptor((PointSet(((0.5, 0.5),)),)),
+        SetDescriptor((PointSet(((0.25, 0.75), (0.75, 0.25))),)),
+        SetDescriptor((PointSet(((0.125, 0.125),)),)),
+        SetDescriptor((CountableMarker(),)),
+        SetDescriptor((Rectangle(0.7, 0.7, 0.2, 0.9),)),
+        SetDescriptor((Rectangle(0.0, 1.0, 0.4, 0.4),)),
     ]
     checks = []
     ns = (4, 8, 16, 32)
@@ -355,7 +355,7 @@ def test_criterion_10_negligibility_battery():
 def test_criterion_11_null_modification_soundness():
     t0 = time.time()
     inst = apply_null_modification(
-        rational_nullmod(), SetDescriptor((CountableSetPiece(),)), 0.0
+        rational_nullmod(), SetDescriptor((CountableMarker(),)), 0.0
     )
     checks = []
     for n in (2, 4, 8, 16, 32):

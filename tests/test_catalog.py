@@ -19,6 +19,7 @@ from gaplab import (
 )
 from gaplab.catalog import (
     catalog,
+    catalog_names,
     complement_measure,
     diag_M,
     diag_inf,
@@ -119,6 +120,18 @@ class TestCatalogEntries:
             e.notes.keys() == e.continuum_values.keys() for e in catalog()
         )
 
+    def test_get_instance_matches_the_catalog(self):
+        params = dict(M=3, K=5, seed=2, n=4)
+        entries = catalog(**params)
+        assert len(entries) == len(catalog_names())
+        for name, entry in zip(catalog_names(), entries):
+            assert get_instance(name, **params) == entry.instance, name
+            assert entry.instance.name.startswith(name)
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(ConfigurationError, match="unknown catalog instance"):
+            get_instance("diag")
+
     def test_trivial_zero_solves_to_zero(self):
         C, mu, nu = discretize(trivial_zero(), 8)
         assert solve_primal(C, mu, nu).value == 0.0
@@ -212,11 +225,10 @@ class TestInstanceFiles:
         assert '"inf"' in text
 
     def test_modification_embeds_in_file(self):
-        from gaplab import SetDescriptor, apply_null_modification
-        from gaplab.negligible import CountableSetPiece
+        from gaplab import CountableMarker, SetDescriptor, apply_null_modification
 
         inst = apply_null_modification(
-            rational_nullmod(), SetDescriptor((CountableSetPiece(),)), 0.0
+            rational_nullmod(), SetDescriptor((CountableMarker(),)), 0.0
         )
         text = dumps_instance(inst)
         again = loads_instance(text)

@@ -358,6 +358,28 @@ class TestNegligible:
         code = main(["negligible", "squiggle z=1", "--n", "4"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"pieces": [{"kind": "rectangle"}]}',  # no box
+            '{"pieces": [{"kind": "rectangle", "box": [0, 1, 0]}]}',
+            '{"box": [0, 1, 0, 1]}',  # no pieces
+            '[{"kind": "rectangle", "box": [0, 1, 0, 1]}]',
+            '{"pieces": [',  # not JSON
+            '{"pieces": [{"kind": "diagonal"}]}',  # a cost shape, not a set piece
+            '{"pieces": [{"kind": "cell_table", "values": [[0.0]]}]}',
+            "rect [1.2.3,1]x[0,1]",
+            "segment y=. x=[0,1]",
+        ],
+    )
+    def test_malformed_set_exits_2(self, tmp_path, capsys, spec):
+        if spec[0] in "{[":
+            (tmp_path / "set.json").write_text(spec)
+            spec = str(tmp_path / "set.json")
+        code, text = run(tmp_path, "negligible", spec, "--n", "4")
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_parse_forms(self):
         assert parse_set_descriptor("qxq").pieces
         assert parse_set_descriptor("rect [0,0.25]x[0,1]").pieces

@@ -32,23 +32,25 @@ from gaplab.catalog import (
 )
 from gaplab.core import GEOM_TOL
 from gaplab.costs import (
+    SHAPE_KINDS,
+    AboveDiagonal,
     BelowDiagonal,
     CellTable,
     ComplementOfIntervals,
     CountableMarker,
     Diagonal,
+    Graph,
+    PointSet,
     Rectangle,
     Region,
+    Segment,
     _grid_mask,
     _outside_fractions,
+    region_from_json,
+    region_to_json,
 )
 from gaplab.instance import dumps_instance, instance_to_json_dict, loads_instance
-from gaplab.negligible import (
-    PointSetPiece,
-    RectanglePiece,
-    SetDescriptor,
-    apply_null_modification,
-)
+from gaplab.negligible import SetDescriptor, apply_null_modification
 
 from _oracles import random_finite_rectangles
 
@@ -458,7 +460,7 @@ class TestCellTable:
     def test_negligible_override_paints_over_the_table(self):
         base = random_finite(5, 8)
         A = SetDescriptor(
-            (RectanglePiece(0.5, 0.5, 0.0, 1.0), PointSetPiece(((0.25, 0.75),)))
+            (Rectangle(0.5, 0.5, 0.0, 1.0), PointSet(((0.25, 0.75),)))
         )
         mod = apply_null_modification(base, A, INF)
         override = mod.cost.regions[1:]
@@ -489,3 +491,45 @@ class TestCellTable:
     def test_non_square_tables_raise(self, values):
         with pytest.raises(ConfigurationError):
             CellTable(values)
+
+
+#: one shape of every registry kind
+SHAPE_EXAMPLES = {
+    "below_diagonal": BelowDiagonal(),
+    "diagonal": Diagonal(),
+    "above_diagonal": AboveDiagonal(),
+    "rectangle": Rectangle(0.25, 0.5, 0.0, 1.0),
+    "graph": Graph((Segment(0.0, 0.5, 0.3, 0.3), Segment(0.5, 1.0, 0.3, 0.9))),
+    "point_set": PointSet(((0.5, 0.5), (0.25, 0.75))),
+    "countable_marker": CountableMarker(),
+    "complement_of_intervals": ComplementOfIntervals(((0.1, 0.2), (0.5, 0.7)), "y"),
+}
+
+
+class TestShapeRegistry:
+    def test_examples_cover_the_registry(self):
+        assert set(SHAPE_EXAMPLES) == set(SHAPE_KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(SHAPE_EXAMPLES))
+    @pytest.mark.parametrize("value", [0.0, 1.5, INF])
+    def test_region_round_trip_is_byte_exact(self, kind, value):
+        region = Region(SHAPE_EXAMPLES[kind], value)
+        text = json.dumps(region_to_json(region))
+        assert json.loads(text)["kind"] == kind
+        again = region_from_json(json.loads(text))
+        assert again == region
+        assert json.dumps(region_to_json(again)) == text
+
+    def test_countable_marker_bytes(self):
+        region = Region(CountableMarker(), 0.0)
+        assert json.dumps(region_to_json(region)) == (
+            '{"kind": "countable_marker", "value": 0.0}'
+        )
+
+    def test_set_name_of_the_marker_reads_as_a_region(self):
+        doc = {"kind": "countable_set", "value": 1.0}
+        assert region_from_json(doc) == Region(CountableMarker(), 1.0)
+
+    def test_unknown_kind_raises(self):
+        with pytest.raises(ConfigurationError, match="unknown region kind"):
+            region_from_json({"kind": "circle", "value": 1.0})

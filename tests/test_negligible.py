@@ -1,19 +1,21 @@
 """Negligibility verdicts, witnesses, mass maximization and null modifications."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaplab import (
-    CountableSetPiece,
+    CountableMarker,
     DensitySpec,
-    GraphPiece,
+    Graph,
     Grid,
     INF,
     NotNegligibleError,
-    PointSetPiece,
-    RectanglePiece,
+    PointSet,
+    Rectangle,
     Segment,
     SetDescriptor,
     apply_null_modification,
@@ -27,12 +29,14 @@ from gaplab import (
     witness_cover_mass,
 )
 from gaplab.catalog import rational_nullmod, trivial_zero
+from gaplab.core import ConfigurationError
+from gaplab.negligible import set_descriptor_from_json, set_descriptor_to_json
 
 UNIF = DensitySpec.uniform()
 
-DIAGONAL = SetDescriptor((GraphPiece((Segment(0.0, 1.0, 0.0, 1.0),)),))
-H_SEGMENT = SetDescriptor((GraphPiece((Segment(0.0, 0.5, 0.3, 0.3),)),))
-QXQ = SetDescriptor((CountableSetPiece(),))
+DIAGONAL = SetDescriptor((Graph((Segment(0.0, 1.0, 0.0, 1.0),)),))
+H_SEGMENT = SetDescriptor((Graph((Segment(0.0, 0.5, 0.3, 0.3),)),))
+QXQ = SetDescriptor((CountableMarker(),))
 
 
 def uniform_measures(n):
@@ -59,29 +63,29 @@ class TestVerdicts:
         assert v.witness[0].countable
 
     def test_point_set_negligible(self):
-        A = SetDescriptor((PointSetPiece(((0.5, 0.5), (0.25, 0.75))),))
+        A = SetDescriptor((PointSet(((0.5, 0.5), (0.25, 0.75))),))
         v = is_L_negligible(A, UNIF, UNIF)
         assert v.negligible
         assert set(v.witness[0].points) == {0.5, 0.25}
 
     def test_zero_width_rectangle_negligible(self):
-        A = SetDescriptor((RectanglePiece(0.7, 0.7, 0.2, 0.9),))
+        A = SetDescriptor((Rectangle(0.7, 0.7, 0.2, 0.9),))
         v = is_L_negligible(A, UNIF, UNIF)
         assert v.negligible
 
     def test_fat_rectangle_blocks(self):
-        A = SetDescriptor((RectanglePiece(0.1, 0.4, 0.2, 0.9),))
+        A = SetDescriptor((Rectangle(0.1, 0.4, 0.2, 0.9),))
         v = is_L_negligible(A, UNIF, UNIF)
         assert not v.negligible
 
     def test_sloped_segment_blocks(self):
-        A = SetDescriptor((GraphPiece((Segment(0.2, 0.8, 0.1, 0.7),)),))
+        A = SetDescriptor((Graph((Segment(0.2, 0.8, 0.1, 0.7),)),))
         assert not is_L_negligible(A, UNIF, UNIF).negligible
 
     def test_sloped_segment_over_null_domain_is_negligible(self):
         # density vanishing on (0, 1/2) makes the x-domain null
         spec = DensitySpec(breakpoints=(0.0, 0.5, 1.0), values=(0.0, 2.0))
-        A = SetDescriptor((GraphPiece((Segment(0.1, 0.4, 0.1, 0.4),)),))
+        A = SetDescriptor((Graph((Segment(0.1, 0.4, 0.1, 0.4),)),))
         assert is_L_negligible(A, spec, UNIF).negligible
 
     def test_union_closure(self):
@@ -104,9 +108,9 @@ class TestVerdicts:
     def test_union_of_negligible_pieces_stays_negligible(self, y, x0, w, px, py):
         A = SetDescriptor(
             (
-                GraphPiece((Segment(x0, x0 + w, y, y),)),
-                PointSetPiece(((px, py),)),
-                CountableSetPiece(),
+                Graph((Segment(x0, x0 + w, y, y),)),
+                PointSet(((px, py),)),
+                CountableMarker(),
             )
         )
         assert is_L_negligible(A, UNIF, UNIF).negligible
@@ -114,7 +118,7 @@ class TestVerdicts:
 
 class TestMaxPlanMass:
     def test_empty_set(self):
-        A = SetDescriptor((PointSetPiece(()),))
+        A = SetDescriptor((PointSet(()),))
         mu, nu = uniform_measures(4)
         assert max_plan_mass(A, mu, nu, 4) == 0.0
 
@@ -123,7 +127,7 @@ class TestMaxPlanMass:
         assert max_plan_mass(DIAGONAL, mu, nu, 4) == pytest.approx(1.0, abs=1e-9)
 
     def test_vertical_strip_row_bound(self):
-        A = SetDescriptor((RectanglePiece(0.0, 0.25, 0.0, 1.0),))
+        A = SetDescriptor((Rectangle(0.0, 0.25, 0.0, 1.0),))
         mu, nu = uniform_measures(8)
         assert max_plan_mass(A, mu, nu, 8) == pytest.approx(0.25, abs=1e-9)
 
@@ -133,7 +137,7 @@ class TestMaxPlanMass:
         assert not grid_indicator(QXQ, Grid(8)).any()
 
     def test_negligible_masses_bounded_by_witness_cover(self):
-        for A in (H_SEGMENT, QXQ, SetDescriptor((PointSetPiece(((0.5, 0.5),)),))):
+        for A in (H_SEGMENT, QXQ, SetDescriptor((PointSet(((0.5, 0.5),)),))):
             v = is_L_negligible(A, UNIF, UNIF)
             assert v.negligible
             for n in (4, 8, 16):
@@ -159,7 +163,7 @@ class TestNullModification:
             assert solve_dual(C, mu, nu).value == pytest.approx(1.0, abs=1e-12)
 
     def test_point_modification_routes_around_one_cell(self):
-        A = SetDescriptor((PointSetPiece(((0.5, 0.5),)),))
+        A = SetDescriptor((PointSet(((0.5, 0.5),)),))
         inst = apply_null_modification(trivial_zero(), A, INF)
         # odd grid: the atom is never hit, matrices identical
         C5, mu5, nu5 = discretize(inst, 5)
@@ -173,7 +177,7 @@ class TestNullModification:
         assert r.plan.mass[1, 1] <= 1e-12
 
     def test_segment_modification_below_diagonal_keeps_value(self):
-        A = SetDescriptor((GraphPiece((Segment(0.5, 1.0, 0.375, 0.375),)),))
+        A = SetDescriptor((Graph((Segment(0.5, 1.0, 0.375, 0.375),)),))
         inst = apply_null_modification(diag_inf(), A, INF)
         C, mu, nu = discretize(inst, 8)
         base, _, _ = discretize(diag_inf(), 8)
@@ -194,10 +198,53 @@ class TestNullModification:
 
     def test_soundness_when_no_atom_is_hit(self):
         # modification on a segment no dyadic grid resolves: values unchanged
-        A = SetDescriptor((GraphPiece((Segment(0.0, 1.0, 0.3, 0.3),)),))
+        A = SetDescriptor((Graph((Segment(0.0, 1.0, 0.3, 0.3),)),))
         inst = apply_null_modification(diag_inf(), A, INF)
         for n in (4, 8, 16):
             C, mu, nu = discretize(inst, n)
             base, _, _ = discretize(diag_inf(), n)
             assert np.array_equal(C, base)
             assert solve_primal(C, mu, nu).value == pytest.approx(1.0, abs=1e-9)
+
+
+class TestSetCodec:
+    @pytest.mark.parametrize(
+        "piece",
+        [
+            Rectangle(0.7, 0.7, 0.2, 0.9),
+            Graph((Segment(0.0, 0.5, 0.3, 0.3), Segment(0.5, 1.0, 0.3, 0.9))),
+            PointSet(((0.5, 0.5), (0.25, 0.75))),
+            CountableMarker(),
+        ],
+    )
+    def test_piece_round_trip_is_byte_exact(self, piece):
+        A = SetDescriptor((piece,))
+        text = json.dumps(set_descriptor_to_json(A))
+        again = set_descriptor_from_json(json.loads(text))
+        assert again == A
+        assert json.dumps(set_descriptor_to_json(again)) == text
+
+    def test_countable_set_bytes(self):
+        assert json.dumps(set_descriptor_to_json(QXQ)) == (
+            '{"pieces": [{"kind": "countable_set"}]}'
+        )
+
+    def test_region_name_of_the_marker_reads_as_a_piece(self):
+        doc = {"pieces": [{"kind": "countable_marker"}]}
+        assert set_descriptor_from_json(doc) == QXQ
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"pieces": [{"kind": "diagonal"}]},
+            {"pieces": [{"kind": "complement_of_intervals", "intervals": []}]},
+            {"pieces": [{"kind": "cell_table", "values": [[0.0]]}]},
+            {"pieces": [{"kind": "rectangle", "box": [0, 1, 0]}]},
+            {"pieces": [{"kind": "point_set"}]},
+            {"box": [0, 1, 0, 1]},
+            [],
+        ],
+    )
+    def test_malformed_documents_raise(self, doc):
+        with pytest.raises(ConfigurationError):
+            set_descriptor_from_json(doc)
