@@ -45,6 +45,7 @@ from .core import (
     check_cost_value,
     extreal_from_json,
     extreal_to_json,
+    malformed,
 )
 
 # ---------------------------------------------------------------------------
@@ -532,7 +533,7 @@ SHAPE_KINDS = {
     "point_set": (
         PointSet,
         lambda k: {"points": [list(p) for p in k.points]},
-        lambda d: PointSet(tuple((float(p[0]), float(p[1])) for p in d["points"])),
+        lambda d: PointSet(tuple((float(x), float(y)) for x, y in d["points"])),
     ),
     "countable_marker": (CountableMarker, lambda k: {}, lambda d: CountableMarker()),
     "complement_of_intervals": (
@@ -564,7 +565,8 @@ def shape_from_json(d: dict, kinds=SHAPE_KINDS, what: str = "region") -> RegionK
     kind = _READ_KIND.get(d.get("kind"), d.get("kind"))
     if kind not in kinds:
         raise ConfigurationError(f"unknown {what} kind {d.get('kind')!r}")
-    return SHAPE_KINDS[kind][2](d)
+    with malformed(f"{kind} {what}"):
+        return SHAPE_KINDS[kind][2](d)
 
 
 def region_to_json(region: Region | CellTable) -> dict:

@@ -117,4 +117,10 @@ def save_instance(inst: Instance, path: str | Path) -> None:
 
 
 def load_instance(path: str | Path) -> Instance:
-    return loads_instance(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(
+            f"cannot read instance file {str(path)!r}: {exc}"
+        ) from exc
+    return loads_instance(text)

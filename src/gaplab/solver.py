@@ -76,13 +76,16 @@ SUPPORT_TOL = 1e-12
 DUALITY_TOL = 1e-7
 
 #: plain sweeps of _assignment_potentials before each sweep is followed by a
-#: pass down the shortest-path forest: the assignment solves of a
+#: walk down the shortest-path forest: the assignment solves of a
 #: ``many_small`` benchmark pass settle within 18 sweeps, most within 6,
-#: while ``diag_inf`` at n atoms needs n - 1.  Fewer do not pay at benchmark
-#: sizes, where a forest sweep costs more than a plain one: raw in-process
-#: passes (medians, 2-core VM) of ``many_small`` took 175 ms at 16, 201 ms at
-#: 1 and 197 ms at 0, and ``grid_scan`` stayed within its noise (120, 115,
-#: 113 ms); only ``diag_inf`` at n ~ 1024 gains from 0
+#: while ``diag_inf`` at n atoms needs n - 1.  Fewer do not pay there, where a
+#: walking sweep (argmin, forest order, walk) costs more than a plain one:
+#: calibrated ``many_small`` pass_s over two 15 s runs (2-core VM) was
+#: 0.070/0.071 s at 16, 0.070/0.073 s at 4 and 0.077/0.076 s at 1.  A full
+#: solve whose split leaves only one-row blocks (every matched arc forced)
+#: walks after the first sweep instead: its matching is unique and its
+#: residual row graph acyclic, so a shortest path may pass every row, as on
+#: ``diag_inf``, where one walk settles them all
 _PLAIN_SWEEPS = 16
 
 #: relative spread allowed among equal weights, and between a slack cap and
@@ -254,15 +257,16 @@ def _assignment_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray, k: int) -> Solve
     D = np.zeros((n + k, n + k))
     D[:n, :n] = np.where(finite, C, INF)
     if k == 0 and not finite.all():
-        col = _split_assignment(D, finite)
+        split = _split_assignment(D, finite)
     else:
         try:
-            _, col = linear_sum_assignment(D)
+            split = linear_sum_assignment(D)[1], False
         except ValueError:  # no perfect matching over the finite arcs
-            col = None
-    if col is None:
+            split = None
+    if split is None:
         return SolveReport(value=INF, status="infeasible_finite", path="assignment")
-    u, v = _assignment_potentials(D, col)
+    col, forced = split
+    u, v = _assignment_potentials(D, col, forced)
     rows = np.flatnonzero(col[:n] < n)
     cols = col[rows]
     plan = np.zeros((n, n))
@@ -278,10 +282,12 @@ def _assignment_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray, k: int) -> Solve
     )
 
 
-def _split_assignment(D: np.ndarray, finite: np.ndarray) -> np.ndarray | None:
+def _split_assignment(
+    D: np.ndarray, finite: np.ndarray
+) -> tuple[np.ndarray, bool] | None:
     """Optimal assignment i -> col[i] of the square D over its finite arcs,
-    solved one Dulmage-Mendelsohn block at a time; None when the finite arcs
-    hold no perfect matching.
+    solved one Dulmage-Mendelsohn block at a time, and whether every block
+    has one row; None when the finite arcs hold no perfect matching.
 
     Take one perfect matching, owner[c] the row matched to column c, and the
     row graph with an edge r -> owner[c] for each finite arc (r, c).  An
@@ -321,11 +327,11 @@ def _split_assignment(D: np.ndarray, finite: np.ndarray) -> np.ndarray | None:
         block_cols = col[block]
         _, sub = linear_sum_assignment(D[np.ix_(block, block_cols)])
         col[block] = block_cols[sub]
-    return col
+    return col, not shared.any()
 
 
 def _assignment_potentials(
-    D: np.ndarray, col: np.ndarray
+    D: np.ndarray, col: np.ndarray, forced: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dual pair (u, v) of the optimal assignment i -> col[i]: u_i + v_j <= D_ij
     on every finite arc, with equality on the matched arcs.
@@ -340,21 +346,26 @@ def _assignment_potentials(
     pair feasible if it is ever reached.
 
     A shortest path of d arcs takes d plain sweeps (N - 1 on
-    ``diag_inf``).  So once _PLAIN_SWEEPS sweeps have not settled u, each
-    further sweep is followed by one pass down the shortest-path forest:
-    p(i) is the row attaining the minimum of column col[i] in the last
-    sweep, and the rows get u_i = F(u)_i level by level from the roots
-    (p(i) = i) down, each level reading the levels above it.  Rows whose
-    pointers reach no root are left to the sweeps.  The result is the plain
-    sweeps' to the bit: F is monotone in floating point (rounding is
-    monotone), so every update, applied to a state u with u <= F(u) and
-    u <= L, keeps both; u only grows, and the loop still stops only when a
-    full sweep returns u unchanged, i.e. at a fixed point below L, which is
-    L itself.
+    ``diag_inf``).  So once _PLAIN_SWEEPS sweeps have not settled u (one
+    sweep when ``forced`` says every matched arc is forced), each further
+    sweep is followed by one walk down the shortest-path forest: p(i) is the
+    row attaining the minimum of column col[i] in the last sweep, and the
+    rows are visited parents first from the roots (p(i) = i) down, each
+    taking u_i <- max(u_i, D_i,col[i] - (D_p(i),col[i] - u_p(i))) in Python
+    floats.  Rows whose pointers reach no root are left to the sweeps.  The
+    result is the plain sweeps' to the bit.  The parent's term is one of
+    those F(u)_i minimises over, so the walk never lifts u_i above F(u)_i,
+    and the max keeps u_i from falling (it never binds: p(i) attained that
+    minimum against the lower u of the last sweep).  F is monotone in
+    floating point (rounding is monotone), so every update, applied to a
+    state u with u <= F(u) and u <= L, keeps both.  u only grows, and the
+    loop still stops only when a full sweep returns u unchanged, i.e. at a
+    fixed point below L, which is L itself.
     """
     N = D.shape[0]
     rows = np.arange(N)
     matched = D[rows, col]
+    plain_sweeps = 1 if forced else _PLAIN_SWEEPS
     u = np.zeros(N)
     v = D.min(axis=0)
     pred = None
@@ -364,10 +375,21 @@ def _assignment_potentials(
             break
         u = tight
         if pred is not None:
-            for level in _forest_levels(pred):
-                u[level] = matched[level] - (D[:, col[level]] - u[:, None]).min(axis=0)
+            order = _forest_order(pred)
+            parent = pred[order]
+            u = u.tolist()
+            for i, p, m, d in zip(
+                order.tolist(),
+                parent.tolist(),
+                matched[order].tolist(),
+                D[parent, col[order]].tolist(),
+            ):
+                t = m - (d - u[p])
+                if t > u[i]:
+                    u[i] = t
+            u = np.array(u)
         R = D - u[:, None]
-        if sweep + 1 < _PLAIN_SWEEPS:
+        if sweep + 1 < plain_sweeps:
             v = R.min(axis=0)
         else:
             # the first row of each column's minimum, as argmin finds it, but
@@ -378,12 +400,12 @@ def _assignment_potentials(
     return u, v
 
 
-def _forest_levels(pred: np.ndarray) -> list[np.ndarray]:
-    """Rows of the pointer forest i -> pred[i] grouped by depth, roots
-    (pred[i] = i) first; rows whose pointers end in a cycle without a root
-    are left out.  Depths come from pointer doubling: after r rounds top[i]
-    is the 2^r-th ancestor of i and depth[i] counts the non-root rows among
-    the 2^r steps to it."""
+def _forest_order(pred: np.ndarray) -> np.ndarray:
+    """Rows of the pointer forest i -> pred[i] that reach a root
+    (pred[i] = i), parents before children: sorted by depth, roots first.
+    Rows whose pointers end in a cycle without a root are left out.  Depths
+    come from pointer doubling: after r rounds top[i] is the 2^r-th ancestor
+    of i and depth[i] counts the non-root rows among the 2^r steps to it."""
     N = pred.size
     depth = (pred != np.arange(N)).astype(np.int64)
     top = pred.copy()
@@ -391,9 +413,7 @@ def _forest_levels(pred: np.ndarray) -> list[np.ndarray]:
         depth += depth[top]
         top = top[top]
     reached = np.flatnonzero(pred[top] == top)
-    order = reached[np.argsort(depth[reached], kind="stable")]
-    starts = np.flatnonzero(np.diff(depth[order], prepend=-1)).tolist()
-    return [order[lo:hi] for lo, hi in zip(starts, [*starts[1:], order.size])]
+    return reached[np.argsort(depth[reached], kind="stable")]
 
 
 def _highs_lp(

@@ -279,6 +279,23 @@ def jacobi_potentials(D, col):
     return u, v, False
 
 
+def diag_inf_potentials(n):
+    """The pair (u, v) that jacobi_potentials returns for ``diag_inf`` at n
+    atoms with the identity matching: u_i = n - 1 - i and v_j = j + 2 - n.
+
+    The finite arcs cost 0 below the diagonal and 1 on it, so the sweep map
+    is F(u)_i = 1 - min(1 - u_i, min_{r > i} -u_r), which is
+    max(u_i, 1 + max_{r > i} u_r).  Its fixed points are the u with u_i >= 1 + u_r for all r > i, and the
+    least of them with u >= 0 is u_i = n - 1 - i, by induction from the last
+    row.  The sweeps from u = 0 grow u, stay below every fixed point >= 0
+    (F is monotone) and stop at a fixed point, hence at this one; then
+    v_j = min(1 - u_j, min_{i > j} -u_i) = j + 2 - n.  Every number is a
+    small integer, so floating point computes it exactly.
+    """
+    i = np.arange(n, dtype=float)
+    return n - 1 - i, i + 2 - n
+
+
 def unique_optimal_matching(C, col, phi, psi, tol=1e-9):
     """Whether i -> col[i] is the only optimal perfect matching of the finite
     arcs of the square C, given optimal potentials (phi, psi).

@@ -79,6 +79,16 @@ class TestSolve:
         code = main(["solve", "--instance", str(bad), "--n", "4"])
         assert code == 2
 
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe{"])
+    def test_unreadable_instance_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "nope.json"
+        if content is not None:  # present, but not UTF-8
+            path.write_bytes(content)
+        code = main(["solve", "--instance", str(path), "--n", "4"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot read instance file") and str(path) in err
+
     def test_instance_file_round_trip_through_cli(self, tmp_path):
         path = tmp_path / "diag.json"
         save_instance(diag_inf(), path)

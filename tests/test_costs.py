@@ -533,3 +533,17 @@ class TestShapeRegistry:
     def test_unknown_kind_raises(self):
         with pytest.raises(ConfigurationError, match="unknown region kind"):
             region_from_json({"kind": "circle", "value": 1.0})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "rectangle", "box": [0, 1, 0], "value": 1.0},
+            {"kind": "point_set", "points": [[0.5, 0.5, 9]], "value": 1.0},
+            {"kind": "point_set", "points": [[0.5]], "value": 1.0},
+            {"kind": "point_set", "points": [0.5], "value": 1.0},
+            {"kind": "point_set", "value": 1.0},
+        ],
+    )
+    def test_malformed_documents_raise(self, doc):
+        with pytest.raises(ConfigurationError, match=f"malformed {doc['kind']} region"):
+            region_from_json(doc)

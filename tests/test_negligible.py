@@ -241,6 +241,8 @@ class TestSetCodec:
             {"pieces": [{"kind": "cell_table", "values": [[0.0]]}]},
             {"pieces": [{"kind": "rectangle", "box": [0, 1, 0]}]},
             {"pieces": [{"kind": "point_set"}]},
+            {"pieces": [{"kind": "point_set", "points": [[0.5, 0.5, 9]]}]},
+            {"pieces": [{"kind": "point_set", "points": [[0.5]]}]},
             {"box": [0, 1, 0, 1]},
             [],
         ],

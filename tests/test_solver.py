@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
 import gaplab.solver as solver
@@ -37,13 +38,14 @@ from gaplab.solver import (
     SolveReport,
     TransportPlan,
     _assignment_potentials,
-    _forest_levels,
+    _forest_order,
     _highs_lp,
 )
 
 from _oracles import (
     brute_force_partial_matching,
     brute_force_primal,
+    diag_inf_potentials,
     greedy_row_drop_value,
     jacobi_potentials,
     partial_dual_objective,
@@ -700,29 +702,36 @@ class TestAssignmentPotentials:
             mp.setattr(solver, "_PLAIN_SWEEPS", plain)
             _matches_jacobi(*problem)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
+    def test_diag_inf_closed_form_is_jacobi(self, n):
+        C, _, _ = discretize(diag_inf(), n)
+        ju, jv, settled = jacobi_potentials(C, np.arange(n))
+        u, v = diag_inf_potentials(n)
+        assert settled
+        assert np.array_equal(u, ju) and np.array_equal(v, jv)
+
     def test_deep_chain_within_budget(self):
         # diag_inf's finite arcs are lower triangular with a finite diagonal,
         # so the identity is its only perfect matching; the shortest paths
         # form one chain of n - 1 arcs, n - 1 plain sweeps of n^2 each
         n = 1024
         C, _, _ = discretize(diag_inf(), n)
-        D, col = np.where(np.isfinite(C), C, INF), np.arange(n)
-        start = time.perf_counter()
-        u, v = _assignment_potentials(D, col)
-        elapsed = time.perf_counter() - start
-        ju, jv, settled = jacobi_potentials(D, col)
-        assert settled
-        assert np.array_equal(u, ju) and np.array_equal(v, jv)
-        assert elapsed < 1.0
+        ju, jv = diag_inf_potentials(n)
+        for forced in (False, True):
+            start = time.perf_counter()
+            u, v = _assignment_potentials(C, np.arange(n), forced)
+            elapsed = time.perf_counter() - start
+            assert np.array_equal(u, ju) and np.array_equal(v, jv)
+            assert elapsed < 1.0
 
     def test_chain_settles_in_one_forest_pass(self, monkeypatch):
         passes = []
 
         def counted(pred):
             passes.append(pred)
-            return _forest_levels(pred)
+            return _forest_order(pred)
 
-        monkeypatch.setattr(solver, "_forest_levels", counted)
+        monkeypatch.setattr(solver, "_forest_order", counted)
         C, mu, nu = discretize(diag_inf(), 128)
         r = solve_primal(C, mu, nu)
         assert r.path == "assignment" and r.value == pytest.approx(1.0, abs=1e-12)
@@ -732,12 +741,13 @@ class TestAssignmentPotentials:
         # 0 and 3 are roots; 6 <-> 7 is a cycle without a root and 8 hangs
         # off it, so those three reach no root and are left out
         pred = np.array([0, 0, 1, 3, 3, 4, 7, 6, 6])
-        levels = _forest_levels(pred)
-        assert [lv.tolist() for lv in levels] == [[0, 3], [1, 4], [2, 5]]
-        assert _forest_levels(np.array([1, 2, 0])) == []
-        assert [lv.tolist() for lv in _forest_levels(np.array([0]))] == [[0]]
+        assert _forest_order(pred).tolist() == [0, 3, 1, 4, 2, 5]
+        assert _forest_order(np.array([1, 2, 0])).tolist() == []
+        assert _forest_order(np.array([0])).tolist() == [0]
         chain = np.concatenate([[0], np.arange(99)])  # i -> i - 1
-        assert [lv.tolist() for lv in _forest_levels(chain)] == [[i] for i in range(100)]
+        assert _forest_order(chain).tolist() == list(range(100))
+        rev = np.append(np.arange(1, 100), 99)  # i -> i + 1
+        assert _forest_order(rev).tolist() == list(range(99, -1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -749,9 +759,13 @@ class TestAssignmentPotentials:
 def _plain_assignment(D, finite):
     """The split's stand-in: one linear_sum_assignment over the whole D."""
     try:
-        return linear_sum_assignment(D)[1]
+        return linear_sum_assignment(D)[1], False
     except ValueError:
         return None
+
+
+#: the tied costs the pattern strategies draw from
+TIES = [-1.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1 / 3, 2.0]
 
 
 @st.composite
@@ -761,7 +775,7 @@ def _forbidden_patterns(draw, max_n=9):
     column permutations; or, now and then, a free pattern that may hold no
     perfect matching."""
     n = draw(st.integers(1, max_n))
-    ties = st.sampled_from([-1.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1 / 3, 2.0])
+    ties = st.sampled_from(TIES)
     C = np.array(draw(st.lists(ties, min_size=n * n, max_size=n * n))).reshape(n, n)
     finite = np.array(
         draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
@@ -771,6 +785,20 @@ def _forbidden_patterns(draw, max_n=9):
         block = np.cumsum([0, *cuts])
         finite &= block[:, None] >= block[None, :]
         finite[np.arange(n), np.arange(n)] = True
+    C[~finite] = INF
+    rows = draw(st.permutations(range(n)))
+    cols = draw(st.permutations(range(n)))
+    return C[np.ix_(rows, cols)]
+
+
+@st.composite
+def _forced_patterns(draw, max_n=48):
+    """Square costs whose finite arcs are a lower-triangular pattern with a
+    finite diagonal, under random row and column permutations: the finite
+    arcs hold exactly one perfect matching, so every arc of it is forced."""
+    n = draw(st.integers(2, max_n))
+    C = draw(arrays(float, (n, n), elements=st.sampled_from(TIES)))
+    finite = np.tril(draw(arrays(bool, (n, n)))) | np.eye(n, dtype=bool)
     C[~finite] = INF
     rows = draw(st.permutations(range(n)))
     cols = draw(st.permutations(range(n)))
@@ -820,6 +848,32 @@ class TestForcedArcSplit:
         assert ok, violations
         assert r.potentials.feasibility_slack(C) <= 1e-9
         assert abs(r.value - solve_dual(C, mu, nu).value) <= DUALITY_TOL
+
+    @given(C=_forced_patterns())
+    @settings(max_examples=100, deadline=None)
+    def test_forced_patterns_walk_first_and_match_jacobi(self, C):
+        n = C.shape[0]
+        split, potentials = solver._split_assignment, solver._assignment_potentials
+        calls = []
+
+        def spied_split(D, finite):
+            calls.append(split(D, finite))
+            return calls[-1]
+
+        def spied_potentials(D, col, forced=False):
+            calls.append(forced)
+            return potentials(D, col, forced)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_split_assignment", spied_split)
+            mp.setattr(solver, "_assignment_potentials", spied_potentials)
+            r = solve_primal(C, uniform(n), uniform(n))
+        (col, one_row_blocks), forced = calls
+        assert one_row_blocks and forced
+        ju, jv, settled = jacobi_potentials(C, col)
+        assert settled
+        assert np.array_equal(r.potentials.phi, ju)
+        assert np.array_equal(r.potentials.psi, jv)
 
     @pytest.mark.parametrize(
         "C",
