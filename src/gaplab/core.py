@@ -128,13 +128,14 @@ class DensitySpec:
         bp, vals = self.breakpoints, self.values
         if len(bp) != len(vals) + 1 or len(vals) == 0:
             raise ConfigurationError("need k+1 breakpoints for k density pieces")
-        if abs(bp[0]) > GEOM_TOL or abs(bp[-1] - 1.0) > GEOM_TOL:
+        # every check is written so that a NaN fails it
+        if not (abs(bp[0]) <= GEOM_TOL and abs(bp[-1] - 1.0) <= GEOM_TOL):
             raise ConfigurationError("density breakpoints must span [0, 1]")
-        if any(b1 <= b0 for b0, b1 in zip(bp, bp[1:])):
+        if not all(b1 > b0 for b0, b1 in zip(bp, bp[1:])):
             raise ConfigurationError("breakpoints must be strictly increasing")
-        if any(v < 0 for v in vals):
+        if not all(v >= 0 for v in vals):
             raise ConfigurationError("densities are non-negative")
-        if abs(self.measure(0.0, 1.0) - 1.0) > MASS_TOL:
+        if not abs(self.measure(0.0, 1.0) - 1.0) <= MASS_TOL:
             raise ConfigurationError("density must integrate to 1")
 
     @classmethod

@@ -1,9 +1,16 @@
 """Cost descriptors over the unit square and their grid realizations.
 
 A cost is described declaratively as an ordered list of regions, each a
-(matcher, value) pair; sampling at a point returns the value of the last
+(shape, value) pair; sampling at a point returns the value of the last
 matching region.  Matching uses the half-open convention of the grid cells:
 rectangles are (x0, x1] x (y0, y1], with degenerate sides matched exactly.
+
+Each shape has one predicate, ``mask(x, y)``, written with Python operators
+and builtins only.  Given two floats it answers a point sample; given the
+broadcast atoms ``atoms[:, None]`` and ``atoms[None, :]`` it answers every
+atom pair of the grid at once, with the same comparisons on the same floats.
+Point samples, grid painting and the indicators of L-negligible sets all go
+through it.
 
 The ``complement_of_intervals`` kind (an indicator along one axis, constant
 along the other) is the one region whose grid realization is *not* point
@@ -23,8 +30,8 @@ every region it sits in the ordered list, so later regions paint over it.
 
 Rectangles are painted as index slices rather than masks.  The atoms are
 sorted, so each side of a box selects a contiguous run of atom indices, and
-the run's ends are ``np.searchsorted`` of the very thresholds the scalar and
-mask tests compare against; a degenerate side (rare) takes its ends from its
+the run's ends are ``np.searchsorted`` of the very thresholds the box's
+``mask`` compares against; a degenerate side (rare) takes its ends from its
 own 1-D mask.  A run of consecutive rectangles is therefore painted with one
 ``C[a:b, c:d] = v`` per box that covers an atom, in region order, and gives
 the same matrix, bit for bit, as painting box masks.
@@ -32,8 +39,11 @@ the same matrix, bit for bit, as painting box masks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import groupby
+from operator import and_, or_
 
 import numpy as np
 
@@ -49,25 +59,40 @@ from .core import (
 )
 
 # ---------------------------------------------------------------------------
-# region matchers
+# shapes: one predicate each
 # ---------------------------------------------------------------------------
+
+
+def _axis_mask(lo, hi, t):
+    """(lo, hi] on one axis, for a float t or an array of them; a degenerate
+    side (hi - lo <= GEOM_TOL) is the point lo, matched exactly."""
+    if hi - lo <= GEOM_TOL:
+        return abs(t - lo) <= GEOM_TOL
+    return (t > lo + GEOM_TOL) & (t <= hi + GEOM_TOL)
+
+
+def _check_coords(what: str, coords) -> None:
+    """Reject NaN (it fails every comparison silently) and infinities."""
+    bad = [c for c in coords if not math.isfinite(c)]
+    if bad:
+        raise ConfigurationError(f"{what} coordinates must be finite, got {bad[0]!r}")
 
 
 @dataclass(frozen=True)
 class BelowDiagonal:
-    def matches(self, x: float, y: float) -> bool:
+    def mask(self, x, y):
         return y < x - GEOM_TOL
 
 
 @dataclass(frozen=True)
 class Diagonal:
-    def matches(self, x: float, y: float) -> bool:
+    def mask(self, x, y):
         return abs(x - y) <= GEOM_TOL
 
 
 @dataclass(frozen=True)
 class AboveDiagonal:
-    def matches(self, x: float, y: float) -> bool:
+    def mask(self, x, y):
         return y > x + GEOM_TOL
 
 
@@ -80,15 +105,11 @@ class Rectangle:
     y0: float
     y1: float
 
-    def _axis_match(self, lo: float, hi: float, t: float) -> bool:
-        if hi - lo <= GEOM_TOL:
-            return abs(t - lo) <= GEOM_TOL
-        return lo + GEOM_TOL < t <= hi + GEOM_TOL
+    def __post_init__(self):
+        _check_coords("rectangle", (self.x0, self.x1, self.y0, self.y1))
 
-    def matches(self, x: float, y: float) -> bool:
-        return self._axis_match(self.x0, self.x1, x) and self._axis_match(
-            self.y0, self.y1, y
-        )
+    def mask(self, x, y):
+        return _axis_mask(self.x0, self.x1, x) & _axis_mask(self.y0, self.y1, y)
 
 
 @dataclass(frozen=True)
@@ -101,6 +122,7 @@ class Segment:
     y_end: float
 
     def __post_init__(self):
+        _check_coords("segment", (self.x0, self.x1, self.y_start, self.y_end))
         if self.x1 < self.x0:
             raise ConfigurationError("segment needs x0 <= x1")
 
@@ -108,7 +130,7 @@ class Segment:
     def is_constant(self) -> bool:
         return abs(self.y_end - self.y_start) <= GEOM_TOL
 
-    def value_at(self, x: float) -> float:
+    def value_at(self, x):
         if self.x1 == self.x0:
             return self.y_start
         t = (x - self.x0) / (self.x1 - self.x0)
@@ -118,10 +140,9 @@ class Segment:
     def y_interval(self) -> tuple[float, float]:
         return (min(self.y_start, self.y_end), max(self.y_start, self.y_end))
 
-    def matches(self, x: float, y: float) -> bool:
-        if not (self.x0 - GEOM_TOL <= x <= self.x1 + GEOM_TOL):
-            return False
-        return abs(self.value_at(x) - y) <= GEOM_TOL
+    def mask(self, x, y):
+        over = (x >= self.x0 - GEOM_TOL) & (x <= self.x1 + GEOM_TOL)
+        return over & (abs(self.value_at(x) - y) <= GEOM_TOL)
 
 
 @dataclass(frozen=True)
@@ -130,19 +151,23 @@ class Graph:
 
     segments: tuple[Segment, ...]
 
-    def matches(self, x: float, y: float) -> bool:
-        return any(s.matches(x, y) for s in self.segments)
+    def mask(self, x, y):
+        return reduce(or_, (s.mask(x, y) for s in self.segments), False)
 
 
 @dataclass(frozen=True)
 class PointSet:
     points: tuple[tuple[float, float], ...]
 
-    def matches(self, x: float, y: float) -> bool:
-        return any(
-            abs(x - px) <= GEOM_TOL and abs(y - py) <= GEOM_TOL
+    def __post_init__(self):
+        _check_coords("point", (c for p in self.points for c in p))
+
+    def mask(self, x, y):
+        hits = (
+            (abs(x - px) <= GEOM_TOL) & (abs(y - py) <= GEOM_TOL)
             for px, py in self.points
         )
+        return reduce(or_, hits, False)
 
 
 @dataclass(frozen=True)
@@ -154,7 +179,7 @@ class CountableMarker:
     matches, owns no grid atom and records only that the set is null.
     """
 
-    def matches(self, x: float, y: float) -> bool:
+    def mask(self, x, y):
         return False
 
 
@@ -169,10 +194,11 @@ class ComplementOfIntervals:
     def __post_init__(self):
         if self.axis not in ("x", "y"):
             raise ConfigurationError("axis must be 'x' or 'y'")
+        _check_coords("interval", (c for iv in self.intervals for c in iv))
 
-    def matches(self, x: float, y: float) -> bool:
+    def mask(self, x, y):
         t = x if self.axis == "x" else y
-        return all(not (a < t < b) for a, b in self.intervals)
+        return reduce(and_, ((t <= a) | (t >= b) for a, b in self.intervals), True)
 
     def outside_fraction(self, lo: float, hi: float) -> float:
         """Lebesgue fraction of (lo, hi] not covered by the open intervals."""
@@ -226,7 +252,7 @@ class Region:
         object.__setattr__(self, "value", check_cost_value(self.value))
 
     def value_at(self, x: float, y: float) -> float | None:
-        return self.value if self.where.matches(x, y) else None
+        return self.value if self.where.mask(x, y) else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,12 +340,6 @@ def sample_cost(descriptor: CostDescriptor, x: float, y: float) -> float:
     return value
 
 
-def _axis_mask(lo: float, hi: float, atoms: np.ndarray) -> np.ndarray:
-    if hi - lo <= GEOM_TOL:
-        return np.abs(atoms - lo) <= GEOM_TOL
-    return (atoms > lo + GEOM_TOL) & (atoms <= hi + GEOM_TOL)
-
-
 def _axis_slices(
     lo: np.ndarray, hi: np.ndarray, atoms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -327,12 +347,12 @@ def _axis_slices(
 
     On sorted atoms, ``atoms > t`` holds exactly from
     ``searchsorted(atoms, t, "right")`` on, so a non-degenerate side needs
-    two searches at its own thresholds.  Degenerate sides (and NaN ones,
-    which fail ``hi - lo > GEOM_TOL`` too) read their run off ``_axis_mask``.
+    two searches at its own thresholds.  Degenerate sides read their run off
+    ``_axis_mask``.
     """
     start = np.searchsorted(atoms, lo + GEOM_TOL, "right")
     stop = np.searchsorted(atoms, hi + GEOM_TOL, "right")
-    for k in np.flatnonzero(~(hi - lo > GEOM_TOL)):
+    for k in np.flatnonzero(hi - lo <= GEOM_TOL):
         hit = np.flatnonzero(_axis_mask(lo[k], hi[k], atoms))
         start[k], stop[k] = (hit[0], hit[-1] + 1) if hit.size else (0, 0)
     return start, stop
@@ -356,38 +376,10 @@ def _paint_rectangles(
         painted[a:b, c:d] = True
 
 
-def _grid_mask(kind: RegionKind, atoms: np.ndarray) -> np.ndarray:
-    """Boolean atom-pair mask for a point-sampled region kind."""
-    x = atoms[:, None]
-    y = atoms[None, :]
-    if isinstance(kind, BelowDiagonal):
-        return y < x - GEOM_TOL
-    if isinstance(kind, Diagonal):
-        return np.abs(x - y) <= GEOM_TOL
-    if isinstance(kind, AboveDiagonal):
-        return y > x + GEOM_TOL
-    if isinstance(kind, Rectangle):
-        return (
-            _axis_mask(kind.x0, kind.x1, atoms)[:, None]
-            & _axis_mask(kind.y0, kind.y1, atoms)[None, :]
-        )
-    if isinstance(kind, Graph):
-        mask = np.zeros((atoms.size, atoms.size), dtype=bool)
-        for s in kind.segments:
-            xs = (atoms >= s.x0 - GEOM_TOL) & (atoms <= s.x1 + GEOM_TOL)
-            fx = np.array([s.value_at(a) for a in atoms])
-            mask |= xs[:, None] & (np.abs(fx[:, None] - y) <= GEOM_TOL)
-        return mask
-    if isinstance(kind, PointSet):
-        mask = np.zeros((atoms.size, atoms.size), dtype=bool)
-        for px, py in kind.points:
-            mask |= (np.abs(atoms - px) <= GEOM_TOL)[:, None] & (
-                np.abs(atoms - py) <= GEOM_TOL
-            )[None, :]
-        return mask
-    if isinstance(kind, CountableMarker):  # null, and owns no grid atom
-        return np.zeros((atoms.size, atoms.size), dtype=bool)
-    raise ConfigurationError(f"no grid mask for region kind {kind!r}")
+def _grid_mask(shape: RegionKind, atoms: np.ndarray) -> np.ndarray:
+    """``shape.mask`` at every atom pair, x down the rows and y across."""
+    n = atoms.size
+    return np.zeros((n, n), dtype=bool) | shape.mask(atoms[:, None], atoms[None, :])
 
 
 def discretize_cost(descriptor: CostDescriptor, grid: Grid) -> np.ndarray:

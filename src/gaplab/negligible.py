@@ -37,6 +37,7 @@ from .costs import (
     PointSet,
     Rectangle,
     Region,
+    _axis_mask,
     _grid_mask,
     check_cost_value,
     shape_from_json,
@@ -183,19 +184,15 @@ def witness_cover_mass(
     n: int,
 ) -> float:
     """Grid mass of the witness cover: mu-mass of atoms hit by M plus nu-mass
-    of atoms hit by N (the Kellerer bound for max_plan_mass)."""
+    of atoms hit by N (the Kellerer bound for max_plan_mass).  An atom is hit
+    as a box side would hit it: a point is a degenerate side."""
     grid = Grid(n)
-    atoms = grid.atoms
-    M, N = witness
     total = 0.0
-    for side, spec in ((M, mu_spec), (N, nu_spec)):
-        w = spec.cell_weights(grid)
+    for side, spec in zip(witness, (mu_spec, nu_spec)):
         hit = np.zeros(n, dtype=bool)
-        for p in side.points:
-            hit |= np.abs(atoms - p) <= GEOM_TOL
-        for a, b in side.intervals:
-            hit |= (atoms > a + GEOM_TOL) & (atoms <= b + GEOM_TOL)
-        total += float(w[hit].sum())
+        for a, b in [(p, p) for p in side.points] + list(side.intervals):
+            hit |= _axis_mask(a, b, grid.atoms)
+        total += float(spec.cell_weights(grid)[hit].sum())
     return total
 
 

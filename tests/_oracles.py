@@ -14,7 +14,20 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from gaplab.costs import CostDescriptor, Rectangle, Region
+from gaplab.core import GEOM_TOL
+from gaplab.costs import (
+    AboveDiagonal,
+    BelowDiagonal,
+    ComplementOfIntervals,
+    CostDescriptor,
+    CountableMarker,
+    Diagonal,
+    Graph,
+    PointSet,
+    Rectangle,
+    Region,
+    Segment,
+)
 
 
 def _tree_flow(n, m, edges, a, b):
@@ -254,6 +267,50 @@ def random_finite_rectangles(seed, n):
                 box = Rectangle(i / n, (i + 1) / n, j / n, (j + 1) / n)
                 regions.append(Region(box, float(values[i, j])))
     return CostDescriptor(tuple(regions))
+
+
+def point_in_shape(shape, x, y):
+    """Whether the point (x, y) lies in a cost shape, one shape type at a
+    time with short-circuiting scalar tests: the reference for
+    ``shape.mask``, which answers points and whole grids with one vectorised
+    expression.  Boxes are half-open, (x0, x1] x (y0, y1], and a side with
+    x1 - x0 <= GEOM_TOL is the point x0, matched within GEOM_TOL."""
+
+    def on_side(lo, hi, t):
+        if hi - lo <= GEOM_TOL:
+            return abs(t - lo) <= GEOM_TOL
+        return lo + GEOM_TOL < t <= hi + GEOM_TOL
+
+    if isinstance(shape, BelowDiagonal):
+        return y < x - GEOM_TOL
+    if isinstance(shape, Diagonal):
+        return abs(x - y) <= GEOM_TOL
+    if isinstance(shape, AboveDiagonal):
+        return y > x + GEOM_TOL
+    if isinstance(shape, Rectangle):
+        return on_side(shape.x0, shape.x1, x) and on_side(shape.y0, shape.y1, y)
+    if isinstance(shape, Segment):
+        if not (shape.x0 - GEOM_TOL <= x <= shape.x1 + GEOM_TOL):
+            return False
+        if shape.x1 == shape.x0:
+            fx = shape.y_start
+        else:
+            t = (x - shape.x0) / (shape.x1 - shape.x0)
+            fx = (1 - t) * shape.y_start + t * shape.y_end
+        return abs(fx - y) <= GEOM_TOL
+    if isinstance(shape, Graph):
+        return any(point_in_shape(s, x, y) for s in shape.segments)
+    if isinstance(shape, PointSet):
+        return any(
+            abs(x - px) <= GEOM_TOL and abs(y - py) <= GEOM_TOL
+            for px, py in shape.points
+        )
+    if isinstance(shape, CountableMarker):
+        return False
+    if isinstance(shape, ComplementOfIntervals):
+        t = x if shape.axis == "x" else y
+        return all(not (a < t < b) for a, b in shape.intervals)
+    raise TypeError(f"no reference predicate for {shape!r}")
 
 
 def jacobi_potentials(D, col):

@@ -89,6 +89,27 @@ class TestSolve:
         assert code == 2
         assert err.startswith("error: cannot read instance file") and str(path) in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("marginal_x", {"kind": "piecewise", "breakpoints": [0, 0.5, 1],
+                            "values": [float("nan"), 1.0]}),
+            ("cost", {"regions": [{"kind": "rectangle", "box": [0, 1, 0, 1], "value": 0.0},
+                                  {"kind": "rectangle",
+                                   "box": [float("nan"), 0.5, 0, 1], "value": 1.0}]}),
+        ],
+    )
+    def test_nan_in_instance_exits_2(self, tmp_path, capsys, field, value):
+        path = tmp_path / "nan.json"
+        save_instance(diag_inf(), path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        assert "NaN" in path.read_text()
+        code = main(["solve", "--instance", str(path), "--n", "4"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_instance_file_round_trip_through_cli(self, tmp_path):
         path = tmp_path / "diag.json"
         save_instance(diag_inf(), path)
@@ -389,6 +410,22 @@ class TestNegligible:
         code, text = run(tmp_path, "negligible", spec, "--n", "4")
         assert code == 2 and text == ""
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "piece",
+        [
+            {"kind": "point_set", "points": [[float("nan"), 0.5]]},
+            {"kind": "rectangle", "box": [float("nan"), 0.5, 0, 1]},
+            {"kind": "graph", "segments": [[0, 1, float("nan"), 0.5]]},
+            {"kind": "rectangle", "box": [float("inf"), float("inf"), 0, 1]},
+        ],
+    )
+    def test_non_finite_coordinates_exit_2(self, tmp_path, capsys, piece):
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps({"pieces": [piece]}))
+        code, text = run(tmp_path, "negligible", str(path), "--n", "4")
+        assert code == 2 and text == ""
+        assert "must be finite" in capsys.readouterr().err
 
     def test_parse_forms(self):
         assert parse_set_descriptor("qxq").pieces

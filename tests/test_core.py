@@ -1,5 +1,7 @@
 """Grid geometry, densities, measures, extended-real serialization."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,19 @@ class TestDensitySpec:
     def test_rejects_negative_density(self):
         with pytest.raises(ConfigurationError):
             DensitySpec((0.0, 0.5, 1.0), (-1.0, 3.0))
+
+    @pytest.mark.parametrize(
+        "breakpoints, values",
+        [
+            ((0.0, 0.5, 1.0), (math.nan, 1.0)),
+            ((0.0, math.nan, 1.0), (0.5, 0.5)),
+            ((math.nan, 1.0), (1.0,)),
+            ((0.0, math.nan), (1.0,)),
+        ],
+    )
+    def test_rejects_nan(self, breakpoints, values):
+        with pytest.raises(ConfigurationError):
+            DensitySpec(breakpoints, values)
 
     def test_json_round_trip(self):
         spec = DensitySpec((0.0, 0.25, 1.0), (2.0, 2.0 / 3.0))

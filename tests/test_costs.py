@@ -1,6 +1,8 @@
 """Descriptor sampling, grid realization, truncation and plan integrals."""
 
 import json
+import math
+import typing
 
 import numpy as np
 import pytest
@@ -43,8 +45,8 @@ from gaplab.costs import (
     PointSet,
     Rectangle,
     Region,
+    RegionKind,
     Segment,
-    _grid_mask,
     _outside_fractions,
     region_from_json,
     region_to_json,
@@ -52,7 +54,7 @@ from gaplab.costs import (
 from gaplab.instance import dumps_instance, instance_to_json_dict, loads_instance
 from gaplab.negligible import SetDescriptor, apply_null_modification
 
-from _oracles import random_finite_rectangles
+from _oracles import point_in_shape, random_finite_rectangles
 
 
 DIAG = diag_inf().cost
@@ -262,6 +264,12 @@ def sampled_matrix(desc, n):
     return np.array([[sample_cost(desc, x, y) for y in atoms] for x in atoms])
 
 
+def grid_mask(shape, atoms):
+    """``shape.mask`` at every atom pair, as an n x n boolean matrix."""
+    n = atoms.size
+    return np.zeros((n, n), dtype=bool) | shape.mask(atoms[:, None], atoms[None, :])
+
+
 def mask_painted(desc, n):
     """Paint every region through its full n x n mask, as before slices."""
     grid = Grid(n)
@@ -282,7 +290,7 @@ def mask_painted(desc, n):
             C[partial] = mixed[partial]
             painted |= ~empty
         else:
-            mask = _grid_mask(kind, grid.atoms)
+            mask = grid_mask(kind, grid.atoms)
             C[mask] = region.value
             painted |= mask
     assert painted.all()
@@ -547,3 +555,125 @@ class TestShapeRegistry:
     def test_malformed_documents_raise(self, doc):
         with pytest.raises(ConfigurationError, match=f"malformed {doc['kind']} region"):
             region_from_json(doc)
+
+    def test_every_region_kind_is_registered_with_a_mask(self):
+        kinds = set(typing.get_args(RegionKind))
+        assert kinds == {shape for shape, _, _ in SHAPE_KINDS.values()}
+        for shape in kinds:
+            assert callable(vars(shape).get("mask")), shape
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "rectangle", "box": [math.nan, 0.5, 0, 1]},
+            {"kind": "graph", "segments": [[0, 1, 0.5, math.nan]]},
+            {"kind": "point_set", "points": [[math.nan, 0.5]]},
+            {"kind": "complement_of_intervals", "intervals": [[0.1, math.nan]]},
+            {"kind": "rectangle", "box": [math.inf, math.inf, 0, 1]},
+            {"kind": "point_set", "points": [[0.5, -math.inf]]},
+        ],
+    )
+    def test_non_finite_coordinates_raise(self, doc):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            region_from_json({**doc, "value": 1.0})
+
+
+# ---------------------------------------------------------------------------
+# one predicate per shape, against the scalar reference
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def segment(draw, n):
+    """Flat or sloped, over an x range that may be a single point."""
+    x0, x1 = sorted((draw(box_edge(n)), draw(box_edge(n))))
+    if draw(st.integers(0, 3)) == 0:  # degenerate: within GEOM_TOL of x0
+        x1 = x0 + draw(st.sampled_from([0.0, GEOM_TOL / 2]))
+    y_start = draw(box_edge(n))
+    y_end = y_start if draw(st.booleans()) else draw(box_edge(n))
+    return Segment(x0, x1, y_start, y_end)
+
+
+def _pairs(n, max_size):
+    return st.lists(st.tuples(box_edge(n), box_edge(n)), max_size=max_size).map(tuple)
+
+
+#: kind -> strategy of shapes of that kind with coordinates near the atoms of Grid(n)
+SHAPE_STRATEGIES = {
+    "below_diagonal": lambda n: st.just(BelowDiagonal()),
+    "diagonal": lambda n: st.just(Diagonal()),
+    "above_diagonal": lambda n: st.just(AboveDiagonal()),
+    "rectangle": lambda n: st.builds(
+        lambda xs, ys: Rectangle(*xs, *ys), box_side(n), box_side(n)
+    ),
+    "graph": lambda n: st.builds(Graph, st.lists(segment(n), max_size=3).map(tuple)),
+    "point_set": lambda n: st.builds(PointSet, _pairs(n, 4)),
+    "countable_marker": lambda n: st.just(CountableMarker()),
+    "complement_of_intervals": lambda n: st.builds(
+        ComplementOfIntervals, _pairs(n, 4), st.sampled_from("xy")
+    ),
+}
+
+
+@st.composite
+def shape_case(draw, kind):
+    n = draw(st.integers(1, 64))
+    shape = draw(SHAPE_STRATEGIES[kind](n))
+    # an edge plus GEOM_TOL can land exactly on a box's threshold
+    t = st.one_of(box_edge(n), box_edge(n).map(lambda e: e + GEOM_TOL))
+    return n, shape, draw(st.lists(st.tuples(t, t), max_size=8))
+
+
+class TestShapeMask:
+    def test_strategies_cover_the_registry(self):
+        assert set(SHAPE_STRATEGIES) == set(SHAPE_KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(SHAPE_KINDS))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_mask_matches_the_scalar_reference(self, kind, data):
+        n, shape, points = data.draw(shape_case(kind))
+        for x, y in points:  # plain floats in, a plain bool out
+            got = shape.mask(x, y)
+            assert type(got) is bool and got == point_in_shape(shape, x, y), (x, y)
+        atoms = Grid(n).atoms
+        want = [[point_in_shape(shape, x, y) for y in atoms.tolist()] for x in atoms.tolist()]
+        assert np.array_equal(grid_mask(shape, atoms), np.array(want, dtype=bool))
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_every_edge_near_an_atom_matches_the_scalar_reference(self, n):
+        # ends i/n nudged by every offset, checked at the atoms and at each
+        # end nudged again: points then land exactly on the thresholds (an
+        # end plus GEOM_TOL), and ends -GEOM_TOL/2 and GEOM_TOL/2 make a side
+        # with hi - lo == GEOM_TOL exactly
+        atoms = Grid(n).atoms
+        edges = [i / n + off for i in range(n + 1) for off in _OFFSETS]
+        for lo in edges:
+            for shape in (BelowDiagonal(), Diagonal(), AboveDiagonal()):
+                for off in _OFFSETS:
+                    assert shape.mask(lo, lo + off) == point_in_shape(shape, lo, lo + off)
+            for hi in edges:
+                near = [e + off for e in (lo, hi) for off in _OFFSETS]
+                cases = [
+                    (Rectangle(lo, hi, 0.0, 1.0), [(t, 1.0) for t in near]),
+                    (Rectangle(0.0, 1.0, lo, hi), [(1.0, t) for t in near]),
+                    (ComplementOfIntervals(((lo, hi),), "y"), [(0.5, t) for t in near]),
+                ]
+                if lo <= hi:
+                    cases += [
+                        (Segment(lo, hi, 1.0, 1.0), [(t, 1.0) for t in near]),
+                        (Segment(lo, hi, lo, hi), [(t, t) for t in near]),
+                    ]
+                for shape, points in cases:
+                    want = [[point_in_shape(shape, x, y) for y in atoms] for x in atoms]
+                    assert np.array_equal(grid_mask(shape, atoms), want), shape
+                    for x, y in points:
+                        assert shape.mask(x, y) == point_in_shape(shape, x, y), (shape, x, y)
+
+    @pytest.mark.parametrize("kind", sorted(SHAPE_EXAMPLES))
+    def test_examples_match_the_scalar_reference(self, kind):
+        shape = SHAPE_EXAMPLES[kind]
+        for n in (1, 2, 4, 7, 8, 16):
+            atoms = Grid(n).atoms
+            want = [[point_in_shape(shape, x, y) for y in atoms] for x in atoms]
+            assert np.array_equal(grid_mask(shape, atoms), np.array(want, dtype=bool)), n

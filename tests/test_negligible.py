@@ -243,6 +243,8 @@ class TestSetCodec:
             {"pieces": [{"kind": "point_set"}]},
             {"pieces": [{"kind": "point_set", "points": [[0.5, 0.5, 9]]}]},
             {"pieces": [{"kind": "point_set", "points": [[0.5]]}]},
+            {"pieces": [{"kind": "point_set", "points": [[float("nan"), 0.5]]}]},
+            {"pieces": [{"kind": "rectangle", "box": [0, 1, float("nan"), 1]}]},
             {"box": [0, 1, 0, 1]},
             [],
         ],
