@@ -129,7 +129,8 @@ def block_approximate_plan(
     fixed within a call), and a repeated key reuses the first report.  Both
     solver paths are deterministic, so the glued plan and every per-cell
     report equal those of solving each cell.  Piecewise-constant costs under
-    product or diagonal plans repeat a handful of cell LPs many times.
+    product or diagonal plans repeat a handful of cell LPs many times.  Only
+    cells that hold mass are visited (n of n^2 under a diagonal plan).
     """
     if instance.known_rectified is None:
         raise InfiniteRectifiedCostError(
@@ -151,34 +152,34 @@ def block_approximate_plan(
     glued = np.zeros((N, N))
     reports = []
     solved: dict[bytes, SolveReport] = {}
-    for l in range(n):
-        for m in range(n):
-            sl = part.cell_slice(l, m)
-            block = pi.mass[sl]
-            cell_mass = float(block.sum())
-            if cell_mass <= 1e-15:
-                continue
-            a = block.sum(axis=1)
-            b = block.sum(axis=0)
-            key = C[sl].tobytes() + a.tobytes() + b.tobytes()
-            rep = solved.get(key)
-            if rep is None:
-                rep = solved[key] = solve_partial(C[sl], a, b, eps=tol)
-            if rep.status != "optimal":
-                raise RuntimeError(
-                    f"cell ({l},{m}) partial solve failed: {rep.status}"
-                )
-            glued[sl] = rep.plan.mass
-            reports.append(
-                {
-                    "cell": (l, m),
-                    "cell_mass": cell_mass,
-                    "retained": rep.plan.total,
-                    "mass_floor": max(cell_mass - tol, 0.0),
-                    "cost": rep.value,
-                    "dual_objective": rep.potentials.objective,
-                }
-            )
+    # every cell's marginals at once: [l, :, m] are cell (l, m)'s row sums,
+    # [l, m, :] its column sums, bit-equal to summing the block itself
+    cells = pi.mass.reshape(n, s, n, s)
+    row_sums, col_sums = cells.sum(axis=3), cells.sum(axis=1)
+    # entries are non-negative, so a cell sums to 0 only if it holds no mass
+    for l, m in np.argwhere(row_sums.sum(axis=1) > 0).tolist():
+        sl = part.cell_slice(l, m)
+        cell_mass = float(pi.mass[sl].sum())
+        if cell_mass <= 1e-15:
+            continue
+        a, b = row_sums[l, :, m], col_sums[l, m]
+        key = C[sl].tobytes() + a.tobytes() + b.tobytes()
+        rep = solved.get(key)
+        if rep is None:
+            rep = solved[key] = solve_partial(C[sl], a, b, eps=tol)
+        if rep.status != "optimal":
+            raise RuntimeError(f"cell ({l},{m}) partial solve failed: {rep.status}")
+        glued[sl] = rep.plan.mass
+        reports.append(
+            {
+                "cell": (l, m),
+                "cell_mass": cell_mass,
+                "retained": rep.plan.total,
+                "mass_floor": max(cell_mass - tol, 0.0),
+                "cost": rep.value,
+                "dual_objective": rep.potentials.objective,
+            }
+        )
     plan_n = TransportPlan(glued)
     return ApproximationStep(
         n=n,
@@ -210,21 +211,32 @@ def _cell_masses(mass: np.ndarray, level: int) -> np.ndarray:
     return mass.reshape(2**level, b, 2**level, b).sum(axis=(1, 3))
 
 
+def _coarser(cells: np.ndarray) -> np.ndarray:
+    """The next dyadic level: each cell sums a 2 x 2 block of the finer one."""
+    pairs = cells[:, ::2] + cells[:, 1::2]
+    return pairs[::2] + pairs[1::2]
+
+
 def weak_star_distance(p, q) -> float:
     """Hierarchical cell-mass discrepancy between two (sub-)plans.
 
     Both plans must live on power-of-two grids; levels run from the whole
     square down to the finest level both grids resolve.  Symmetric, obeys
     the triangle inequality, and vanishes iff all common cell masses agree
-    (for equal resolutions: iff the plans are equal).
+    (for equal resolutions: iff the plans are equal).  The finest common
+    level is summed from the atoms, each coarser one from the level below.
     """
     pm = p.mass if isinstance(p, TransportPlan) else np.asarray(p, dtype=float)
     qm = q.mass if isinstance(q, TransportPlan) else np.asarray(q, dtype=float)
     K = min(_dyadic_level(pm.shape[0]), _dyadic_level(qm.shape[0]))
+    pc, qc = _cell_masses(pm, K), _cell_masses(qm, K)
+    diffs = [float(np.abs(pc - qc).max())]
+    for _ in range(K):
+        pc, qc = _coarser(pc), _coarser(qc)
+        diffs.append(float(np.abs(pc - qc).max()))
     dist = 0.0
-    for k in range(K + 1):
-        diff = np.abs(_cell_masses(pm, k) - _cell_masses(qm, k)).max()
-        dist += 2.0**-k * float(diff)
+    for k, diff in enumerate(reversed(diffs)):  # coarsest level first
+        dist += 2.0**-k * diff
     return dist
 
 

@@ -31,13 +31,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .core import INF, DiscreteMeasure
 from .costs import max_finite_entry, truncate_cost
 from .instance import discretize
-from .solver import _HIGHS_OPTS, InputError, solve_primal
+from .solver import _HIGHS_OPTS, InputError, linprog, solve_primal
 
 __all__ = [
     "FeasiblePair",
@@ -341,6 +339,8 @@ def _batched_reweighted_duals(
         psi_c = np.where(one_row[:, None], Cc[Sc.argmax(axis=1)], 0.0)
         lp = np.flatnonzero(~(one_row | one_col))
         if lp.size:
+            from scipy import sparse
+
             block, arc = np.nonzero(Sc[lp][:, crow] & Tc[lp][:, ccol])
             base = block * (r + c)
             indices = np.stack([base + crow[arc], base + r + ccol[arc]], axis=-1).ravel()

@@ -2,27 +2,30 @@
 
 Every solve takes one of two paths, picked from the input alone:
 
-* **assignment** -- C is square, every weight of both marginals is the same
-  w > 0 (to 1e-12 relative), and the cap on dropped mass is k*w for an
-  integer k (a full solve is k = 0).  The transport polytope is then
-  w * Birkhoff, so the solve is an assignment problem, handed to
-  scipy.optimize.linear_sum_assignment.  A partial solve adds k dummy rows
-  and k dummy columns at cost 0 (Chapel, Alaya & Gasso, NeurIPS 2020); the
-  zero dummy-dummy block lets it drop fewer than k atoms, which keeps the
-  reduction exact under negative costs.  Network flows with integral data
-  have integral optima, so the value is the LP value exactly.  A full solve
-  with a forbidden arc is first split along the Dulmage-Mendelsohn
+* **assignment** -- C is square and every weight of both marginals is the
+  same w > 0 (to 1e-12 relative).  The transport polytope is then
+  w * Birkhoff, so a full solve is an assignment problem, handed to
+  scipy.optimize.linear_sum_assignment.  A partial solve whose cap on
+  dropped mass is k*w for an integer k adds k dummy rows and k dummy columns
+  at cost 0 (Chapel, Alaya & Gasso, NeurIPS 2020); the zero dummy-dummy
+  block lets it drop fewer than k atoms, which keeps the reduction exact
+  under negative costs.  Network flows with integral data have integral
+  optima, so the value is the LP value exactly.  A cap of (k + theta)*w,
+  0 < theta < 1, lies between two such solves, and the value is linear in
+  the cap between them: the solve mixes the two optima and reads its
+  potentials off the residual graph of the mix (_mixed_assignment_lp).  A
+  full solve with a forbidden arc is first split along the Dulmage-Mendelsohn
   decomposition of its finite arcs (Dulmage & Mendelsohn 1958; Pothen & Fan,
   ACM TOMS 16, 1990): one Hopcroft-Karp matching, then the strong components
   of its alternating row graph.  No perfect matching uses an arc between two
   components, so each component's block is its own assignment problem, and
   a one-row block is a forced arc that needs no solve (every arc on
   ``diag_inf``).
-* **highs** -- everything else (non-square C, unequal or zero weights, a
-  cap that is no multiple of w) is a linear program handed to HiGHS
-  (scipy.optimize.linprog), which is also the cross-check of the first path.
-  A partial solve is posed the assignment path's way, with one dummy row
-  and one dummy column of mass cap each, and solved as a full transport LP.
+* **highs** -- everything else (non-square C, unequal or zero weights) is a
+  linear program handed to HiGHS (scipy.optimize.linprog), which is also
+  the cross-check of the first path.  A partial solve is posed the
+  assignment path's way, with one dummy row and one dummy column of mass
+  cap each, and solved as a full transport LP.
 
 On both paths arcs with a non-finite cost are forbidden, so they can never
 carry mass, and infeasibility over the remaining arcs is exactly the
@@ -30,12 +33,15 @@ statement "no finite-cost coupling exists".
 
 Dual potentials are the equality-constraint multipliers of the optimal
 basis on the HiGHS path, and shortest-path distances on the residual graph
-of the optimal assignment on the other.  A partial solve also reports the
+of the optimal plan on the other.  A partial solve also reports the
 multipliers alpha, beta >= 0 of its two caps on dropped mass, read off
 the dummies' potentials, with phi <= alpha and psi <= beta.  Either way the
 dual objective a.phi + b.psi - cap*(alpha + beta) equals the primal value,
 and the feasibility slack phi[i] + psi[j] - C[i][j] is non-positive on every
 finite arc up to solver tolerance (well below the 1e-9 contract).
+
+scipy is imported on first use, not with the module: importing the package
+and building the CLI's parser need none of it.
 """
 
 from __future__ import annotations
@@ -44,8 +50,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
 
 from .core import INF, MASS_TOL, DiscreteMeasure
 
@@ -92,6 +96,13 @@ _PLAIN_SWEEPS = 16
 #: k times the weight, on the assignment path (n=7's cell weights differ by
 #: one ulp)
 UNIFORM_RTOL = 1e-12
+
+
+def linprog(c, **kwargs):
+    """scipy.optimize.linprog, imported on the first call."""
+    from scipy.optimize import linprog
+
+    return linprog(c, **kwargs)
 
 
 class InputError(ValueError):
@@ -219,17 +230,27 @@ def _transport_lp(
     """Min-cost (sub-)coupling over the finite arcs of C, dropping at most
     ``slack_cap`` mass on each side; exact assignment when the input allows
     it (see the module docstring), HiGHS otherwise."""
-    k = _assignment_drops(C, a, b, slack_cap)
-    if k is None:
+    drops = _assignment_drops(C, a, b, slack_cap)
+    if drops is None:
         return _highs_lp(C, a, b, slack_cap)
+    k, theta = drops
+    if theta:
+        return _mixed_assignment_lp(C, a, b, k, theta, slack_cap)
     return _assignment_lp(C, a, b, k)
 
 
 def _assignment_drops(
     C: np.ndarray, a: np.ndarray, b: np.ndarray, slack_cap: float | None
-) -> int | None:
-    """Number k of atoms the solve may drop when it is an assignment problem
-    (C square, all weights one w > 0, slack_cap = k*w), else None."""
+) -> tuple[int, float] | None:
+    """Whole atoms k and fraction theta of an atom that the solve may drop
+    when it is an assignment problem (C square, all weights one w > 0), else
+    None.
+
+    A full solve drops (0, 0.0).  A cap within UNIFORM_RTOL of k*w drops
+    (k, 0.0), one assignment solve.  Any other cap below the total mass is
+    (k + theta)*w with k = floor(cap/w) and 0 < theta < 1, solved from the
+    optima that drop k and k + 1 atoms.
+    """
     n, m = C.shape
     if n != m:
         return None
@@ -240,19 +261,23 @@ def _assignment_drops(
     if np.abs(a - w).max() > tol or np.abs(b - w).max() > tol:
         return None
     if slack_cap is None:
-        return 0
+        return 0, 0.0
     k = round(slack_cap / w)
-    if abs(slack_cap - k * w) > UNIFORM_RTOL * max(slack_cap, w):
-        return None
-    return k
+    if abs(slack_cap - k * w) <= UNIFORM_RTOL * max(slack_cap, w):
+        return k, 0.0
+    k = math.floor(slack_cap / w)
+    return k, slack_cap / w - k
 
 
-def _assignment_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray, k: int) -> SolveReport:
-    """Exact solve of a transport problem with n equal weights w that may drop
-    k atoms: an (n+k) x (n+k) assignment with k zero-cost dummy rows and
-    columns, each real matched arc carrying mass w."""
+def _optimal_assignment(
+    C: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, bool] | None:
+    """The (n+k)-square assignment matrix D of C with k zero-cost dummy rows
+    and columns, an optimal assignment i -> col[i] of it, and whether every
+    matched arc is forced; None when no perfect matching is finite."""
+    from scipy.optimize import linear_sum_assignment
+
     n = C.shape[0]
-    w = float(a.mean())
     finite = np.isfinite(C)
     D = np.zeros((n + k, n + k))
     D[:n, :n] = np.where(finite, C, INF)
@@ -263,12 +288,27 @@ def _assignment_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray, k: int) -> Solve
             split = linear_sum_assignment(D)[1], False
         except ValueError:  # no perfect matching over the finite arcs
             split = None
-    if split is None:
-        return SolveReport(value=INF, status="infeasible_finite", path="assignment")
-    col, forced = split
-    u, v = _assignment_potentials(D, col, forced)
+    return None if split is None else (D, *split)
+
+
+def _matched_arcs(col: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the real arcs i -> col[i] of an assignment."""
     rows = np.flatnonzero(col[:n] < n)
-    cols = col[rows]
+    return rows, col[rows]
+
+
+def _assignment_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray, k: int) -> SolveReport:
+    """Exact solve of a transport problem with n equal weights w that may drop
+    k atoms: an (n+k) x (n+k) assignment with k zero-cost dummy rows and
+    columns, each real matched arc carrying mass w."""
+    solved = _optimal_assignment(C, k)
+    if solved is None:
+        return SolveReport(value=INF, status="infeasible_finite", path="assignment")
+    D, col, forced = solved
+    n = C.shape[0]
+    w = float(a.mean())
+    u, v = _assignment_potentials(D, col, forced)
+    rows, cols = _matched_arcs(col, n)
     plan = np.zeros((n, n))
     plan[rows, cols] = w
     # a dummy column's potential is -alpha, a dummy row's -beta
@@ -278,6 +318,75 @@ def _assignment_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray, k: int) -> Solve
         status="optimal",
         plan=TransportPlan(plan),
         potentials=_cap_potentials(u[:n], v[:n], alpha, beta, a, b, k * w),
+        path="assignment",
+    )
+
+
+def _mixed_assignment_lp(
+    C: np.ndarray, a: np.ndarray, b: np.ndarray, k: int, theta: float, cap: float
+) -> SolveReport:
+    """Exact solve of a transport problem with n equal weights w whose cap
+    (k + theta)*w, 0 < theta < 1, is no whole number of atoms: the
+    (1 - theta, theta) mix of the optima P_k and P_k+1 that drop k and k + 1
+    atoms, with potentials from the residual graph of the mix.
+
+    Value.  Pose the problem with one dummy row and one dummy column of mass
+    cap (the HiGHS path's posing) and scale it by 1/w: a min-cost flow whose
+    data are integers but for the dummies' mass c = k + theta.  A basis is a
+    spanning tree, and the flow on a tree arc is the net supply on one side
+    of it, where the dummy row's supply c and the dummy column's demand c
+    cancel or one of them stands alone: x_B = p + c*q with p integral and
+    q in {-1, 0, 1}.  So a basis optimal at c stays feasible, and hence
+    optimal, on all of [k, k + 1], and the value V is linear there (Ahuja,
+    Magnanti & Orlin 1993, *Network Flows*).  The mix drops at most
+    (1 - theta)*k + theta*(k + 1) = c atoms on each side, the dummy-dummy arc
+    taking the rest of the cap, so it is feasible at c, and it costs
+    (1 - theta)*V(k) + theta*V(k + 1) = V(c): it is optimal.  When no plan
+    over the finite arcs drops only k atoms, their integral max-flow is below
+    n - k atoms, so no plan ships n - k - theta either: infeasible.
+
+    Potentials.  Let X be the mix on E, C padded with the dummy row and
+    column at cost 0.  X is optimal, so its residual graph (an arc of length
+    E_ij from row i to column j on every finite arc, one of length -E_ij
+    back on X's support) has no negative cycle, and Bellman-Ford on it gives
+    u_i + v_j <= E_ij on every finite arc with equality on the support:
+    complementary slackness with X, so (u, v) is optimal, and the dummy
+    column's -v and the dummy row's -u are the multipliers alpha, beta of
+    the caps.  _assignment_potentials runs the sweeps of the assignment
+    case, a row taking the largest term over its support arcs.
+    """
+    n = C.shape[0]
+    w = float(a.mean())
+    low = _optimal_assignment(C, k)
+    if low is None:
+        return SolveReport(value=INF, status="infeasible_finite", path="assignment")
+    high = _optimal_assignment(C, k + 1)
+    plan = np.zeros((n, n))
+    hits = np.zeros((n, n), dtype=np.intp)  # how many of the two optima use an arc
+    values = []
+    for (_, col, _), share in ((low, (1.0 - theta) * w), (high, theta * w)):
+        rows, cols = _matched_arcs(col, n)
+        plan[rows, cols] += share
+        hits[rows, cols] += 1
+        values.append(float(C[rows, cols].sum()))
+    # X's support on E: an atom that either optimum drops ships to a dummy,
+    # and the dummy-dummy arc carries the cap that X leaves unused, which is
+    # none only when the optima keep exactly n - k and n - k - 1 atoms
+    support = np.zeros((n + 1, n + 1), dtype=bool)
+    support[:n, :n] = hits > 0
+    support[:n, n] = hits.sum(axis=1) < 2
+    support[n, :n] = hits.sum(axis=0) < 2
+    support[n, n] = hits.sum() > 2 * (n - k) - 1
+    E = np.zeros((n + 1, n + 1))
+    E[:n, :n] = low[0][:n, :n]
+    u, v = _assignment_potentials(E, None, support=support)
+    return SolveReport(
+        value=w * ((1.0 - theta) * values[0] + theta * values[1]),
+        status="optimal",
+        plan=TransportPlan(plan),
+        potentials=_cap_potentials(
+            u[:n], v[:n], -float(v[n]), -float(u[n]), a, b, cap
+        ),
         path="assignment",
     )
 
@@ -299,8 +408,8 @@ def _split_assignment(
     matched columns, and each block is an assignment problem of its own.  A
     one-row block is a forced arc and needs no solve.
     """
-    # imported here: only full solves with a forbidden arc get this far, and
-    # a module-level import costs every process about 1.2 MB of memory
+    from scipy import sparse
+    from scipy.optimize import linear_sum_assignment
     from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
 
     n = D.shape[0]
@@ -331,7 +440,10 @@ def _split_assignment(
 
 
 def _assignment_potentials(
-    D: np.ndarray, col: np.ndarray, forced: bool = False
+    D: np.ndarray,
+    col: np.ndarray | None,
+    forced: bool = False,
+    support: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dual pair (u, v) of the optimal assignment i -> col[i]: u_i + v_j <= D_ij
     on every finite arc, with equality on the matched arcs.
@@ -344,6 +456,13 @@ def _assignment_potentials(
     the least fixed point L >= 0 of F within N + 1 sweeps; the cap only
     guards against rounding drift around a zero-length cycle, and leaves the
     pair feasible if it is ever reached.
+
+    With ``support``, the boolean support of an optimal plan in which a row
+    may carry several arcs (``col`` is then unused), each sweep first sets
+    col[i] to the support arc of row i with the largest D_ij - v_j, so F(u)_i
+    is the largest such term and stays monotone.  At a fixed point every
+    support arc of row i has D_ij - v_j >= u_i (feasibility) and <= u_i (the
+    largest is u_i), so the whole support is tight.
 
     A shortest path of d arcs takes d plain sweeps (N - 1 on
     ``diag_inf``).  So once _PLAIN_SWEEPS sweeps have not settled u (one
@@ -364,17 +483,22 @@ def _assignment_potentials(
     """
     N = D.shape[0]
     rows = np.arange(N)
-    matched = D[rows, col]
+    if support is None:
+        matched = D[rows, col]
     plain_sweeps = 1 if forced else _PLAIN_SWEEPS
     u = np.zeros(N)
     v = D.min(axis=0)
-    pred = None
+    best = None
     for sweep in range(N + 1):
+        if support is not None:
+            col = np.where(support, D - v, -INF).argmax(axis=1)
+            matched = D[rows, col]
         tight = matched - v[col]
         if np.array_equal(tight, u):
             break
         u = tight
-        if pred is not None:
+        if best is not None:
+            pred = best[col]
             order = _forest_order(pred)
             parent = pred[order]
             u = u.tolist()
@@ -396,7 +520,6 @@ def _assignment_potentials(
             # a column min and a compare sweep C-ordered R several times faster
             best = (R == R.min(axis=0)).argmax(axis=0)
             v = R[best, rows]
-            pred = best[col]
     return u, v
 
 
@@ -431,6 +554,8 @@ def _highs_lp(
     the cap left unused.  That is exactly the relaxed problem with mass
     floor total - slack_cap, posed as the assignment path poses it.
     """
+    from scipy import sparse
+
     n, m = C.shape
     if slack_cap is not None:
         C = np.pad(C, ((0, 1), (0, 1)))

@@ -1,8 +1,12 @@
-"""Every name a module lists in ``__all__`` or the package imports resolves."""
+"""Every name a module lists in ``__all__`` or the package imports resolves,
+and importing the package loads no scipy."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +41,17 @@ def test_package_imports_resolve():
             assert getattr(gaplab, alias.asname or alias.name) is getattr(
                 module, alias.name
             ), (node.module, alias.name)
+
+
+def test_import_and_parser_leave_scipy_unloaded():
+    # scipy is imported by the first solve, not by the package or the CLI
+    code = (
+        "import sys, gaplab, gaplab.cli; gaplab.cli.build_parser(); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(gaplab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -405,14 +405,16 @@ class TestAssignmentPath:
         for r in (solve_primal(C, a, a), solve_partial(C, a, a, 0.5)):
             assert r.path == "highs"
 
-    def test_cap_off_the_atom_lattice_goes_to_highs(self):
+    def test_cap_off_the_atom_lattice_stays_on_the_assignment_path(self):
         # an approximate cell at n=16, s=8: eps = 1/n^3 is half an atom
         n, s = 16, 8
         a = np.full(s, 1.0 / (n * n * s))
         C = np.random.default_rng(0).uniform(0, 1, (s, s))
         r = solve_partial(C, a, a, 1.0 / n**3)
-        assert r.path == "highs"
+        assert r.path == "assignment"
         assert r.plan.total == pytest.approx(a.sum() - 1.0 / n**3, abs=1e-12)
+        ref = _highs_lp(C, a, a, 1.0 / n**3)
+        assert r.value == pytest.approx(ref.value, rel=1e-12, abs=1e-15)
 
     def test_non_square_goes_to_highs(self):
         r = solve_primal(np.zeros((2, 3)), [0.5, 0.5], [1 / 3, 1 / 3, 1 / 3])
@@ -460,13 +462,13 @@ class TestPartialDualObjective:
     @pytest.mark.parametrize(
         "name,n,eps,path,value",
         [
-            ("diag_inf", 8, 1 / 16, "highs", 0.5),  # half an atom
+            ("diag_inf", 8, 1 / 16, "assignment", 0.5),  # half an atom
             ("fat_set", 16, 1 / 8, "assignment", None),
-            ("fat_set", 16, 1 / 32, "highs", None),
+            ("fat_set", 16, 1 / 32, "assignment", None),
             ("diag_inf", 16, 1 / 16, "assignment", 0.0),
             ("diag_M", 16, 3 / 16, "assignment", None),
             ("random_finite", 8, 3 / 8, "assignment", None),
-            ("random_finite", 8, 0.3, "highs", None),
+            ("random_finite", 8, 0.3, "assignment", None),
             ("fat_set", 8, 0.0, "assignment", None),
             ("fat_set", 8, 1.0, "assignment", 0.0),
             ("fat_set", 8, 2.5, "assignment", 0.0),
@@ -483,10 +485,10 @@ class TestPartialDualObjective:
     @pytest.mark.parametrize("eps", [0.0, 0.25, 0.5, 1.0, 3.0])
     @pytest.mark.parametrize("c", [-2.0, 0.0, 3.0])
     def test_single_atom(self, c, eps):
-        # eps = 0.25 and 0.5 are no whole atom: the HiGHS path
+        # eps = 0.25 and 0.5 are no whole atom: a mix of dropping 0 and 1
         C, a = np.array([[c]]), np.array([1.0])
         r = solve_partial(C, a, a, eps)
-        assert r.path == ("highs" if eps in (0.25, 0.5) else "assignment")
+        assert r.path == "assignment"
         _check_partial_dual(r, C, a, a, eps)
 
     @pytest.mark.parametrize("k", [1, 2, 6])
@@ -532,23 +534,26 @@ class TestPartialDualObjective:
 
 
 def _matches_slack_lp(C, a, b, eps):
-    """solve_partial on the HiGHS path against the slack-column oracle: the
-    same value or the same infeasibility, and certified potentials."""
+    """solve_partial against the slack-column oracle: the same value or the
+    same infeasibility, and certified potentials.  Square uniform inputs take
+    the assignment path, and the HiGHS LP is then checked the same way."""
     C, a, b = np.asarray(C, dtype=float), np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     cap = min(eps, float(a.sum()))
     r = solve_partial(C, a, b, eps)
-    assert r.path == "highs"
+    uniform = C.shape[0] == C.shape[1] and a[0] > 0 and np.all(np.concatenate([a, b]) == a[0])
+    assert r.path == ("assignment" if uniform else "highs")
     expected = partial_lp_slack(C, a, b, cap)
-    if math.isinf(expected):
-        assert r.status == "infeasible_finite" and r.value == INF
-        return r
-    assert r.status == "optimal"
-    assert abs(r.value - expected) <= 1e-9
-    p = r.potentials
-    assert p.alpha >= 0 and p.beta >= 0
-    bound = partial_dual_objective(C, a, b, cap, p.phi, p.psi, p.alpha, p.beta, tol=1e-9)
-    assert abs(bound - r.value) <= DUALITY_TOL
-    assert p.feasibility_slack(C) <= 1e-9
+    for rep in (r, _highs_lp(C, a, b, cap)) if uniform else (r,):
+        if math.isinf(expected):
+            assert rep.status == "infeasible_finite" and rep.value == INF
+            continue
+        assert rep.status == "optimal"
+        assert abs(rep.value - expected) <= 1e-9
+        p = rep.potentials
+        assert p.alpha >= 0 and p.beta >= 0
+        bound = partial_dual_objective(C, a, b, cap, p.phi, p.psi, p.alpha, p.beta, tol=1e-9)
+        assert abs(bound - rep.value) <= DUALITY_TOL
+        assert p.feasibility_slack(C) <= 1e-9
     return r
 
 
@@ -575,10 +580,7 @@ class TestHighsPartialMatchesSlackLP:
     @given(case=_nonuniform_partials())
     @settings(max_examples=150, deadline=None)
     def test_drawn_costs(self, case):
-        C, a, b, eps = case
-        if C.shape == (1, 1) and eps >= 1.0:  # a whole atom: the assignment path
-            eps = 0.5
-        _matches_slack_lp(C, a, b, eps)
+        _matches_slack_lp(*case)
 
     @pytest.mark.parametrize("eps", [1.0, 1.5, 10.0])
     def test_eps_at_or_above_total_mass(self, eps):
@@ -628,8 +630,110 @@ class TestHighsPartialMatchesSlackLP:
         a /= a.sum()
         for eps in (0.1, 1 / 3, 0.5):
             _matches_slack_lp(C, a, a[::-1], eps)
-        # uniform weights, a cap off the atom lattice
+        # uniform weights, a cap off the atom lattice: both paths
         _matches_slack_lp(C, np.full(6, 1 / 6), np.full(6, 1 / 6), 0.25)
+
+
+# ---------------------------------------------------------------------------
+# caps off the atom lattice: a mix of two assignment solves
+# ---------------------------------------------------------------------------
+
+
+def _off_lattice_gate(C, eps):
+    """solve_partial at a cap of (k + theta) atoms on uniform weights: the
+    assignment path, the value of both HiGHS LPs within 1e-9, infeasible
+    exactly where HiGHS says so, and a certified optimal report."""
+    n = C.shape[0]
+    a = np.full(n, 1.0 / n)
+    cap = min(eps, float(a.sum()))
+    r = solve_partial(C, a, a, eps)
+    ref = _highs_lp(C, a, a, cap)
+    assert r.path == "assignment"
+    assert r.status == ref.status
+    if r.status != "optimal":
+        assert r.value == INF and math.isinf(partial_lp_slack(C, a, a, cap))
+        return r
+    assert abs(r.value - ref.value) <= 1e-9
+    assert abs(r.value - partial_lp_slack(C, a, a, cap)) <= 1e-9
+    _check_partial_dual(r, C, a, a, cap)
+    ok, violations = check_complementary_slackness(r, C)
+    assert ok, violations
+    assert r.plan.is_subcoupling_of(DiscreteMeasure(a), DiscreteMeasure(a))
+    assert r.plan.total >= a.sum() - cap - 1e-12
+    return r
+
+
+@st.composite
+def _off_lattice_cases(draw):
+    """Costs with ties or not, negative entries, 30-40% +inf arcs or
+    max_plan_mass's {-1, 0} costs, an all-+inf row now and then, and a cap of
+    k + theta atoms with theta near 0, near 1 or anywhere between (a cap at
+    or above the total mass is clamped to it)."""
+    n = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    kind = draw(st.sampled_from(["ties", "spread", "max_plan_mass"]))
+    if kind == "max_plan_mass":
+        C = np.where(rng.random((n, n)) < 0.4, -1.0, 0.0)
+    else:
+        C = (
+            rng.integers(-2, 3, (n, n)).astype(float)
+            if kind == "ties"
+            else rng.uniform(-1.0, 2.0, (n, n))
+        )
+        C[rng.random((n, n)) < draw(st.sampled_from([0.3, 0.4]))] = INF
+    if draw(st.integers(0, 4)) == 0:
+        C[rng.integers(n)] = INF
+    k = draw(st.integers(0, n))
+    theta = draw(
+        st.one_of(
+            st.sampled_from([1e-7, 1e-6, 1 - 1e-6, 1 - 1e-7]),
+            st.floats(0.01, 0.99),
+        )
+    )
+    return C, (k + theta) / n
+
+
+class TestOffLatticeCaps:
+    @given(case=_off_lattice_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_costs(self, case):
+        _off_lattice_gate(*case)
+
+    @pytest.mark.parametrize("theta", [1e-7, 0.5, 1 - 1e-7])
+    @pytest.mark.parametrize("c", [-2.0, 0.0, 3.0, INF])
+    def test_single_atom(self, c, theta):
+        r = _off_lattice_gate(np.array([[c]]), theta)
+        assert r.status == ("infeasible_finite" if c == INF else "optimal")
+        if c < INF:  # the atom keeps 1 - theta of its mass, or all of it
+            assert r.value == pytest.approx(min(c, c * (1 - theta)), abs=1e-15)
+
+    def test_all_forbidden_row(self):
+        C = np.array([[INF, INF, INF], [0.0, 1.0, INF], [2.0, 0.0, 1.0]])
+        # half an atom may drop: the row's whole atom may not
+        assert _off_lattice_gate(C, 1 / 6).status == "infeasible_finite"
+        r = _off_lattice_gate(C, 1 / 2)  # one and a half atoms
+        assert r.value == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("theta", [1e-7, 0.5, 1 - 1e-7])
+    def test_atom_dropped_by_one_optimum_is_priced_at_the_cap(self, theta):
+        # P_0 keeps every atom and P_1 drops one: the atoms P_1 drops ship to
+        # a dummy in the mix, so their potentials must meet alpha or beta
+        C = np.array([[-0.76, 1.38, -0.78], [1.53, 0.43, 1.01], [1.72, 1.27, -0.03]])
+        r = _off_lattice_gate(C, theta / 3)
+        assert r.plan.total == pytest.approx(1 - theta / 3, abs=1e-15)
+
+    def test_value_is_linear_between_lattice_caps(self):
+        C, mu, nu = discretize(get_instance("random_finite", seed=3, n=8), 8)
+        lo, hi = solve_partial(C, mu, nu, 2 / 8).value, solve_partial(C, mu, nu, 3 / 8).value
+        for theta in (0.25, 0.5, 0.75):
+            r = solve_partial(C, mu, nu, (2 + theta) / 8)
+            assert r.value == pytest.approx((1 - theta) * lo + theta * hi, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["diag_inf", "diag_M", "fat_set", "rational_nullmod"])
+    def test_catalog_at_fixed_eps(self, name):
+        C, mu, nu = discretize(get_instance(name), 32)
+        for eps in (0.1, 0.03, 0.01):
+            _off_lattice_gate(np.asarray(C, dtype=float), eps)
 
 
 # ---------------------------------------------------------------------------
