@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -385,7 +386,11 @@ def _add_common(p: argparse.ArgumentParser, need_instance: bool = True) -> None:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process.  It holds no command
+    function: main looks cmd_<command> up when it runs, so a function
+    patched into this module after the first call is the one called."""
     ap = argparse.ArgumentParser(
         prog="gaplab",
         description="duality-gap laboratory for discrete optimal transport",
@@ -398,19 +403,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", "--n-range", dest="n", required=True,
         help="resolution list: 8 | 4,8,16 | 4..64",
     )
-    p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("gap-scan", help="(n, eps) table of partial values")
     _add_common(p)
     p.add_argument("--n", "--n-range", dest="n", required=True)
     p.add_argument("--eps", default="1/n", help='schedule "1/n" or "0.5,0.25,..."')
-    p.set_defaults(fn=cmd_gap_scan)
 
     p = sub.add_parser("rectify", help="generative envelope accumulation")
     _add_common(p)
     p.add_argument("--n", "--n-range", dest="n", required=True)
     p.add_argument("--budget", type=int, default=200)
-    p.set_defaults(fn=cmd_rectify)
 
     p = sub.add_parser("negligible", help="L-negligibility verdict + mass trend")
     p.add_argument("set", help='descriptor: diagonal | qxq | "segment y=.. x=[..]" | file.json')
@@ -420,27 +422,25 @@ def build_parser() -> argparse.ArgumentParser:
         "--catalog", choices=catalog_names(), default="trivial_zero", help="marginal source"
     )
     p.add_argument("--n", "--n-range", dest="n", default="4,8,16,32")
-    p.set_defaults(fn=cmd_negligible)
 
     p = sub.add_parser("approximate", help="block approximation sequence")
     _add_common(p)
     p.add_argument("--n", "--n-range", dest="n", required=True)
     p.add_argument("--s", type=int, default=8, help="fine atoms per cell side")
     p.add_argument("--plan", choices=sorted(_PLAN_BUILDERS), default="diagonal")
-    p.set_defaults(fn=cmd_approximate)
 
     p = sub.add_parser("catalog", help="list canonical instances")
     _add_common(p, need_instance=False)
     p.add_argument("--list", action="store_true", help="(default action)")
-    p.set_defaults(fn=cmd_catalog)
 
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    fn = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return fn(args)
     except InfiniteRectifiedCostError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_TARGET

@@ -10,7 +10,8 @@ densities, the decision is rule-based and produces an explicit witness cover
 (M, N) or the piece that blocks it.
 
 The Kellerer-style numeric cross-check is :func:`max_plan_mass`: the largest
-mass any coupling can place on the set's grid atoms, obtained by minimizing
+mass any coupling can place on the set's grid atoms, a maximum matching with
+its Koenig cover on uniform marginals and otherwise the LP that minimizes
 the cost that is -1 on the set and 0 elsewhere.  Negligible sets must see
 this tend to zero with the witness cover mass; non-negligible sets stay
 bounded away from it.  Finite-grid evidence only, reported as a trend.
@@ -44,7 +45,7 @@ from .costs import (
     shape_to_json,
 )
 from .instance import Instance
-from .solver import solve_primal
+from .solver import _as_weights, _max_matching, _uniform_weight, solve_primal
 
 __all__ = [
     "SetDescriptor",
@@ -169,11 +170,22 @@ def grid_indicator(A: SetDescriptor, grid: Grid) -> np.ndarray:
 
 
 def max_plan_mass(A: SetDescriptor, mu, nu, n: int) -> float:
-    """Largest mass any coupling of (mu, nu) puts on the grid atoms of A."""
-    grid = Grid(n)
-    ind = grid_indicator(A, grid)
-    cost = np.where(ind, -1.0, 0.0)
-    report = solve_primal(cost, mu, nu)
+    """Largest mass any coupling of (mu, nu) puts on the grid atoms of A.
+
+    That is minus the optimal value of the cost that is -1 on A and 0
+    elsewhere.  When every atom of mu and nu weighs the same w, the
+    couplings are w times the Birkhoff polytope, whose vertices are
+    permutations, so the answer is w times the largest matching on A's atoms:
+    one Hopcroft-Karp matching, certified by its Koenig cover (the grid form
+    of Kellerer's duality).  Other marginals solve the LP.
+    """
+    ind = grid_indicator(A, Grid(n))
+    a, b = _as_weights(mu), _as_weights(nu)
+    w = _uniform_weight(a, b) if a.shape == (n,) else None
+    if w is not None:
+        col, _ = _max_matching(ind)
+        return w * float(np.count_nonzero(col >= 0))
+    report = solve_primal(np.where(ind, -1.0, 0.0), mu, nu)
     return float(-report.value) + 0.0  # normalize -0.0
 
 

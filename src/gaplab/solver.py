@@ -89,7 +89,8 @@ DUALITY_TOL = 1e-7
 #: solve whose split leaves only one-row blocks (every matched arc forced)
 #: walks after the first sweep instead: its matching is unique and its
 #: residual row graph acyclic, so a shortest path may pass every row, as on
-#: ``diag_inf``, where one walk settles them all
+#: ``diag_inf``, where one walk settles them all.  So does the mix of an
+#: off-lattice partial solve whose optimum at k dropped atoms is such a solve
 _PLAIN_SWEEPS = 16
 
 #: relative spread allowed among equal weights, and between a slack cap and
@@ -252,13 +253,8 @@ def _assignment_drops(
     optima that drop k and k + 1 atoms.
     """
     n, m = C.shape
-    if n != m:
-        return None
-    w = float(a.mean())
-    if not w > 0:
-        return None
-    tol = UNIFORM_RTOL * w
-    if np.abs(a - w).max() > tol or np.abs(b - w).max() > tol:
+    w = _uniform_weight(a, b) if n == m else None
+    if w is None:
         return None
     if slack_cap is None:
         return 0, 0.0
@@ -267,6 +263,20 @@ def _assignment_drops(
         return k, 0.0
     k = math.floor(slack_cap / w)
     return k, slack_cap / w - k
+
+
+def _uniform_weight(a: np.ndarray, b: np.ndarray) -> float | None:
+    """The one weight w > 0 of every atom of a and b (to UNIFORM_RTOL), or
+    None when the weights differ, vanish, or a and b differ in length."""
+    if a.shape != b.shape or not a.size:
+        return None
+    w = float(a.mean())
+    if not w > 0:
+        return None
+    tol = UNIFORM_RTOL * w
+    if np.abs(a - w).max() > tol or np.abs(b - w).max() > tol:
+        return None
+    return w
 
 
 def _optimal_assignment(
@@ -353,7 +363,8 @@ def _mixed_assignment_lp(
     complementary slackness with X, so (u, v) is optimal, and the dummy
     column's -v and the dummy row's -u are the multipliers alpha, beta of
     the caps.  _assignment_potentials runs the sweeps of the assignment
-    case, a row taking the largest term over its support arcs.
+    case, a row taking the largest term over its support arcs, and walk
+    their forest from the first sweep when P_k is fully forced.
     """
     n = C.shape[0]
     w = float(a.mean())
@@ -379,7 +390,7 @@ def _mixed_assignment_lp(
     support[n, n] = hits.sum() > 2 * (n - k) - 1
     E = np.zeros((n + 1, n + 1))
     E[:n, :n] = low[0][:n, :n]
-    u, v = _assignment_potentials(E, None, support=support)
+    u, v = _assignment_potentials(E, None, low[2], support)
     return SolveReport(
         value=w * ((1.0 - theta) * values[0] + theta * values[1]),
         status="optimal",
@@ -410,21 +421,18 @@ def _split_assignment(
     """
     from scipy import sparse
     from scipy.optimize import linear_sum_assignment
-    from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
+    from scipy.sparse.csgraph import connected_components
 
     n = D.shape[0]
-    rows, cols = np.nonzero(finite)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-    ones = np.ones(rows.size)
-    col = maximum_bipartite_matching(
-        sparse.csr_matrix((ones, cols, indptr), shape=(n, n)), perm_type="column"
-    ).astype(np.intp)
+    col, graph = _max_matching(finite)
     if np.any(col < 0):
         return None
-    owner = np.empty(n, dtype=np.intp)
+    owner = np.empty(n, dtype=np.int32)
     owner[col] = np.arange(n)
     count, labels = connected_components(
-        sparse.csr_matrix((ones, owner[cols], indptr), shape=(n, n)),
+        sparse.csr_matrix(
+            (graph.data, owner[graph.indices], graph.indptr), shape=(n, n)
+        ),
         connection="strong",
     )
     order = np.argsort(labels, kind="stable")
@@ -437,6 +445,68 @@ def _split_assignment(
         _, sub = linear_sum_assignment(D[np.ix_(block, block_cols)])
         col[block] = block_cols[sub]
     return col, not shared.any()
+
+
+def _max_matching(mask: np.ndarray) -> tuple[np.ndarray, "sparse.csr_matrix"]:
+    """A maximum matching of the bipartite graph with an arc (i, j) wherever
+    mask[i, j]: col[i] is the column matched to row i, -1 if none; with the
+    graph as the CSR matrix it was found on.
+
+    The matching is certified by Koenig's theorem.  Let Z be the unmatched
+    rows and all that alternating paths reach from them: row to column over
+    any arc, column to row over the matching.  No arc leaves Z's rows for a
+    column outside Z, so (rows not in Z) + (columns in Z) covers every arc;
+    a maximum matching leaves no augmenting path, so every column in Z is
+    matched to a row in Z, and the cover has as many lines as the matching
+    has arcs.  Any cover has at least that many, so both are optimal.  A
+    matching that fails either check raises RuntimeError.
+    """
+    from scipy import sparse
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    n, m = mask.shape
+    flat = np.flatnonzero(mask)
+    row_starts = np.arange(0, n * m + 1, m)
+    # int32 index arrays let csr_matrix take them without a checked copy
+    indptr = np.searchsorted(flat, row_starts).astype(np.int32)
+    indices = (flat - np.repeat(row_starts[:-1], np.diff(indptr))).astype(np.int32)
+    graph = sparse.csr_matrix(
+        (np.ones(flat.size, dtype=bool), indices, indptr), shape=(n, m)
+    )
+    col = maximum_bipartite_matching(graph, perm_type="column").astype(np.intp)
+    _check_koenig_cover(mask, graph, col)
+    return col, graph
+
+
+def _check_koenig_cover(mask: np.ndarray, graph, col: np.ndarray) -> None:
+    """Raise RuntimeError unless the matching i -> col[i] on the arcs of
+    ``mask`` (the CSR ``graph``) has a Koenig cover as large as itself (see
+    _max_matching): one alternating breadth-first search from the unmatched
+    rows, one level of the frontier at a time."""
+    n, m = mask.shape
+    matched = np.flatnonzero(col >= 0)
+    owner = np.full(m, -1, dtype=np.intp)
+    owner[col[matched]] = matched
+    z_rows = col < 0
+    z_cols = np.zeros(m, dtype=bool)
+    frontier = np.flatnonzero(z_rows)
+    while frontier.size:
+        starts = graph.indptr[frontier]
+        counts = graph.indptr[frontier + 1] - starts
+        # the arcs of the frontier rows: each row's run of the CSR indices
+        offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        reached = graph.indices[offsets + np.arange(offsets.size)]
+        reached = np.unique(reached[~z_cols[reached]])
+        z_cols[reached] = True
+        frontier = owner[reached]
+        frontier = frontier[frontier >= 0]
+        z_rows[frontier] = True
+    uncovered = (mask[z_rows] & ~z_cols).any()  # an atom of A off the cover
+    lines = n - np.count_nonzero(z_rows) + np.count_nonzero(z_cols)
+    if uncovered or lines != matched.size:
+        raise RuntimeError(
+            f"matching of {matched.size} arcs has no Koenig cover of that size"
+        )
 
 
 def _assignment_potentials(
@@ -485,13 +555,15 @@ def _assignment_potentials(
     rows = np.arange(N)
     if support is None:
         matched = D[rows, col]
+    else:  # off the support -inf - v stays -inf, so argmax picks a support arc
+        on_support = np.where(support, D, -INF)
     plain_sweeps = 1 if forced else _PLAIN_SWEEPS
     u = np.zeros(N)
     v = D.min(axis=0)
     best = None
     for sweep in range(N + 1):
         if support is not None:
-            col = np.where(support, D - v, -INF).argmax(axis=1)
+            col = (on_support - v).argmax(axis=1)
             matched = D[rows, col]
         tight = matched - v[col]
         if np.array_equal(tight, u):

@@ -138,6 +138,20 @@ def brute_force_partial_matching(C, w, k):
     return best
 
 
+def brute_force_max_matching(mask):
+    """Size of a largest matching on the arcs (i, j) of a square boolean
+    mask, by trying every permutation: a matching extends to a permutation
+    by pairing its unmatched rows and columns in any order, so the best
+    permutation meets as many arcs as the largest matching.  n <= 6 only."""
+    mask = np.asarray(mask, dtype=bool)
+    n = mask.shape[0]
+    assert n <= 6, "oracle is for tiny instances"
+    return max(
+        sum(bool(mask[i, perm[i]]) for i in range(n))
+        for perm in itertools.permutations(range(n))
+    )
+
+
 def greedy_row_drop_value(row_costs, mu_weights, eps):
     """Exact partial value when the cost depends on the row only: keep the
     cheapest rows, dropping eps mass from the most expensive ones."""

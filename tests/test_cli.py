@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gaplab
+import gaplab.cli
 from gaplab import save_instance
 from gaplab.catalog import diag_inf
 from gaplab.cli import _fmt, main, parse_set_descriptor
@@ -484,3 +485,38 @@ class TestCatalogCmd:
         assert "diag_inf" in text and "fat_set_20" in text
         header = text.splitlines()[0]
         assert header == "name,tags,P_c,D_c,P_rectified,notes"
+
+
+class TestOneParserPerProcess:
+    def test_parser_is_built_once(self):
+        assert gaplab.cli.build_parser() is gaplab.cli.build_parser()
+
+    def test_main_calls_the_command_patched_after_the_parser(self, monkeypatch):
+        gaplab.cli.build_parser()
+        calls = []
+
+        def spy(args):
+            calls.append((args.command, args.catalog, args.n))
+            return 0
+
+        monkeypatch.setattr(gaplab.cli, "cmd_solve", spy)
+        assert main(["solve", "--catalog", "diag_inf", "--n", "4"]) == 0
+        assert calls == [("solve", "diag_inf", "4")]
+
+    def test_calls_in_a_row_match_fresh_processes(self, tmp_path):
+        # each call after the first parses with the parser of the first, and
+        # must leave no flag of its predecessor behind
+        calls = [
+            ("solve", "--catalog", "diag_M", "--n", "4,8", "--format", "json"),
+            ("solve", "--catalog", "diag_M", "--n", "4,8"),
+            ("gap-scan", "--catalog", "diag_inf", "--n", "4..8", "--eps", "0.25"),
+            ("gap-scan", "--catalog", "diag_inf", "--n", "4..8"),
+            ("negligible", "diagonal", "--n", "4,8", "--catalog", "fat_set"),
+            ("negligible", "rect [0,0.25]x[0,1]", "--n", "4,8"),
+        ]
+        for k, argv in enumerate(calls):
+            here, fresh = tmp_path / f"{k}.here", tmp_path / f"{k}.fresh"
+            assert main([*argv, "--out", str(here)]) == 0
+            proc = run_process(*argv, "--out", str(fresh))
+            assert proc.returncode == 0, proc.stderr
+            assert here.read_bytes() == fresh.read_bytes(), argv

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaplab import (
@@ -28,9 +28,13 @@ from gaplab import (
     solve_primal,
     witness_cover_mass,
 )
+import gaplab.negligible
 from gaplab.catalog import rational_nullmod, trivial_zero
 from gaplab.core import ConfigurationError
 from gaplab.negligible import set_descriptor_from_json, set_descriptor_to_json
+from gaplab.solver import _check_koenig_cover, _max_matching
+
+from _oracles import brute_force_max_matching
 
 UNIF = DensitySpec.uniform()
 
@@ -151,6 +155,103 @@ class TestMaxPlanMass:
         assert max_plan_mass(H_SEGMENT, mu, nu, 10) == pytest.approx(0.1, abs=1e-9)
         mu, nu = uniform_measures(8)
         assert max_plan_mass(H_SEGMENT, mu, nu, 8) == 0.0
+
+
+def _atoms_of(mask):
+    """A point set whose grid atoms are exactly the True entries of mask."""
+    atoms = Grid(mask.shape[0]).atoms
+    return SetDescriptor(
+        (PointSet(tuple((atoms[i], atoms[j]) for i, j in zip(*np.nonzero(mask)))),)
+    )
+
+
+@st.composite
+def _masks(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(["drawn", "empty", "full", "diagonal"]))
+    if kind == "drawn":
+        cells = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        return np.array(cells).reshape(n, n)
+    if kind == "diagonal":
+        return np.eye(n, dtype=bool)
+    return np.full((n, n), kind == "full")
+
+
+class TestMaxPlanMassByMatching:
+    """On uniform marginals max_plan_mass is w times one maximum matching;
+    it must equal the LP on the -1/0 cost to the bit."""
+
+    @given(mask=_masks())
+    @example(mask=np.ones((1, 1), dtype=bool))
+    @example(mask=np.zeros((5, 5), dtype=bool))
+    @example(mask=np.ones((5, 5), dtype=bool))
+    @example(mask=np.eye(6, dtype=bool))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_lp_exactly(self, mask):
+        n = mask.shape[0]
+        A = _atoms_of(mask)
+        assert np.array_equal(grid_indicator(A, Grid(n)), mask)
+        mu, nu = uniform_measures(n)
+        lp = solve_primal(np.where(mask, -1.0, 0.0), mu, nu)
+        assert lp.path == "assignment"
+        mass = max_plan_mass(A, mu, nu, n)
+        assert mass == float(-lp.value) + 0.0
+        if n <= 6:
+            assert mass == float(mu.weights.mean()) * brute_force_max_matching(mask)
+
+    @given(mask=_masks(max_n=6))
+    @settings(max_examples=150, deadline=None)
+    def test_matching_is_maximum_and_on_the_mask(self, mask):
+        col, graph = _max_matching(mask)
+        rows = np.flatnonzero(col >= 0)
+        assert mask[rows, col[rows]].all()
+        assert np.unique(col[rows]).size == rows.size
+        assert rows.size == brute_force_max_matching(mask)
+        assert np.array_equal(graph.toarray(), mask)
+
+    def test_uniform_marginals_skip_the_lp(self, monkeypatch):
+        def no_lp(*args):
+            raise AssertionError("uniform marginals must not reach solve_primal")
+
+        monkeypatch.setattr(gaplab.negligible, "solve_primal", no_lp)
+        mu, nu = uniform_measures(16)
+        assert max_plan_mass(DIAGONAL, mu, nu, 16) == 1.0
+
+    def test_non_uniform_marginals_solve_the_lp(self, monkeypatch):
+        calls = []
+
+        def spy(C, mu, nu):
+            calls.append(C.copy())
+            return solve_primal(C, mu, nu)
+
+        monkeypatch.setattr(gaplab.negligible, "solve_primal", spy)
+        mu = np.array([0.1, 0.2, 0.3, 0.4])
+        nu = np.full(4, 0.25)
+        mask = np.eye(4, dtype=bool)
+        mass = max_plan_mass(_atoms_of(mask), mu, nu, 4)
+        assert len(calls) == 1 and np.array_equal(calls[0], np.where(mask, -1.0, 0.0))
+        # the diagonal carries min(mu_i, nu_i) at most on each row
+        assert mass == pytest.approx(0.1 + 0.2 + 0.25 + 0.25, abs=1e-9)
+
+
+class TestKoenigCover:
+    """_max_matching checks every matching it returns; these hand the check
+    matchings that must fail it."""
+
+    @pytest.mark.parametrize("col", [[0, -1], [-1, -1]])
+    def test_a_matching_short_of_maximum_raises(self, col):
+        # row 1 -> column 0 -> row 0 -> column 1 augments [0, -1]
+        mask = np.array([[True, True], [True, False]])
+        _, graph = _max_matching(mask)
+        with pytest.raises(RuntimeError):
+            _check_koenig_cover(mask, graph, np.array(col))
+
+    def test_an_atom_off_the_cover_raises(self):
+        # the matching is maximum on the graph but misses an atom of the mask
+        mask = np.eye(2, dtype=bool)
+        col, graph = _max_matching(np.array([[True, False], [False, False]]))
+        with pytest.raises(RuntimeError):
+            _check_koenig_cover(mask, graph, col)
 
 
 class TestNullModification:

@@ -841,6 +841,35 @@ class TestAssignmentPotentials:
         assert r.path == "assignment" and r.value == pytest.approx(1.0, abs=1e-12)
         assert len(passes) == 1
 
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_off_lattice_chain_walks_from_the_first_sweep(self, monkeypatch, n):
+        # P_0 on diag_inf is fully forced, so the mix at eps = 0.5/n walks its
+        # residual forest after one sweep, and lands on the plain sweeps'
+        # potentials to the bit
+        C, mu, nu = discretize(diag_inf(), n)
+        potentials, calls = solver._assignment_potentials, []
+
+        def spied(D, col, forced=False, support=None):
+            calls.append((forced, support is not None))
+            return potentials(D, col, forced, support)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "_assignment_potentials", spied)
+            r = solve_partial(C, mu, nu, 0.5 / n)
+        assert r.path == "assignment" and calls == [(True, True)]
+
+        def plain(D, col, forced=False, support=None):
+            return potentials(D, col, False, support)
+
+        monkeypatch.setattr(solver, "_PLAIN_SWEEPS", n + 2)
+        monkeypatch.setattr(solver, "_assignment_potentials", plain)
+        ref = solve_partial(C, mu, nu, 0.5 / n)
+        assert np.array_equal(r.potentials.phi, ref.potentials.phi)
+        assert np.array_equal(r.potentials.psi, ref.potentials.psi)
+        assert (r.potentials.alpha, r.potentials.beta) == (
+            ref.potentials.alpha, ref.potentials.beta
+        )
+
     def test_forest_levels(self):
         # 0 and 3 are roots; 6 <-> 7 is a cycle without a root and 8 hangs
         # off it, so those three reach no root and are left out
