@@ -353,7 +353,6 @@ def _batched_reweighted_duals(
                 A_ub=A_ub,
                 b_ub=Cs.ravel()[arc],
                 bounds=np.tile(box, (lp.size, 1)),
-                method="highs",
                 options=_HIGHS_OPTS,
             )
             if res.status != 0:
@@ -477,7 +476,6 @@ def generative_rectify(
     for pair in box_infimum_pairs(C):
         acc.add_pair(pair)
     levels = truncation_ladder(C)
-    truncated = {level: truncate_cost(C, level) for level in levels}
     rng = np.random.default_rng(rng_seed)
     # draw all pairs in schedule order, then solve each ladder level as one
     # block-diagonal LP; the pointwise max makes the merge order irrelevant
@@ -487,10 +485,12 @@ def generative_rectify(
         rw = sample_reweight_pair(mu, nu, rng)
         drawn.append((t, level, rw.f * mu.weights, rw.g * nu.weights))
     results: list[FeasiblePair | None] = [None] * budget
-    for level in levels:
-        group = [d for d in drawn if d[1] == level]
+    # round-robin: level k drew pairs k, k + L, k + 2L, ...; a level beyond
+    # the budget drew none and is never truncated
+    for k, level in enumerate(levels[:budget]):
+        group = drawn[k :: len(levels)]
         solved = _batched_reweighted_duals(
-            truncated[level], [(a, b) for _, _, a, b in group]
+            truncate_cost(C, level), [(a, b) for _, _, a, b in group]
         )
         for (t, lvl, _, _), (phi, psi, obj) in zip(group, solved):
             results[t] = FeasiblePair(

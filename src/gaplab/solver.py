@@ -22,8 +22,10 @@ Every solve takes one of two paths, picked from the input alone:
   a one-row block is a forced arc that needs no solve (every arc on
   ``diag_inf``).
 * **highs** -- everything else (non-square C, unequal or zero weights) is a
-  linear program handed to HiGHS (scipy.optimize.linprog), which is also
-  the cross-check of the first path.  A partial solve is posed the
+  linear program posed to HiGHS through the bindings scipy ships
+  (scipy.optimize._highspy, see ``linprog``), which is also the cross-check
+  of the first path.  Its constraint matrix is built in CSC form at every
+  size; no dense copy is made for small LPs.  A partial solve is posed the
   assignment path's way, with one dummy row and one dummy column of mass
   cap each, and solved as a full transport LP.
 
@@ -99,11 +101,108 @@ _PLAIN_SWEEPS = 16
 UNIFORM_RTOL = 1e-12
 
 
-def linprog(c, **kwargs):
-    """scipy.optimize.linprog, imported on the first call."""
-    from scipy.optimize import linprog
+#: HiGHS options scipy.optimize.linprog(method="highs") always sends: dual
+#: simplex, no log output, no debug checks
+_HIGHS_FIXED = {
+    "output_flag": False,
+    "log_to_console": False,
+    "highs_debug_level": 0,
+    "simplex_strategy": 1,
+}
 
-    return linprog(c, **kwargs)
+
+def linprog(
+    c, *, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None), options=None
+):
+    """min c.x subject to A_ub x <= b_ub, A_eq x = b_eq and the column bounds,
+    posed to HiGHS through the bindings scipy ships.
+
+    The model and the options are the ones scipy.optimize.linprog(method=
+    "highs") hands HiGHS: the rows of A_ub, then those of A_eq, as one CSC
+    matrix (passed as is when it is the only block and already CSC), +-inf
+    bounds as HiGHS's infinity, ``options`` (a boolean ``presolve`` as
+    "on"/"off") on top of _HIGHS_FIXED, so the solve is the same to the bit.
+    ``bounds`` is one (lo, hi) pair for every column or one pair per
+    column, None meaning unbounded.  The result carries scipy's status
+    codes (0 optimal, 2 infeasible or a malformed model, 3 unbounded, 4
+    anything else), ``message``, ``nit`` and, when optimal, ``x``, ``fun``
+    and the row duals as ``ineqlin.marginals`` and ``eqlin.marginals``;
+    scipy's bound multipliers and residuals are not computed.  scipy is
+    imported on the first call.
+    """
+    from scipy import sparse
+    from scipy.optimize import OptimizeResult
+    from scipy.optimize._highspy import _core as highs
+
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    blocks = [A for A in (A_ub, A_eq) if A is not None] or [np.zeros((0, n))]
+    A = blocks[0] if len(blocks) == 1 else sparse.vstack(blocks, format="csc")
+    A = A.tocsc() if sparse.issparse(A) else sparse.csc_array(A)
+    n_ub = 0 if A_ub is None else A_ub.shape[0]
+    b_ub = np.asarray([] if b_ub is None else b_ub, dtype=float)
+    b_eq = np.asarray([] if b_eq is None else b_eq, dtype=float)
+    # None reads as NaN, which leaves that side unbounded, as in scipy
+    lb, ub = np.broadcast_to(np.array(bounds, dtype=float), (n, 2)).T
+    lb, ub = np.where(np.isnan(lb), -INF, lb), np.where(np.isnan(ub), INF, ub)
+    lhs = np.concatenate([np.full(n_ub, -INF), b_eq])
+    rhs = np.concatenate([b_ub, b_eq])
+    # HiGHS reads each array up to the sizes passed with it
+    if A.shape != (rhs.size, n) or lhs.size != rhs.size:
+        raise ValueError(
+            f"an LP with {n} columns and {lhs.size}/{rhs.size} rows got a "
+            f"{A.shape} constraint matrix"
+        )
+
+    h = highs._Highs()
+    for key, val in {**_HIGHS_FIXED, **(options or {})}.items():
+        if key == "presolve" and isinstance(val, bool):
+            val = "on" if val else "off"
+        if h.setOptionValue(key, val) != highs.HighsStatus.kOk:
+            raise ValueError(f"HiGHS rejects option {key}={val!r}")
+    inf = highs.kHighsInf
+    # the array overload of passModel: a HighsLp's index vectors would be
+    # converted one Python int at a time
+    passed = h.passModel(
+        n,
+        A.shape[0],
+        A.nnz,
+        int(highs.MatrixFormat.kColwise),
+        int(highs.ObjSense.kMinimize),
+        0.0,
+        c,
+        np.clip(lb, -inf, inf),
+        np.clip(ub, -inf, inf),
+        np.clip(lhs, -inf, inf),
+        np.clip(rhs, -inf, inf),
+        A.indptr,
+        A.indices,
+        A.data,
+        np.zeros(n, dtype=np.int32),  # every column continuous
+    )
+    if passed == highs.HighsStatus.kError:
+        model, nit = highs.HighsModelStatus.kModelError, 0
+    else:
+        h.run()
+        model, info = h.getModelStatus(), h.getInfo()
+        nit = info.simplex_iteration_count or info.ipm_iteration_count
+    S = highs.HighsModelStatus
+    status = {S.kOptimal: 0, S.kInfeasible: 2, S.kModelError: 2, S.kUnbounded: 3}
+    res = OptimizeResult(
+        status=status.get(model, 4),
+        message=h.modelStatusToString(model),
+        nit=nit,
+        x=None,
+        fun=None,
+        ineqlin=OptimizeResult(marginals=None),
+        eqlin=OptimizeResult(marginals=None),
+    )
+    if res.status == 0:
+        sol = h.getSolution()
+        duals = np.array(sol.row_dual)
+        res.x, res.fun = np.array(sol.col_value), info.objective_function_value
+        res.ineqlin.marginals, res.eqlin.marginals = duals[:n_ub], duals[n_ub:]
+    return res
 
 
 class InputError(ValueError):
@@ -117,12 +216,15 @@ class TransportPlan:
     mass: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.mass, dtype=float)
+        m = np.array(self.mass, dtype=float)  # our own copy, made read-only below
         if m.ndim != 2:
             raise InputError("a transport plan is a matrix")
-        if np.any(m < -SUPPORT_TOL):
-            raise InputError("plan entries must be non-negative")
-        m = np.where(m < 0, 0.0, m)  # clip solver dust
+        # one pass finds the minimum; NaN is not >= 0 either, and is left
+        # alone while any solver dust beside it is clipped
+        if m.size and not m.min() >= 0:
+            if np.any(m < -SUPPORT_TOL):
+                raise InputError("plan entries must be non-negative")
+            m[m < 0] = 0.0  # clip solver dust
         m.setflags(write=False)
         object.__setattr__(self, "mass", m)
 
@@ -645,18 +747,16 @@ def _highs_lp(
         return SolveReport(value=INF, status="infeasible_finite")
     N, M = C.shape
 
-    # rows of A_eq: N row-sum constraints then M column-sum constraints
-    ridx = np.concatenate([rows, N + cols])
-    cidx = np.tile(np.arange(narc), 2)
-    A_eq = sparse.coo_matrix((np.ones(2 * narc), (ridx, cidx)), shape=(N + M, narc))
-    # tiny LPs go through faster as dense systems
-    A_eq = A_eq.toarray() if (N + M) * narc <= 50_000 else A_eq.tocsr()
+    # rows of A_eq: N row-sum constraints then M column-sum constraints; the
+    # column of arc (i, j) holds a one in row i and one in row N + j
+    indices = np.stack([rows, N + cols], axis=1).ravel().astype(np.int32)
+    indptr = np.arange(0, 2 * narc + 1, 2, dtype=np.int32)
+    A_eq = sparse.csc_array((np.ones(2 * narc), indices, indptr), shape=(N + M, narc))
     res = linprog(
         C[rows, cols],
         A_eq=A_eq,
         b_eq=np.concatenate([a, b]),
         bounds=(0, None),
-        method="highs",
         options=_HIGHS_OPTS,
     )
     if res.status == 2:  # infeasible over finite arcs

@@ -323,6 +323,25 @@ class TestRectify:
         row = proc.stdout.strip().splitlines()[1].split(",")
         assert row[0] == "diag_M_1e+308" and row[4] == "51"
 
+    def test_only_ladder_levels_that_drew_a_pair_are_solved(self, tmp_path, monkeypatch):
+        # 1,024 ladder levels and a budget of one: one level drew a pair
+        import gaplab.rectify
+
+        calls = []
+        real = gaplab.rectify._batched_reweighted_duals
+
+        def spy(C, marginals):
+            calls.append(len(marginals))
+            return real(C, marginals)
+
+        monkeypatch.setattr(gaplab.rectify, "_batched_reweighted_duals", spy)
+        code, text = run(
+            tmp_path, "rectify", "--catalog", "diag_M", "--M", "1e308", "--n", "4",
+            "--budget", "1",
+        )
+        assert code == 0 and text.splitlines()[1].split(",")[4] == "51"
+        assert calls == [1]
+
     def test_diag_budget_200_writes_artifacts(self, tmp_path):
         out = tmp_path / "rect.csv"
         code = main(

@@ -1056,3 +1056,146 @@ class TestForcedArcSplit:
         assert np.array_equal(r.plan.mass > 0, np.eye(n, dtype=bool))
         _certified(r, C, mu, nu, None)
         assert elapsed < 1.0
+
+
+def _posed_lps(monkeypatch, module, run):
+    """Every (c, kwargs) that ``run()`` hands ``module.linprog``."""
+    calls = []
+    real = module.linprog
+
+    def spy(c, **kwargs):
+        calls.append((c, kwargs))
+        return real(c, **kwargs)
+
+    monkeypatch.setattr(module, "linprog", spy)
+    run()
+    monkeypatch.undo()
+    assert calls
+    return calls
+
+
+def _same_as_scipy(c, kwargs):
+    """gaplab's HiGHS entry and scipy.optimize.linprog agree to the bit on
+    one LP; returns the status."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    ours = solver.linprog(c, **kwargs)
+    ref = scipy_linprog(c, method="highs", **kwargs)
+    assert ours.status == ref.status, (ours.message, ref.message)
+    assert ours.nit == ref.nit
+    if ref.status != 0:
+        assert ours.x is None and ours.fun is None
+        return ref.status
+    assert ours.x.tobytes() == ref.x.tobytes()  # signs of zero included
+    assert np.float64(ours.fun).tobytes() == np.float64(ref.fun).tobytes()
+    for part in ("eqlin", "ineqlin"):
+        mine, theirs = ours[part].marginals, ref[part].marginals
+        assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+    return 0
+
+
+def _drawn_transport(seed, n, m, forbid=0.0, zero=0.0):
+    """A random cost with a ``forbid`` share of +inf arcs and marginals
+    with a ``zero`` share of zero weights."""
+    rng = np.random.default_rng(seed)
+    C = rng.uniform(-1.0, 3.0, size=(n, m))
+    C[rng.random((n, m)) < forbid] = INF
+    C[np.arange(n), np.arange(n) % m] = 1.0  # every row keeps a finite arc
+
+    def weights(k):
+        w = rng.uniform(0.1, 1.0, size=k)
+        w[rng.random(k) < zero] = 0.0
+        if not w.any():
+            w[0] = 1.0
+        return w / w.sum()
+
+    return C, weights(n), weights(m)
+
+
+class TestHighsEntry:
+    """``solver.linprog`` poses the LP to HiGHS itself: the result must be
+    scipy.optimize.linprog(method="highs")'s, bit for bit, on the LPs gaplab
+    poses."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 64])
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_transport_lps(self, monkeypatch, name, n):
+        C, mu, nu = discretize(get_instance(name), n)
+        for c, kwargs in _posed_lps(
+            monkeypatch, solver, lambda: _highs_lp(C, mu.weights, nu.weights)
+        ):
+            assert _same_as_scipy(c, kwargs) == 0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_non_square_zero_weights_and_forbidden_arcs(self, monkeypatch, seed):
+        n, m = 1 + seed % 5, 2 + (seed * 7) % 9
+        C, a, b = _drawn_transport(seed, n, m, forbid=0.3, zero=0.3)
+        for c, kwargs in _posed_lps(monkeypatch, solver, lambda: _highs_lp(C, a, b)):
+            _same_as_scipy(c, kwargs)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_padded_partial_lp(self, monkeypatch, seed):
+        n = 3 + seed
+        C, a, b = _drawn_transport(seed, n, n + seed % 3, forbid=0.2, zero=0.2)
+        cap = 0.1 + 0.05 * seed
+        for c, kwargs in _posed_lps(monkeypatch, solver, lambda: _highs_lp(C, a, b, cap)):
+            assert _same_as_scipy(c, kwargs) == 0
+            assert kwargs["A_eq"].shape == (2 * n + seed % 3 + 2, c.size)
+
+    def test_infeasible_lp(self, monkeypatch):
+        # the only finite arcs are the diagonal, and the weights differ
+        C = np.where(np.eye(3, dtype=bool), 1.0, INF)
+        a, b = np.array([0.2, 0.3, 0.5]), np.array([0.5, 0.3, 0.2])
+        ((c, kwargs),) = _posed_lps(monkeypatch, solver, lambda: _highs_lp(C, a, b))
+        assert _same_as_scipy(c, kwargs) == 2
+        assert _highs_lp(C, a, b).status == "infeasible_finite"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_boxed_class_lp_of_reweighted_duals(self, monkeypatch, seed):
+        import gaplab.rectify
+
+        n = 5 + seed
+        rng = np.random.default_rng(seed)
+        C = rng.integers(0, 4, size=(n, n)).astype(float)
+        C[:, 1] = C[:, 0]  # twin columns share a class
+        marginals = [
+            (w / w.sum(), v / v.sum())
+            for w, v in rng.uniform(0.1, 1.0, size=(6, 2, n))
+        ]
+        calls = _posed_lps(
+            monkeypatch,
+            gaplab.rectify,
+            lambda: gaplab.rectify._batched_reweighted_duals(C, marginals),
+        )
+        for c, kwargs in calls:
+            assert "A_eq" not in kwargs
+            assert _same_as_scipy(c, kwargs) == 0
+
+    def test_both_blocks_and_free_columns(self):
+        # the rows of A_ub come before those of A_eq in the duals
+        rng = np.random.default_rng(1)
+        A_ub, A_eq = rng.uniform(0, 1, (3, 5)), rng.uniform(0, 1, (2, 5))
+        kwargs = dict(
+            A_ub=A_ub,
+            b_ub=np.ones(3),
+            A_eq=A_eq,
+            b_eq=np.full(2, 0.5),
+            bounds=[(None, 1.0), (0, None), (-1.0, 1.0), (0, 2.0), (None, None)],
+            options=solver._HIGHS_OPTS,
+        )
+        assert _same_as_scipy(rng.uniform(-1, 1, 5), kwargs) == 0
+        # a free column with a negative cost and no row to stop it
+        kwargs = dict(A_ub=np.array([[1.0, 0.0]]), b_ub=[1.0], bounds=(None, None))
+        assert _same_as_scipy(np.array([-1.0, -1.0]), kwargs) == 3
+
+    def test_mismatched_sizes_raise(self):
+        # HiGHS would read past the end of a short array
+        A = np.eye(2)
+        with pytest.raises(ValueError):
+            solver.linprog(np.ones(2), A_eq=A, b_eq=np.ones(1))
+        with pytest.raises(ValueError):
+            solver.linprog(np.ones(3), A_ub=A, b_ub=np.ones(2))
+        with pytest.raises(ValueError):
+            solver.linprog(np.ones(2), A_ub=A, b_ub=np.ones(3), A_eq=A, b_eq=np.ones(1))
+        with pytest.raises(ValueError):
+            solver.linprog(np.ones(2), A_eq=A, b_eq=np.ones(2), bounds=[(0, 1)] * 3)
