@@ -206,10 +206,8 @@ def cmd_rectify(args) -> int:
         )
     ]
     header = ["instance", "n", "budget", "seed", "pairs", "sup_gap_finite", "provenance"]
-    if base is None:
-        _write_rows(header, summary, None, args.format)
-    else:
-        _write_rows(header, summary, base, args.format)
+    _write_rows(header, summary, base, args.format)
+    if base is not None:
         _write_rows(
             [f"c{j}" for j in range(n)],
             env_rows,

@@ -13,7 +13,7 @@ Conventions used throughout the package:
   square ``((i-1)/n, i/n] x ((j-1)/n, j/n]``.
 
 All container types are immutable after construction (arrays are frozen),
-so values can be shared freely across worker threads.
+so values can be shared freely.
 """
 
 from __future__ import annotations
@@ -106,11 +106,6 @@ class Grid:
     @property
     def is_dyadic(self) -> bool:
         return self.n & (self.n - 1) == 0
-
-    @property
-    def depth(self) -> int:
-        """Number of dyadic halvings until index ranges become singletons."""
-        return max(1, math.ceil(math.log2(self.n))) if self.n > 1 else 1
 
 
 @dataclass(frozen=True)

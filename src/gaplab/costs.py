@@ -27,14 +27,6 @@ thresholds a ``Rectangle`` over that cell compares against, so a table
 samples and paints exactly like the n^2 cell rectangles it stands for; its
 grid realization is one gather ``values[ix[:, None], ix[None, :]]``.  Like
 every region it sits in the ordered list, so later regions paint over it.
-
-Rectangles are painted as index slices rather than masks.  The atoms are
-sorted, so each side of a box selects a contiguous run of atom indices, and
-the run's ends are ``np.searchsorted`` of the very thresholds the box's
-``mask`` compares against; a degenerate side (rare) takes its ends from its
-own 1-D mask.  A run of consecutive rectangles is therefore painted with one
-``C[a:b, c:d] = v`` per box that covers an atom, in region order, and gives
-the same matrix, bit for bit, as painting box masks.
 """
 
 from __future__ import annotations
@@ -42,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import groupby
 from operator import and_, or_
 
 import numpy as np
@@ -340,42 +331,6 @@ def sample_cost(descriptor: CostDescriptor, x: float, y: float) -> float:
     return value
 
 
-def _axis_slices(
-    lo: np.ndarray, hi: np.ndarray, atoms: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per side, the [start, stop) index run of the atoms ``_axis_mask`` selects.
-
-    On sorted atoms, ``atoms > t`` holds exactly from
-    ``searchsorted(atoms, t, "right")`` on, so a non-degenerate side needs
-    two searches at its own thresholds.  Degenerate sides read their run off
-    ``_axis_mask``.
-    """
-    start = np.searchsorted(atoms, lo + GEOM_TOL, "right")
-    stop = np.searchsorted(atoms, hi + GEOM_TOL, "right")
-    for k in np.flatnonzero(hi - lo <= GEOM_TOL):
-        hit = np.flatnonzero(_axis_mask(lo[k], hi[k], atoms))
-        start[k], stop[k] = (hit[0], hit[-1] + 1) if hit.size else (0, 0)
-    return start, stop
-
-
-def _paint_rectangles(
-    C: np.ndarray, painted: np.ndarray, run: list[Region], atoms: np.ndarray
-) -> None:
-    """Paint consecutive ``Rectangle`` regions in order, one slice per box."""
-    boxes = np.array(
-        [(r.where.x0, r.where.x1, r.where.y0, r.where.y1) for r in run], dtype=float
-    )
-    xs, xe = _axis_slices(boxes[:, 0], boxes[:, 1], atoms)
-    ys, ye = _axis_slices(boxes[:, 2], boxes[:, 3], atoms)
-    hits = np.flatnonzero((xs < xe) & (ys < ye))  # boxes that cover an atom
-    for k, a, b, c, d in zip(
-        hits.tolist(), xs[hits].tolist(), xe[hits].tolist(),
-        ys[hits].tolist(), ye[hits].tolist(),
-    ):
-        C[a:b, c:d] = run[k].value
-        painted[a:b, c:d] = True
-
-
 def _grid_mask(shape: RegionKind, atoms: np.ndarray) -> np.ndarray:
     """``shape.mask`` at every atom pair, x down the rows and y across."""
     n = atoms.size
@@ -385,72 +340,45 @@ def _grid_mask(shape: RegionKind, atoms: np.ndarray) -> np.ndarray:
 def discretize_cost(descriptor: CostDescriptor, grid: Grid) -> np.ndarray:
     """Realize the descriptor as an n x n matrix over the grid atoms.
 
-    Regions are painted in order onto the matrix.  All kinds are sampled at
-    the atoms except ``ComplementOfIntervals``, which is blended by the exact
-    per-cell fraction lying outside its intervals (cells fully outside take
-    the region value, fully covered cells keep the value underneath), so that
-    coupling integrals reproduce interval measures exactly.
+    Regions are painted in order onto the matrix, so the last matching region
+    wins.  A ``CellTable`` is one gather (see the module docstring) and every
+    other shape paints its ``mask`` at the atoms, except
+    ``ComplementOfIntervals``, which is blended by the exact per-cell fraction
+    lying outside its intervals (cells fully outside take the region value,
+    fully covered cells keep the value underneath), so that coupling
+    integrals reproduce interval measures exactly.
 
-    Each run of consecutive ``Rectangle`` regions is painted as index slices
-    and a ``CellTable`` as one gather (see the module docstring): the same
-    cells as their masks, in the same order, so the last matching region
-    still wins.
+    The matrix starts as NaN and no region value is NaN, so the NaN cells are
+    the ones no region has painted yet.
     """
     n = grid.n
     atoms = grid.atoms
     C = np.full((n, n), np.nan)
-    painted = np.zeros((n, n), dtype=bool)
-    runs = groupby(
-        descriptor.regions,
-        key=lambda r: isinstance(r, Region) and isinstance(r.where, Rectangle),
-    )
-    for boxes, run in runs:
-        if boxes:
-            _paint_rectangles(C, painted, list(run), atoms)
-            continue
-        for region in run:
-            _paint_region(C, painted, region, grid)
-    if not painted.all():
+    for region in descriptor.regions:
+        if isinstance(region, CellTable):  # covers every atom of the grid
+            ix = region.cells(atoms)
+            C[...] = region.values[ix[:, None], ix[None, :]]
+        elif isinstance(kind := region.where, ComplementOfIntervals):
+            fracs = _outside_fractions(kind.intervals, n)
+            axis_fr = np.broadcast_to(
+                fracs[:, None] if kind.axis == "x" else fracs[None, :], (n, n)
+            )
+            full = axis_fr >= 1.0 - GEOM_TOL
+            partial = ~full & (axis_fr > GEOM_TOL)
+            if np.any(partial & np.isnan(C)):
+                raise ConfigurationError(
+                    "complement_of_intervals blends into uncovered cells"
+                )
+            # partial cells blend with the value underneath; inf stays inf
+            with np.errstate(invalid="ignore"):
+                mixed = axis_fr * region.value + (1.0 - axis_fr) * C
+            C[full] = region.value
+            C[partial] = mixed[partial]
+        else:
+            C[_grid_mask(kind, atoms)] = region.value
+    if np.isnan(C).any():
         raise ConfigurationError("descriptor regions do not cover the grid")
     return C
-
-
-def _paint_region(
-    C: np.ndarray, painted: np.ndarray, region: Region | CellTable, grid: Grid
-) -> None:
-    """Paint one region that is not a ``Rectangle``."""
-    n = grid.n
-    if isinstance(region, CellTable):  # covers every atom of the grid
-        ix = region.cells(grid.atoms)
-        C[...] = region.values[ix[:, None], ix[None, :]]
-        painted[...] = True
-        return
-    kind = region.where
-    if isinstance(kind, ComplementOfIntervals):
-        fracs = _outside_fractions(kind.intervals, n)
-        under = np.where(painted, C, np.nan)
-        axis_fr = (
-            np.repeat(fracs[:, None], n, axis=1)
-            if kind.axis == "x"
-            else np.repeat(fracs[None, :], n, axis=0)
-        )
-        full = axis_fr >= 1.0 - GEOM_TOL
-        empty = axis_fr <= GEOM_TOL
-        partial = ~full & ~empty
-        if np.any(partial & ~painted):
-            raise ConfigurationError(
-                "complement_of_intervals blends into uncovered cells"
-            )
-        # partial cells blend with the value underneath; inf stays inf
-        with np.errstate(invalid="ignore"):
-            mixed = axis_fr * region.value + (1.0 - axis_fr) * under
-        C[full] = region.value
-        C[partial] = mixed[partial]
-        painted |= ~empty
-    else:
-        mask = _grid_mask(kind, grid.atoms)
-        C[mask] = region.value
-        painted |= mask
 
 
 def _outside_fractions(intervals, n: int) -> np.ndarray:

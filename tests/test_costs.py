@@ -254,7 +254,7 @@ class TestRectifiedDominance:
 
 
 # ---------------------------------------------------------------------------
-# rectangles painted as index slices
+# region lists painted against pointwise sampling and full masks
 # ---------------------------------------------------------------------------
 
 
@@ -271,7 +271,9 @@ def grid_mask(shape, atoms):
 
 
 def mask_painted(desc, n):
-    """Paint every region through its full n x n mask, as before slices."""
+    """Paint every region through its full n x n mask: the reference that
+    ``discretize_cost`` must reproduce, with the cell table's gather, bit for
+    bit."""
     grid = Grid(n)
     C = np.full((n, n), np.nan)
     painted = np.zeros((n, n), dtype=bool)
@@ -413,6 +415,15 @@ class TestSlicePainting:
             sample_cost(desc, 0.75, 0.5)
         assert discretize_cost(desc, Grid(2)).tolist() == [[1.0, 1.0], [2.0, 2.0]]
 
+    def test_complement_blending_into_uncovered_cells_raises(self):
+        # the cell (1/2, 1] lies 3/5 outside (0.6, 0.8): it blends with the
+        # value underneath, which must have been painted
+        complement = Region(ComplementOfIntervals(((0.6, 0.8),)), 1.0)
+        with pytest.raises(ConfigurationError, match="blends into uncovered cells"):
+            discretize_cost(CostDescriptor((complement,)), Grid(2))
+        C = discretize_cost(CostDescriptor((whole_square(0.0), complement)), Grid(2))
+        assert C.tolist() == [[1.0, 1.0], [pytest.approx(0.6)] * 2]
+
 
 # ---------------------------------------------------------------------------
 # cell tables
@@ -431,6 +442,26 @@ class TestCellTable:
         for N in _TABLE_GRIDS:
             assert np.array_equal(
                 discretize_cost(desc, Grid(N)), mask_painted(rectangles, N)
+            ), N
+
+    @pytest.mark.parametrize(
+        "n, grids",
+        [(1, _TABLE_GRIDS), (2, _TABLE_GRIDS), (13, _TABLE_GRIDS), (64, [1, 64, 100])],
+    )
+    def test_rectangle_instance_file_paints_like_the_table(self, n, grids):
+        # an instance file of the old form: random_finite's cost as n^2
+        # rectangle regions, read back from its JSON document
+        seed = 200 + n
+        uniform = DensitySpec.uniform()
+        rectangles = random_finite_rectangles(seed, n)
+        text = dumps_instance(Instance("old_form", uniform, uniform, rectangles))
+        desc = loads_instance(text).cost
+        assert len(desc.regions) == n * n
+        assert all(isinstance(r.where, Rectangle) for r in desc.regions)
+        table = random_finite(seed, n).cost
+        for N in grids:
+            assert np.array_equal(
+                discretize_cost(desc, Grid(N)), discretize_cost(table, Grid(N))
             ), N
 
     @pytest.mark.parametrize("N", [1, 3, 13, 20, 64])
