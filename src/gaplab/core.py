@@ -196,7 +196,7 @@ class DiscreteMeasure:
         w = _frozen(self.weights)
         if w.ndim != 1:
             raise ConfigurationError("measure weights must be a vector")
-        if np.any(w < -MASS_TOL):
+        if not np.all(w >= -MASS_TOL):  # also rejects NaN
             raise ConfigurationError("measure weights must be non-negative")
         object.__setattr__(self, "weights", w)
 

@@ -6,21 +6,22 @@ Every solve takes one of two paths, picked from the input alone:
   same w > 0 (to 1e-12 relative).  The transport polytope is then
   w * Birkhoff, so a full solve is an assignment problem, handed to
   scipy.optimize.linear_sum_assignment.  A partial solve whose cap on
-  dropped mass is k*w for an integer k adds k dummy rows and k dummy columns
-  at cost 0 (Chapel, Alaya & Gasso, NeurIPS 2020); the zero dummy-dummy
-  block lets it drop fewer than k atoms, which keeps the reduction exact
-  under negative costs.  Network flows with integral data have integral
-  optima, so the value is the LP value exactly.  A cap of (k + theta)*w,
-  0 < theta < 1, lies between two such solves, and the value is linear in
-  the cap between them: the solve mixes the two optima and reads its
-  potentials off the residual graph of the mix (_mixed_assignment_lp).  A
-  full solve with a forbidden arc is first split along the Dulmage-Mendelsohn
-  decomposition of its finite arcs (Dulmage & Mendelsohn 1958; Pothen & Fan,
-  ACM TOMS 16, 1990): one Hopcroft-Karp matching, then the strong components
-  of its alternating row graph.  No perfect matching uses an arc between two
-  components, so each component's block is its own assignment problem, and
-  a one-row block is a forced arc that needs no solve (every arc on
-  ``diag_inf``).
+  dropped mass is k*w for an integer k is one too: network flows with
+  integral data have integral optima, so the optimum P_k drops k whole
+  atoms at most, and linear_sum_assignment finds it with k zero-cost dummy
+  rows and columns (Chapel, Alaya & Gasso, NeurIPS 2020).  A cap of
+  (k + theta)*w, 0 < theta < 1, lies between two such solves, and the value
+  is linear in the cap between them: the solve mixes P_k and P_k+1.  The
+  k dummies serve linear_sum_assignment only: every capped solve is posed
+  with one dummy row and one dummy column of mass cap, and reads its
+  potentials off the residual graph of the mix there (_assignment_lp; the
+  mix is P_k alone on the lattice).  A full solve with a forbidden arc is
+  first split along the Dulmage-Mendelsohn decomposition of its finite
+  arcs (Dulmage & Mendelsohn 1958; Pothen & Fan, ACM TOMS 16, 1990): one
+  Hopcroft-Karp matching, then the strong components of its alternating
+  row graph.  No perfect matching uses an arc between two components, so
+  each component's block is its own assignment problem, and a one-row
+  block is a forced arc that needs no solve (every arc on ``diag_inf``).
 * **highs** -- everything else (non-square C, unequal or zero weights) is a
   linear program posed to HiGHS through the bindings scipy ships
   (scipy.optimize._highspy, see ``linprog``), which is also the cross-check
@@ -91,8 +92,8 @@ DUALITY_TOL = 1e-7
 #: solve whose split leaves only one-row blocks (every matched arc forced)
 #: walks after the first sweep instead: its matching is unique and its
 #: residual row graph acyclic, so a shortest path may pass every row, as on
-#: ``diag_inf``, where one walk settles them all.  So does the mix of an
-#: off-lattice partial solve whose optimum at k dropped atoms is such a solve
+#: ``diag_inf``, where one walk settles them all.  So does a partial solve
+#: whose optimum at k dropped atoms is such a solve
 _PLAIN_SWEEPS = 16
 
 #: relative spread allowed among equal weights, and between a slack cap and
@@ -316,9 +317,10 @@ def _check_marginals(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     n, m = C.shape
     if a.shape != (n,) or b.shape != (m,):
         raise InputError("marginal lengths do not match the cost matrix")
-    if np.any(a < -SUPPORT_TOL) or np.any(b < -SUPPORT_TOL):
+    # each check is written so that NaN fails it
+    if not (np.all(a >= -SUPPORT_TOL) and np.all(b >= -SUPPORT_TOL)):
         raise InputError("marginals must be non-negative")
-    if abs(a.sum() - b.sum()) > 1e-9:
+    if not abs(a.sum() - b.sum()) <= 1e-9:
         raise InputError(
             f"marginal totals differ: {a.sum():.12g} vs {b.sum():.12g}"
         )
@@ -336,10 +338,7 @@ def _transport_lp(
     drops = _assignment_drops(C, a, b, slack_cap)
     if drops is None:
         return _highs_lp(C, a, b, slack_cap)
-    k, theta = drops
-    if theta:
-        return _mixed_assignment_lp(C, a, b, k, theta, slack_cap)
-    return _assignment_lp(C, a, b, k)
+    return _assignment_lp(C, a, b, *drops, slack_cap)
 
 
 def _assignment_drops(
@@ -372,7 +371,7 @@ def _uniform_weight(a: np.ndarray, b: np.ndarray) -> float | None:
     None when the weights differ, vanish, or a and b differ in length."""
     if a.shape != b.shape or not a.size:
         return None
-    w = float(a.mean())
+    w = float(a.sum()) / a.size  # a.mean() to the bit, at a third of the cost
     if not w > 0:
         return None
     tol = UNIFORM_RTOL * w
@@ -382,75 +381,52 @@ def _uniform_weight(a: np.ndarray, b: np.ndarray) -> float | None:
 
 
 def _optimal_assignment(
-    C: np.ndarray, k: int
+    D: np.ndarray, finite: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, bool] | None:
-    """The (n+k)-square assignment matrix D of C with k zero-cost dummy rows
-    and columns, an optimal assignment i -> col[i] of it, and whether every
-    matched arc is forced; None when no perfect matching is finite."""
+    """The square D (C with +inf on its forbidden arcs, ``finite`` its finite
+    arcs) padded with k zero-cost dummy rows and columns, an optimal
+    assignment i -> col[i] of it, and whether every matched arc is forced;
+    None when no perfect matching is finite.  The dummies are how
+    linear_sum_assignment leaves up to k atoms unmatched (col[i] >= n), and
+    their zero dummy-dummy block lets it drop fewer, which keeps the
+    reduction exact under negative costs."""
     from scipy.optimize import linear_sum_assignment
 
-    n = C.shape[0]
-    finite = np.isfinite(C)
-    D = np.zeros((n + k, n + k))
-    D[:n, :n] = np.where(finite, C, INF)
-    if k == 0 and not finite.all():
+    n = D.shape[0]
+    if k:
+        padded = np.zeros((n + k, n + k))
+        padded[:n, :n] = D
+        D = padded
+    elif not finite.all():
         split = _split_assignment(D, finite)
-    else:
-        try:
-            split = linear_sum_assignment(D)[1], False
-        except ValueError:  # no perfect matching over the finite arcs
-            split = None
-    return None if split is None else (D, *split)
+        return None if split is None else (D, *split)
+    try:
+        return D, linear_sum_assignment(D)[1], False
+    except ValueError:  # no perfect matching over the finite arcs
+        return None
 
 
-def _matched_arcs(col: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of the real arcs i -> col[i] of an assignment."""
-    rows = np.flatnonzero(col[:n] < n)
-    return rows, col[rows]
-
-
-def _assignment_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray, k: int) -> SolveReport:
-    """Exact solve of a transport problem with n equal weights w that may drop
-    k atoms: an (n+k) x (n+k) assignment with k zero-cost dummy rows and
-    columns, each real matched arc carrying mass w."""
-    solved = _optimal_assignment(C, k)
-    if solved is None:
-        return SolveReport(value=INF, status="infeasible_finite", path="assignment")
-    D, col, forced = solved
-    n = C.shape[0]
-    w = float(a.mean())
-    u, v = _assignment_potentials(D, col, forced)
-    rows, cols = _matched_arcs(col, n)
-    plan = np.zeros((n, n))
-    plan[rows, cols] = w
-    # a dummy column's potential is -alpha, a dummy row's -beta
-    alpha, beta = (-float(v[n:].max()), -float(u[n:].max())) if k else (0.0, 0.0)
-    return SolveReport(
-        value=w * float(C[rows, cols].sum()),
-        status="optimal",
-        plan=TransportPlan(plan),
-        potentials=_cap_potentials(u[:n], v[:n], alpha, beta, a, b, k * w),
-        path="assignment",
-    )
-
-
-def _mixed_assignment_lp(
-    C: np.ndarray, a: np.ndarray, b: np.ndarray, k: int, theta: float, cap: float
+def _assignment_lp(
+    C: np.ndarray, a: np.ndarray, b: np.ndarray, k: int, theta: float, cap: float | None
 ) -> SolveReport:
-    """Exact solve of a transport problem with n equal weights w whose cap
-    (k + theta)*w, 0 < theta < 1, is no whole number of atoms: the
-    (1 - theta, theta) mix of the optima P_k and P_k+1 that drop k and k + 1
-    atoms, with potentials from the residual graph of the mix.
+    """Exact solve of a transport problem with n equal weights w that may drop
+    cap = (k + theta)*w mass on each side, 0 <= theta < 1 (a full solve when
+    cap is None or k = theta = 0): the (1 - theta, theta) mix of the optima
+    P_k and P_k+1 that drop k and k + 1 atoms (P_k alone when theta = 0),
+    with potentials from the residual graph of the mix.
 
     Value.  Pose the problem with one dummy row and one dummy column of mass
     cap (the HiGHS path's posing) and scale it by 1/w: a min-cost flow whose
-    data are integers but for the dummies' mass c = k + theta.  A basis is a
-    spanning tree, and the flow on a tree arc is the net supply on one side
-    of it, where the dummy row's supply c and the dummy column's demand c
-    cancel or one of them stands alone: x_B = p + c*q with p integral and
-    q in {-1, 0, 1}.  So a basis optimal at c stays feasible, and hence
-    optimal, on all of [k, k + 1], and the value V is linear there (Ahuja,
-    Magnanti & Orlin 1993, *Network Flows*).  The mix drops at most
+    data are integers but for the dummies' mass c = k + theta.  At theta = 0
+    the data are integral, so an integral plan is optimal (Ahuja, Magnanti &
+    Orlin 1993, *Network Flows*); it drops at most k whole atoms on each side,
+    the dummy-dummy arc taking the rest of the cap, and such plans are the
+    assignments P_k ranges over.  For theta > 0, a basis is a spanning tree,
+    and the flow on a tree arc is the net supply on one side of it, where the
+    dummy row's supply c and the dummy column's demand c cancel or one of
+    them stands alone: x_B = p + c*q with p integral and q in {-1, 0, 1}.  So
+    a basis optimal at c stays feasible, and hence optimal, on all of
+    [k, k + 1], and the value V is linear there.  The mix drops at most
     (1 - theta)*k + theta*(k + 1) = c atoms on each side, the dummy-dummy arc
     taking the rest of the cap, so it is feasible at c, and it costs
     (1 - theta)*V(k) + theta*V(k + 1) = V(c): it is optimal.  When no plan
@@ -458,48 +434,57 @@ def _mixed_assignment_lp(
     n - k atoms, so no plan ships n - k - theta either: infeasible.
 
     Potentials.  Let X be the mix on E, C padded with the dummy row and
-    column at cost 0.  X is optimal, so its residual graph (an arc of length
-    E_ij from row i to column j on every finite arc, one of length -E_ij
-    back on X's support) has no negative cycle, and Bellman-Ford on it gives
-    u_i + v_j <= E_ij on every finite arc with equality on the support:
-    complementary slackness with X, so (u, v) is optimal, and the dummy
-    column's -v and the dummy row's -u are the multipliers alpha, beta of
-    the caps.  _assignment_potentials runs the sweeps of the assignment
-    case, a row taking the largest term over its support arcs, and walk
-    their forest from the first sweep when P_k is fully forced.
+    column at cost 0 (a full solve pads nothing).  X is optimal, so its
+    residual graph (an arc of length E_ij from row i to column j on every
+    finite arc, one of length -E_ij back on X's support) has no negative
+    cycle, and Bellman-Ford on it gives u_i + v_j <= E_ij on every finite
+    arc with equality on the support: complementary slackness with X, so
+    (u, v) is optimal, and the dummy column's -v and the dummy row's -u are
+    the multipliers alpha, beta of the caps (_cap_potentials).
+    _assignment_potentials runs the sweeps, and walks their forest from the
+    first sweep when P_k is fully forced.
     """
     n = C.shape[0]
-    w = float(a.mean())
-    low = _optimal_assignment(C, k)
+    w = float(a.sum()) / n
+    if not (k or theta):  # a cap within UNIFORM_RTOL of 0: the full solve
+        cap = None
+    finite = np.isfinite(C)
+    D = np.where(finite, C, INF)
+    low = _optimal_assignment(D, finite, k)
     if low is None:
         return SolveReport(value=INF, status="infeasible_finite", path="assignment")
-    high = _optimal_assignment(C, k + 1)
+    padded, col, forced = low
+    mix = [(col, 1.0 - theta)]
+    if theta:
+        padded, col, _ = _optimal_assignment(D, finite, k + 1)
+        mix.append((col, theta))
+    # C padded with the dummy row and column of mass cap: the top left of
+    # the last optimum's k or k + 1 dummies
+    E = D if cap is None else padded[: n + 1, : n + 1]
+    del D  # unless E is D, the plan reuses its memory: no fresh pages to fault in
     plan = np.zeros((n, n))
-    hits = np.zeros((n, n), dtype=np.intp)  # how many of the two optima use an arc
-    values = []
-    for (_, col, _), share in ((low, (1.0 - theta) * w), (high, theta * w)):
-        rows, cols = _matched_arcs(col, n)
-        plan[rows, cols] += share
-        hits[rows, cols] += 1
-        values.append(float(C[rows, cols].sum()))
-    # X's support on E: an atom that either optimum drops ships to a dummy,
-    # and the dummy-dummy arc carries the cap that X leaves unused, which is
-    # none only when the optima keep exactly n - k and n - k - 1 atoms
-    support = np.zeros((n + 1, n + 1), dtype=bool)
-    support[:n, :n] = hits > 0
-    support[:n, n] = hits.sum(axis=1) < 2
-    support[n, :n] = hits.sum(axis=0) < 2
-    support[n, n] = hits.sum() > 2 * (n - k) - 1
-    E = np.zeros((n + 1, n + 1))
-    E[:n, :n] = low[0][:n, :n]
-    u, v = _assignment_potentials(E, None, low[2], support)
+    support = np.zeros(E.shape, dtype=bool)  # X's support on E
+    parts = []
+    for i, (col, share) in enumerate(mix):
+        rows = np.flatnonzero(col[:n] < n)  # the real arcs i -> col[i]
+        cols = col[rows]
+        if i:
+            plan[rows, cols] += share * w
+        else:  # a read first would fault each fresh zero page in twice
+            plan[rows, cols] = share * w
+        parts.append(share * float(C[rows, cols].sum()))
+        if cap is None:
+            support[rows, cols] = True
+        else:  # the dummies fold into E's one: a dropped atom ships to it,
+            # and a dummy-dummy arc carries cap that X leaves unused
+            support[np.minimum(np.arange(col.size), n), np.minimum(col, n)] = True
+    u, v = _assignment_potentials(E, support, forced)
     return SolveReport(
-        value=w * ((1.0 - theta) * values[0] + theta * values[1]),
+        # (1 - theta)*V(k) + theta*V(k + 1); a 0.0 start would turn -0.0 to 0.0
+        value=w * sum(parts[1:], parts[0]),
         status="optimal",
         plan=TransportPlan(plan),
-        potentials=_cap_potentials(
-            u[:n], v[:n], -float(v[n]), -float(u[n]), a, b, cap
-        ),
+        potentials=_cap_potentials(u, v, a, b, cap),
         path="assignment",
     )
 
@@ -612,29 +597,24 @@ def _check_koenig_cover(mask: np.ndarray, graph, col: np.ndarray) -> None:
 
 
 def _assignment_potentials(
-    D: np.ndarray,
-    col: np.ndarray | None,
-    forced: bool = False,
-    support: np.ndarray | None = None,
+    D: np.ndarray, support: np.ndarray, forced: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Dual pair (u, v) of the optimal assignment i -> col[i]: u_i + v_j <= D_ij
-    on every finite arc, with equality on the matched arcs.
+    """Dual pair (u, v) of an optimal plan of the square assignment matrix D
+    with boolean support ``support``, every row on at least one arc of it:
+    u_i + v_j <= D_ij on every finite arc, with equality on the support.
 
-    Bellman-Ford on the residual graph, from u = 0: each sweep sets
-    u_i = D_i,col[i] - v_col[i], which makes the matched arcs tight, then
-    v_j = min_i (D_ij - u_i), which keeps the pair feasible.  Together that
-    is u <- F(u) with F(u)_i = D_i,col[i] - min_r (D_r,col[i] - u_r).  An
-    optimal assignment leaves no negative cycle, so the plain sweeps reach
-    the least fixed point L >= 0 of F within N + 1 sweeps; the cap only
-    guards against rounding drift around a zero-length cycle, and leaves the
-    pair feasible if it is ever reached.
-
-    With ``support``, the boolean support of an optimal plan in which a row
-    may carry several arcs (``col`` is then unused), each sweep first sets
-    col[i] to the support arc of row i with the largest D_ij - v_j, so F(u)_i
-    is the largest such term and stays monotone.  At a fixed point every
-    support arc of row i has D_ij - v_j >= u_i (feasibility) and <= u_i (the
-    largest is u_i), so the whole support is tight.
+    Bellman-Ford on the residual graph, from u = 0.  Row i stands on one
+    support arc (i, col[i]); a row with several takes, on each sweep, the one
+    with the largest D_ij - v_j.  Each sweep sets u_i = D_i,col[i] - v_col[i],
+    which makes those arcs tight, then v_j = min_i (D_ij - u_i), which keeps
+    the pair feasible.  Together that is u <- F(u) with F(u)_i the largest
+    D_ij - min_r (D_rj - u_r) over row i's support arcs, monotone in u.  An
+    optimal plan leaves no negative cycle, so the plain sweeps reach the
+    least fixed point L >= 0 of F within N + 1 sweeps; the cap only guards
+    against rounding drift around a zero-length cycle, and leaves the pair
+    feasible if it is ever reached.  At a fixed point every support arc of
+    row i has D_ij - v_j >= u_i (feasibility) and <= u_i (the largest is
+    u_i), so the whole support is tight.
 
     A shortest path of d arcs takes d plain sweeps (N - 1 on
     ``diag_inf``).  So once _PLAIN_SWEEPS sweeps have not settled u (one
@@ -655,18 +635,21 @@ def _assignment_potentials(
     """
     N = D.shape[0]
     rows = np.arange(N)
-    if support is None:
-        matched = D[rows, col]
-    else:  # off the support -inf - v stays -inf, so argmax picks a support arc
-        on_support = np.where(support, D, -INF)
+    col = support.argmax(axis=1)  # each row's first support arc
+    matched = D[rows, col]
+    several = ()  # rows on several support arcs, which pick again each sweep
+    if np.count_nonzero(support) > N:
+        several = np.flatnonzero(support.sum(axis=1) > 1)
+        # off the support -inf - v stays -inf, so argmax picks a support arc
+        on_support = np.where(support[several], D[several], -INF)
     plain_sweeps = 1 if forced else _PLAIN_SWEEPS
     u = np.zeros(N)
     v = D.min(axis=0)
     best = None
     for sweep in range(N + 1):
-        if support is not None:
-            col = (on_support - v).argmax(axis=1)
-            matched = D[rows, col]
+        if len(several):
+            col[several] = (on_support - v).argmax(axis=1)
+            matched[several] = D[several, col[several]]
         tight = matched - v[col]
         if np.array_equal(tight, u):
             break
@@ -767,37 +750,32 @@ def _highs_lp(
     plan = np.zeros((N, M))
     plan[rows, cols] = np.maximum(res.x, 0.0)
     duals = np.asarray(res.eqlin.marginals, dtype=float)
-    phi, psi = duals[:N], duals[N:]
-    alpha = beta = 0.0
-    if slack_cap is not None:  # the dummy column's potential is -alpha
-        alpha, beta = -float(psi[m]), -float(phi[n])
     return SolveReport(
         value=float(res.fun),
         status="optimal",
         plan=TransportPlan(plan[:n, :m]),
-        potentials=_cap_potentials(
-            phi[:n], psi[:m], alpha, beta, a[:n], b[:m], slack_cap or 0.0
-        ),
+        potentials=_cap_potentials(duals[:N], duals[N:], a[:n], b[:m], slack_cap),
     )
 
 
 def _cap_potentials(
-    phi: np.ndarray,
-    psi: np.ndarray,
-    alpha: float,
-    beta: float,
-    a: np.ndarray,
-    b: np.ndarray,
-    cap: float,
+    phi: np.ndarray, psi: np.ndarray, a: np.ndarray, b: np.ndarray, cap: float | None
 ) -> DualPotentials:
     """The potentials of a solve that may drop ``cap`` mass on each side,
-    read off its dummy atoms (alpha = 0 = beta for a full solve).
+    posed with one dummy row and one dummy column of mass cap, whose
+    potentials come last in phi and psi: the dummy column's is -alpha, the
+    dummy row's -beta.  A full solve (cap None) has no dummy and
+    alpha = 0 = beta.
 
     A real row may ship to a dummy column at cost 0, so phi <= alpha;
     likewise psi <= beta, and the zero dummy-dummy arcs give
     alpha + beta >= 0.  Shifting t from psi to phi keeps every arc sum and
     makes both caps' multipliers non-negative.
     """
+    alpha = beta = 0.0
+    if cap is not None:
+        alpha, beta = -float(psi[-1]), -float(phi[-1])
+        phi, psi = phi[:-1], psi[:-1]
     t = -alpha if alpha < 0 else min(beta, 0.0)
     if t:
         phi, psi, alpha, beta = phi + t, psi - t, alpha + t, beta - t
@@ -805,7 +783,7 @@ def _cap_potentials(
     return DualPotentials(
         phi=phi,
         psi=psi,
-        objective=float(phi @ a + psi @ b) - cap * (alpha + beta),
+        objective=float(phi @ a + psi @ b) - (cap or 0.0) * (alpha + beta),
         alpha=alpha,
         beta=beta,
     )
@@ -830,7 +808,7 @@ def solve_dual(C: np.ndarray, mu, nu) -> SolveReport:
 def solve_partial(C: np.ndarray, mu, nu, eps: float) -> SolveReport:
     """Cheapest sub-coupling with row sums <= mu, col sums <= nu and total
     mass >= total - eps (the relaxed problem; eps in absolute mass units)."""
-    if eps < 0:
+    if not eps >= 0:  # also rejects NaN
         raise InputError(f"eps must be non-negative, got {eps}")
     C = np.asarray(C, dtype=float)
     a, b = _as_weights(mu), _as_weights(nu)
@@ -859,7 +837,7 @@ def relaxed_value(instance, n: int, eps_schedule) -> RelaxedReport:
     from .instance import discretize
 
     eps_schedule = [float(e) for e in eps_schedule]
-    if any(e <= 0 for e in eps_schedule):
+    if not all(e > 0 for e in eps_schedule):  # also rejects NaN
         raise InputError("eps schedule must stay positive")
     if any(e2 >= e1 for e1, e2 in zip(eps_schedule, eps_schedule[1:])):
         raise InputError("eps schedule must be strictly decreasing")

@@ -115,6 +115,10 @@ class TestDiscreteMeasure:
         with pytest.raises(ConfigurationError):
             DiscreteMeasure(np.array([-0.1, 1.1]))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ConfigurationError):
+            DiscreteMeasure(np.array([np.nan, 1.0]))
+
 
 class TestExtendedReal:
     def test_json_forms(self):

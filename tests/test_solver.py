@@ -267,6 +267,31 @@ class TestRelaxedValue:
         with pytest.raises(InputError):
             relaxed_value(trivial_zero(), 4, [0.25, 0.5])
 
+    def test_rejects_nan_in_the_schedule(self):
+        with pytest.raises(InputError):
+            relaxed_value(trivial_zero(), 4, [0.5, math.nan])
+
+
+class TestNaNInputs:
+    """A NaN weight or eps fails the input checks on both paths: it raises
+    InputError instead of being solved or reported infeasible."""
+
+    @pytest.mark.parametrize("field", ["a", "b", "eps"])
+    @pytest.mark.parametrize("uniform_weights", [True, False])
+    def test_raises(self, field, uniform_weights):
+        C = np.random.default_rng(0).uniform(0.0, 1.0, (3, 3))
+        w = np.full(3, 1 / 3) if uniform_weights else np.array([0.2, 0.3, 0.5])
+        inputs = {"a": w.copy(), "b": w.copy(), "eps": 0.1}
+        if field == "eps":
+            inputs["eps"] = math.nan
+        else:
+            inputs[field][1] = math.nan
+        with pytest.raises(InputError):
+            solve_partial(C, inputs["a"], inputs["b"], inputs["eps"])
+        if field != "eps":
+            with pytest.raises(InputError):
+                solve_primal(C, inputs["a"], inputs["b"])
+
 
 class TestStrongDuality:
     @pytest.mark.parametrize(
@@ -378,6 +403,18 @@ class TestAssignmentPath:
         assert r.status == "infeasible_finite" and r.plan is None
         # dropping that row's atom (and one column's) makes it feasible
         assert _cross_check(C, uniform(3), uniform(3), 1).value == pytest.approx(0.0)
+
+    def test_cap_within_rtol_of_no_atom_is_the_full_solve(self):
+        # k = theta = 0: the report is the full solve's, to the bit
+        C, mu, nu = discretize(get_instance("random_finite", seed=4, n=8), 8)
+        full = solve_primal(C, mu, nu)
+        r = solve_partial(C, mu, nu, 1e-15)
+        assert r.path == "assignment"
+        assert r.value == full.value
+        assert np.array_equal(r.plan.mass, full.plan.mass)
+        assert np.array_equal(r.potentials.phi, full.potentials.phi)
+        assert np.array_equal(r.potentials.psi, full.potentials.psi)
+        assert r.potentials.objective == full.potentials.objective
 
     def test_eps_at_or_above_total_mass(self):
         rng = np.random.default_rng(3)
@@ -635,7 +672,8 @@ class TestHighsPartialMatchesSlackLP:
 
 
 # ---------------------------------------------------------------------------
-# caps off the atom lattice: a mix of two assignment solves
+# caps off the atom lattice: a mix of two assignment solves (and on it, at
+# theta = 0, the one optimum, through the same gate)
 # ---------------------------------------------------------------------------
 
 
@@ -667,8 +705,8 @@ def _off_lattice_gate(C, eps):
 def _off_lattice_cases(draw):
     """Costs with ties or not, negative entries, 30-40% +inf arcs or
     max_plan_mass's {-1, 0} costs, an all-+inf row now and then, and a cap of
-    k + theta atoms with theta near 0, near 1 or anywhere between (a cap at
-    or above the total mass is clamped to it)."""
+    k + theta atoms with theta 0 (on the atom lattice), near 0, near 1 or
+    anywhere between (a cap at or above the total mass is clamped to it)."""
     n = draw(st.integers(1, 7))
     rng = np.random.default_rng(draw(st.integers(0, 10_000)))
     kind = draw(st.sampled_from(["ties", "spread", "max_plan_mass"]))
@@ -686,6 +724,7 @@ def _off_lattice_cases(draw):
     k = draw(st.integers(0, n))
     theta = draw(
         st.one_of(
+            st.just(0.0),
             st.sampled_from([1e-7, 1e-6, 1 - 1e-6, 1 - 1e-7]),
             st.floats(0.01, 0.99),
         )
@@ -742,8 +781,9 @@ class TestOffLatticeCaps:
 
 
 def _assignment(C, k):
-    """The (n+k)-square assignment matrix of _assignment_lp and an optimal
-    matching of it; None when no perfect matching is finite."""
+    """The (n+k)-square assignment matrix with k zero-cost dummy rows and
+    columns that _optimal_assignment hands linear_sum_assignment, and an
+    optimal matching of it; None when no perfect matching is finite."""
     n = C.shape[0]
     D = np.zeros((n + k, n + k))
     D[:n, :n] = np.where(np.isfinite(C), C, INF)
@@ -754,10 +794,17 @@ def _assignment(C, k):
     return D, col
 
 
+def _support(col):
+    """The boolean support of the assignment i -> col[i]."""
+    support = np.zeros((col.size, col.size), dtype=bool)
+    support[np.arange(col.size), col] = True
+    return support
+
+
 def _matches_jacobi(D, col):
     """Bit-equal to the plain sweeps wherever they settle; returns whether
     they did."""
-    u, v = _assignment_potentials(D, col)
+    u, v = _assignment_potentials(D, _support(col))
     ju, jv, settled = jacobi_potentials(D, col)
     if settled:
         assert np.array_equal(u, ju) and np.array_equal(v, jv)
@@ -823,7 +870,7 @@ class TestAssignmentPotentials:
         ju, jv = diag_inf_potentials(n)
         for forced in (False, True):
             start = time.perf_counter()
-            u, v = _assignment_potentials(C, np.arange(n), forced)
+            u, v = _assignment_potentials(C, _support(np.arange(n)), forced)
             elapsed = time.perf_counter() - start
             assert np.array_equal(u, ju) and np.array_equal(v, jv)
             assert elapsed < 1.0
@@ -849,17 +896,17 @@ class TestAssignmentPotentials:
         C, mu, nu = discretize(diag_inf(), n)
         potentials, calls = solver._assignment_potentials, []
 
-        def spied(D, col, forced=False, support=None):
-            calls.append((forced, support is not None))
-            return potentials(D, col, forced, support)
+        def spied(D, support, forced=False):
+            calls.append((forced, support.shape))
+            return potentials(D, support, forced)
 
         with monkeypatch.context() as mp:
             mp.setattr(solver, "_assignment_potentials", spied)
             r = solve_partial(C, mu, nu, 0.5 / n)
-        assert r.path == "assignment" and calls == [(True, True)]
+        assert r.path == "assignment" and calls == [(True, (n + 1, n + 1))]
 
-        def plain(D, col, forced=False, support=None):
-            return potentials(D, col, False, support)
+        def plain(D, support, forced=False):
+            return potentials(D, support, False)
 
         monkeypatch.setattr(solver, "_PLAIN_SWEEPS", n + 2)
         monkeypatch.setattr(solver, "_assignment_potentials", plain)
@@ -993,9 +1040,9 @@ class TestForcedArcSplit:
             calls.append(split(D, finite))
             return calls[-1]
 
-        def spied_potentials(D, col, forced=False):
+        def spied_potentials(D, support, forced=False):
             calls.append(forced)
-            return potentials(D, col, forced)
+            return potentials(D, support, forced)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_split_assignment", spied_split)
