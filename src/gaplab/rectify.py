@@ -11,13 +11,14 @@ Two independent routes to the same object:
   pointwise supremum of explicitly constructed feasible pairs: the zero
   pair, box-infimum pairs over all dyadic index boxes, and dual optimizers
   of reweighted marginals solved against a truncation ladder of the cost.
-  Each of those dual LPs keeps only the arcs between the atoms of positive
-  weight; the zero-weight atoms get exact c-transforms.  The LPs run on
-  classes of identical rows and columns, which is exact because a class
-  plan splits proportionally into an atom plan of the same cost; a block
-  with one class on a side has a forced plan and needs no LP; and the
-  potentials are boxed, because the double c-transform of an optimal pair,
-  shifted to max psi = 0, lies in the box.
+  Each of those optimizers comes from a transport LP that keeps only the
+  arcs between the atoms of positive weight; the zero-weight atoms get
+  exact c-transforms.  The LPs run on classes of identical rows and
+  columns, which is exact because a class plan splits proportionally into
+  an atom plan of the same cost, and a block with one class on a side has
+  a forced plan and needs no LP.  Each LP is posed as the class-level
+  transport primal, one equality row per class and one column per arc, and
+  its row duals are optimal class potentials.
 
 The generative supremum can never exceed the pointwise envelope: every
 generated pair satisfies phi_i + psi_j <= C_ij in floating point, with no
@@ -28,6 +29,7 @@ allowed of pairs supplied from outside.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,15 +55,22 @@ __all__ = [
 #: feasibility slack allowed of accumulated pairs
 PAIR_TOL = 1e-9
 
-#: arcs (constraints) per batched dual LP: small LPs pay per-call overhead,
-#: large ones pay in HiGHS time and peak memory
+#: grid entries per chunk of blocks of the batched transport LPs (blocks x
+#: n x m): small LPs pay per-call overhead, large ones pay in HiGHS time and
+#: peak memory
 ARCS_PER_LP = 8192
 
+#: grid entries per (pairs, n, m) temporary of RectifiedAccumulator.add_pairs:
+#: 2^18 raised the peak RSS of a 10 s ``rectify_envelope`` run from 90.7 to
+#: 95.0-95.2 MB (2-core VM) and saved no time
+ENTRIES_PER_BATCH = 2**15
 
-def _finite_slack(tensor: np.ndarray, C: np.ndarray) -> float:
-    """max of tensor - C over the finite entries of C (-inf if there are none)."""
-    gap = (tensor - C)[np.isfinite(C)]
-    return float(gap.max()) if gap.size else -INF
+#: HiGHS's dual simplex edge weights for the class transport LPs: devex (1)
+#: solved the 56 LPs of a seed-0 ``rectify_envelope`` pass in 0.42 s, HiGHS's
+#: default choice, steepest edge and Dantzig's rule in 0.46 s (best of 7,
+#: 2-core VM); on the ``diag_inf`` ones that set job_max_s, 0.136 s vs 0.154 s
+_DEVEX = 1
+_CLASS_LP_OPTS = {**_HIGHS_OPTS, "simplex_dual_edge_weight_strategy": _DEVEX}
 
 
 @dataclass(frozen=True)
@@ -77,7 +86,10 @@ class FeasiblePair:
         return self.phi[:, None] + self.psi[None, :]
 
     def feasibility_slack(self, C: np.ndarray) -> float:
-        return _finite_slack(self.tensor(), C)
+        """max of phi_i + psi_j - C_ij over the finite entries of C (-inf if
+        there are none)."""
+        gap = (self.tensor() - C)[np.isfinite(C)]
+        return float(gap.max()) if gap.size else -INF
 
 
 @dataclass(frozen=True)
@@ -108,21 +120,47 @@ class RectifiedAccumulator:
         self.log = []
 
     def add_pair(self, pair: FeasiblePair) -> None:
-        tensor = pair.tensor()
-        slack = _finite_slack(tensor, self.C)
-        # written so that a NaN slack fails; NaN on a forbidden entry, which
-        # the slack does not see, would still poison the running maximum
-        if not slack <= PAIR_TOL or np.isnan(tensor).any():
-            raise InputError(
-                f"pair {pair.provenance} is infeasible or NaN (slack {slack:.3e})"
+        self.add_pairs([pair])
+
+    def add_pairs(self, pairs: Sequence[FeasiblePair]) -> None:
+        """Fold pairs into the envelope in order, as one add per pair would.
+
+        A pair whose slack exceeds ``PAIR_TOL``, or whose tensor holds a NaN,
+        raises InputError; the pairs before it are added, the rest are not.
+        The tensors are taken ``ENTRIES_PER_BATCH // C.size`` pairs at a
+        time, so the temporaries stay small whatever the batch.
+        """
+        finite = np.isfinite(self.C)
+        per_chunk = max(1, ENTRIES_PER_BATCH // max(1, self.C.size))
+        for start in range(0, len(pairs), per_chunk):
+            part = pairs[start : start + per_chunk]
+            tensor = (
+                np.stack([p.phi for p in part])[:, :, None]
+                + np.stack([p.psi for p in part])[:, None, :]
             )
-        # on a tie np.maximum keeps its second operand, so a -0.0 sum would
-        # replace a 0.0; adding 0.0 turns -0.0 into 0.0
-        self.lower_envelope = np.maximum(self.lower_envelope, tensor) + 0.0
-        self.pair_count += 1
-        key = pair.provenance.split("(")[0]
-        self.provenance_counts[key] = self.provenance_counts.get(key, 0) + 1
-        self.log.append((pair.provenance, float(pair.objective), float(slack)))
+            gap = tensor - self.C
+            gap[:, ~finite] = -INF  # the slack is over the finite entries
+            slack = gap.reshape(len(part), -1).max(axis=1, initial=-INF)
+            # written so that a NaN slack fails; NaN on a forbidden entry, which
+            # the slack does not see, would still poison the running maximum
+            bad = ~(slack <= PAIR_TOL) | np.isnan(tensor).any(axis=(1, 2))
+            good = int(bad.argmax()) if bad.any() else len(part)
+            if good:
+                # on a tie np.maximum keeps its second operand, so a -0.0 sum
+                # would replace a 0.0; adding 0.0 turns -0.0 into 0.0
+                top = tensor[:good].max(axis=0)
+                self.lower_envelope = np.maximum(self.lower_envelope, top) + 0.0
+            for pair, s in zip(part[:good], slack[:good].tolist()):
+                self.pair_count += 1
+                key = pair.provenance.split("(")[0]
+                self.provenance_counts[key] = self.provenance_counts.get(key, 0) + 1
+                self.log.append((pair.provenance, float(pair.objective), s))
+            if good < len(part):
+                pair = part[good]
+                raise InputError(
+                    f"pair {pair.provenance} is infeasible or NaN "
+                    f"(slack {slack[good]:.3e})"
+                )
 
     def sup_gap_finite(self) -> float:
         """max over finite entries of C - lower_envelope (0 when saturated)."""
@@ -255,10 +293,17 @@ def _batched_reweighted_duals(
 
     Identical rows of C form a row class and identical columns a column
     class; Cc is the r x c cost between classes.  A block sums its weights
-    per class, and its dual LP is posed on the classes: maximise
-    A.phi + B.psi subject to phi_r + psi_c <= Cc_rc on the class arcs
-    where both class weights are positive.  Each class potential is then
-    copied to the atoms of positive weight in it.  This is exact:
+    per class into masses A and B, and its LP is the class-level transport
+    primal: minimise Cc.x over x >= 0 on the class arcs where both class
+    masses are positive, with one equality row per class (row class r ships
+    A_r, column class c receives B_c).  Its dual is maximise A.phi + B.psi
+    subject to phi_r + psi_c <= Cc_rc on those arcs, so the row duals of an
+    optimal basis are optimal class potentials: dual feasible (the reduced
+    costs Cc_rc - phi_r - psi_c of an optimal basis are non-negative, to
+    HiGHS's dual feasibility tolerance) with A.phi + B.psi equal to the
+    primal value.  A class without mass has an empty row, and its potential
+    is unused.  Each class potential is then copied to the atoms of
+    positive weight in it.  This is exact:
 
     * a class-level plan splits proportionally, pi_ij = P_rc a_i b_j /
       (A_r B_c), into an atom-level plan with marginals (a, b) and the same
@@ -272,18 +317,16 @@ def _batched_reweighted_duals(
     every support arc with equality, so the pair is feasible with the forced
     plan's cost.  A single column class is the transpose.
 
-    The LP columns are boxed, with R = max Cc - min Cc: psi in [-R, 0] and
-    phi in [min Cc, max Cc].  The box holds an optimal pair.  Take any
-    optimal pair and its double c-transform over the support arcs,
-    psi_c = min over supported r of (Cc_rc - phi_r), then phi_r = min over
-    supported c of (Cc_rc - psi_c): it is feasible and no worse.  There
-    psi_c - psi_c' is at most max over r of (Cc_rc - Cc_rc') <= R.  Shifting
-    to (phi + s, psi - s) with max psi = 0 keeps the objective, as the
-    masses balance, and puts psi in [-R, 0] and each phi_r, a minimum of
-    Cc_rc - psi_c that includes the c with psi_c = 0, in [min Cc, max Cc].
-    With every column bounded HiGHS starts from a bound instead of pivoting
-    free columns in, and with only support arcs of distinct classes
-    presolve has nothing to remove; ``_HIGHS_OPTS`` leaves it off.
+    HiGHS's tolerances are absolute and it reads 1e20 as infinite, so the
+    LP's cost is Cc scaled by the power of two that brings max |Cc| into
+    [1/2, 1); a power of two scales a float exactly, and the potentials are
+    scaled back the same way.  Scaling alone keeps huge truncation levels
+    solvable: the columns are bounded below by 0 and above by nothing, the
+    right-hand sides are masses of at most 1, and the duals of a basis solve
+    phi_r + psi_c = Cs_rc along a spanning tree of basic arcs, so every
+    number HiGHS sees or returns stays within a few units of 1.  With only
+    support arcs of distinct classes presolve has nothing to remove, and
+    ``_HIGHS_OPTS`` leaves it off.
 
     The zero-weight atoms, S = {a > 0} and T = {b > 0} being the rest, are
     then filled by c-transforms, first psi_j = min over i in S of
@@ -297,12 +340,12 @@ def _batched_reweighted_duals(
       through the first transform, the not-S rows through the second.
 
     Rounding can still leave phi_i + psi_j above C_ij by an ulp or so, on a
-    filled arc or on a support arc of HiGHS's vertex.  So a potential whose
-    arcs exceed C is stepped down by its largest excess and one more ulp,
-    until no sum exceeds C in floating point: first psi against the rows in
-    S, then phi against every column.  Every returned pair is feasible
-    against all of C with no tolerance.  Each (a, b) needs positive mass
-    on both sides.
+    filled arc or on a support arc of HiGHS's basis, whose reduced costs
+    are non-negative only to tolerance.  So a potential whose arcs exceed C
+    is stepped down by its largest excess and one more ulp, until no sum
+    exceeds C in floating point: first psi against the rows in S, then phi
+    against every column.  Every returned pair is feasible against all of C
+    with no tolerance.  Each (a, b) needs positive mass on both sides.
 
     Every block reaches its problem's optimal value, though not necessarily
     the same optimal pair as one primal solve per problem would report.
@@ -319,13 +362,8 @@ def _batched_reweighted_duals(
     # sum a block's weights per class: a @ row_sum is (blocks, r)
     row_sum, col_sum = np.eye(r)[row_cls], np.eye(c)[col_cls]
     crow, ccol = np.divmod(np.arange(r * c), c)
-    # HiGHS's tolerances are absolute and it reads 1e20 as infinite, so the
-    # LP is posed at the power of two that brings max |Cc| into [1/2, 1);
-    # a power of two scales a float exactly
     scale = math.ldexp(1.0, -math.frexp(float(np.abs(Cc).max()))[1])
     Cs = Cc * scale
-    lo, hi = float(Cs.min()), float(Cs.max())
-    box = np.array([(lo, hi)] * r + [(lo - hi, 0.0)] * c)
     out = []
     for start in range(0, len(marginals), per_lp):
         part = marginals[start : start + per_lp]
@@ -341,23 +379,26 @@ def _batched_reweighted_duals(
         if lp.size:
             from scipy import sparse
 
+            # a block's rows are its r row classes, then its c column
+            # classes; the column of its arc between row class i and column
+            # class j holds a one in rows i and r + j
             block, arc = np.nonzero(Sc[lp][:, crow] & Tc[lp][:, ccol])
             base = block * (r + c)
             indices = np.stack([base + crow[arc], base + r + ccol[arc]], axis=-1).ravel()
-            A_ub = sparse.csr_matrix(
+            A_eq = sparse.csc_array(
                 (np.ones(indices.size), indices, np.arange(0, indices.size + 1, 2)),
-                shape=(arc.size, lp.size * (r + c)),
+                shape=(lp.size * (r + c), arc.size),
             )
             res = linprog(
-                -np.concatenate([A[lp], B[lp]], axis=1).ravel(),
-                A_ub=A_ub,
-                b_ub=Cs.ravel()[arc],
-                bounds=np.tile(box, (lp.size, 1)),
-                options=_HIGHS_OPTS,
+                Cs.ravel()[arc],
+                A_eq=A_eq,
+                b_eq=np.concatenate([A[lp], B[lp]], axis=1).ravel(),
+                options=_CLASS_LP_OPTS,
             )
             if res.status != 0:
                 raise RuntimeError(f"batched dual solve failed: {res.message}")
-            pots = np.asarray(res.x, dtype=float).reshape(lp.size, r + c) / scale
+            pots = np.asarray(res.eqlin.marginals, dtype=float).reshape(lp.size, r + c)
+            pots /= scale
             phi_c[lp], psi_c[lp] = pots[:, :r], pots[:, r:]
         phi, psi = phi_c[:, row_cls], psi_c[:, col_cls]
         S, T = a > 0, b > 0
@@ -473,8 +514,7 @@ def generative_rectify(
             phi=np.zeros(n), psi=np.zeros(n), provenance="zero_pair", objective=0.0
         )
     )
-    for pair in box_infimum_pairs(C):
-        acc.add_pair(pair)
+    acc.add_pairs(box_infimum_pairs(C))
     levels = truncation_ladder(C)
     rng = np.random.default_rng(rng_seed)
     # draw all pairs in schedule order, then solve each ladder level as one
@@ -499,6 +539,5 @@ def generative_rectify(
                 provenance=f"reweighted_dual(level={lvl})",
                 objective=obj,
             )
-    for fp in results:
-        acc.add_pair(fp)
+    acc.add_pairs(results)
     return acc

@@ -210,6 +210,21 @@ class InputError(ValueError):
     """Solver inputs violate a precondition (mismatched marginals, ...)."""
 
 
+def _frozen_plan(m: np.ndarray) -> np.ndarray:
+    """m, a float array, checked to be a non-negative matrix, its solver dust
+    clipped and itself made read-only, all in place."""
+    if m.ndim != 2:
+        raise InputError("a transport plan is a matrix")
+    # one pass finds the minimum; NaN is not >= 0 either, and is left
+    # alone while any solver dust beside it is clipped
+    if m.size and not m.min() >= 0:
+        if np.any(m < -SUPPORT_TOL):
+            raise InputError("plan entries must be non-negative")
+        m[m < 0] = 0.0  # clip solver dust
+    m.setflags(write=False)
+    return m
+
+
 @dataclass(frozen=True)
 class TransportPlan:
     """Sub-coupling matrix; rows ship mass from x-atoms, columns to y-atoms."""
@@ -217,17 +232,16 @@ class TransportPlan:
     mass: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.mass, dtype=float)  # our own copy, made read-only below
-        if m.ndim != 2:
-            raise InputError("a transport plan is a matrix")
-        # one pass finds the minimum; NaN is not >= 0 either, and is left
-        # alone while any solver dust beside it is clipped
-        if m.size and not m.min() >= 0:
-            if np.any(m < -SUPPORT_TOL):
-                raise InputError("plan entries must be non-negative")
-            m[m < 0] = 0.0  # clip solver dust
-        m.setflags(write=False)
-        object.__setattr__(self, "mass", m)
+        # our own copy, so the caller's array is neither frozen nor shared
+        object.__setattr__(self, "mass", _frozen_plan(np.array(self.mass, dtype=float)))
+
+    @classmethod
+    def _own(cls, mass: np.ndarray) -> TransportPlan:
+        """The plan of a float matrix that the caller built and hands over:
+        checked, clipped and made read-only in place, with no copy."""
+        plan = object.__new__(cls)
+        object.__setattr__(plan, "mass", _frozen_plan(mass))
+        return plan
 
     @property
     def row_sums(self) -> np.ndarray:
@@ -443,11 +457,31 @@ def _assignment_lp(
     the multipliers alpha, beta of the caps (_cap_potentials).
     _assignment_potentials runs the sweeps, and walks their forest from the
     first sweep when P_k is fully forced.
+
+    A cap within UNIFORM_RTOL of zero atoms (k = theta = 0, cap > 0) is
+    solved as the full problem, whose plan drops nothing and is feasible
+    for the cap, and its potentials (u, v) get the multipliers
+    alpha = max(0, max u) and beta = max(0, max v).  The pair is dual
+    feasible for the cap: the arcs are the full solve's, phi <= alpha and
+    psi <= beta by construction, and alpha, beta >= 0.  Its objective is
+    the value less cap*(alpha + beta), to rounding, which stays within
+    DUALITY_TOL when the costs are moderate.  Here u >= 0 is the least
+    fixed point of u_i = max of u_r + D_i,col[i] - D_r,col[i] over the rows
+    r with a finite arc into col[i] (see _assignment_potentials): the
+    heaviest path of at most n - 1 such steps, as the optimal plan leaves
+    no cycle of positive weight, each step the difference of two finite
+    entries.  So 0 <= u <= (n - 1)R with R = max - min of the finite
+    entries, and v_j, the least D_rj - u_r of column j, is at most the
+    largest finite entry c.  As cap <= UNIFORM_RTOL*w,
+    cap*(alpha + beta) <= UNIFORM_RTOL*n*w*(R + |c|), below
+    DUALITY_TOL = 1e5*UNIFORM_RTOL whenever the total mass n*w times
+    R + |c| is at most 1e5.
     """
     n = C.shape[0]
     w = float(a.sum()) / n
+    near_zero_cap = 0.0
     if not (k or theta):  # a cap within UNIFORM_RTOL of 0: the full solve
-        cap = None
+        near_zero_cap, cap = cap or 0.0, None
     finite = np.isfinite(C)
     D = np.where(finite, C, INF)
     low = _optimal_assignment(D, finite, k)
@@ -479,12 +513,22 @@ def _assignment_lp(
             # and a dummy-dummy arc carries cap that X leaves unused
             support[np.minimum(np.arange(col.size), n), np.minimum(col, n)] = True
     u, v = _assignment_potentials(E, support, forced)
+    potentials = _cap_potentials(u, v, a, b, cap)
+    if near_zero_cap:
+        alpha = max(0.0, float(potentials.phi.max()))
+        beta = max(0.0, float(potentials.psi.max()))
+        potentials = replace(
+            potentials,
+            objective=potentials.objective - near_zero_cap * (alpha + beta),
+            alpha=alpha,
+            beta=beta,
+        )
     return SolveReport(
         # (1 - theta)*V(k) + theta*V(k + 1); a 0.0 start would turn -0.0 to 0.0
         value=w * sum(parts[1:], parts[0]),
         status="optimal",
-        plan=TransportPlan(plan),
-        potentials=_cap_potentials(u, v, a, b, cap),
+        plan=TransportPlan._own(plan),
+        potentials=potentials,
         path="assignment",
     )
 
@@ -724,7 +768,7 @@ def _highs_lp(
             return SolveReport(
                 value=0.0,
                 status="optimal",
-                plan=TransportPlan(np.zeros((n, m))),
+                plan=TransportPlan._own(np.zeros((n, m))),
                 potentials=DualPotentials(np.zeros(n), np.zeros(m), 0.0),
             )
         return SolveReport(value=INF, status="infeasible_finite")
@@ -753,7 +797,7 @@ def _highs_lp(
     return SolveReport(
         value=float(res.fun),
         status="optimal",
-        plan=TransportPlan(plan[:n, :m]),
+        plan=TransportPlan._own(plan[:n, :m]),
         potentials=_cap_potentials(duals[:N], duals[N:], a[:n], b[:m], slack_cap),
     )
 

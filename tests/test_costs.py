@@ -338,6 +338,10 @@ def region_list(draw):
 
 
 class TestSlicePainting:
+    """Mask painting against point sampling.  The class keeps the name of the
+    rectangle slice painter it once checked, which is gone: every region is
+    now painted through its mask."""
+
     @given(case=region_list())
     @settings(max_examples=150, deadline=None)
     def test_matches_pointwise_sampling(self, case):

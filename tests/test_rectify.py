@@ -27,6 +27,7 @@ from gaplab.catalog import (
 from gaplab.rectify import (
     ARCS_PER_LP,
     PAIR_TOL,
+    _DEVEX,
     FeasiblePair,
     RectifiedAccumulator,
     ReweightPair,
@@ -65,16 +66,17 @@ def cost_classes(C):
 
 
 def class_lp_shape(C, marginals):
-    """(rows, columns) of the class-level dual LP over the blocks that have
-    two or more classes on both sides of their support."""
+    """(rows, columns) of the class-level transport LP over the blocks that
+    have two or more classes on both sides of their support: one row per
+    class and one column per support arc of the class-level blocks."""
     rcls, ccls = cost_classes(C)
     r, c = rcls.max() + 1, ccls.max() + 1
     rows = cols = 0
     for a, b in marginals:
         s, t = len(set(rcls[a > 0])), len(set(ccls[b > 0]))
         if s > 1 and t > 1:
-            rows += s * t
-            cols += r + c
+            rows += r + c
+            cols += s * t
     return rows, cols
 
 
@@ -331,7 +333,7 @@ class TestBatchedReweightedDuals:
         real = gaplab.rectify.linprog
 
         def spy(*args, **kwargs):
-            shapes.append(kwargs["A_ub"].shape)
+            shapes.append(kwargs["A_eq"].shape)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(gaplab.rectify, "linprog", spy)
@@ -339,7 +341,7 @@ class TestBatchedReweightedDuals:
         # one LP for the blocks with two or more classes on both sides, on
         # their class-level support arcs
         lp_shape = class_lp_shape(C, marginals)
-        assert shapes == ([lp_shape] if lp_shape[0] else [])
+        assert shapes == ([lp_shape] if lp_shape[1] else [])
         if kind == "fat_set":
             assert shapes == []
         for (S, T), (a, b), (phi, psi, obj) in zip(supports, marginals, solved):
@@ -374,7 +376,7 @@ class TestBatchedReweightedDuals:
         real = gaplab.rectify.linprog
 
         def spy(*args, **kwargs):
-            shapes.append(kwargs["A_ub"].shape)
+            shapes.append(kwargs["A_eq"].shape)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(gaplab.rectify, "linprog", spy)
@@ -388,7 +390,7 @@ class TestBatchedReweightedDuals:
         # blocks are all one-class needs no LP
         chunks = [marginals[s : s + per_lp] for s in range(0, len(marginals), per_lp)]
         expected = [class_lp_shape(C, chunk) for chunk in chunks]
-        return shapes, [shape for shape in expected if shape[0]]
+        return shapes, [shape for shape in expected if shape[1]]
 
     def test_rows_span_only_support_arcs_across_lps(self, monkeypatch):
         # the cost depends on x only: one column class, so no block needs an LP
@@ -399,16 +401,16 @@ class TestBatchedReweightedDuals:
         # an 8 x 8 cell table at n = 32: eight twin rows and columns a class
         shapes, expected = self._split_across_lps(random_finite(4, 8), monkeypatch)
         assert shapes == expected and len(shapes) == 3
-        assert all(cols % (8 + 8) == 0 for _, cols in shapes)
+        assert all(rows % (8 + 8) == 0 for rows, _ in shapes)
 
     def test_empty_batch(self):
         assert _batched_reweighted_duals(np.zeros((3, 3)), []) == []
 
 
 class TestCostClassReductions:
-    """The batched dual LP runs on classes of twin rows and columns, skips
-    the blocks with one class on a side and boxes its columns; every block
-    must still be optimal and exactly feasible."""
+    """The batched transport LP runs on classes of twin rows and columns and
+    skips the blocks with one class on a side; every block must still be
+    optimal and exactly feasible."""
 
     @staticmethod
     def _cost(kind, n):
@@ -528,14 +530,14 @@ class TestCostClassReductions:
         assert len(slacks) == 100 and max(slacks) <= 0.0
         assert np.all(acc.lower_envelope <= acc.C)
 
-    def test_class_lp_is_boxed_without_presolve(self, monkeypatch):
+    def test_class_lp_is_scaled_devex_without_presolve(self, monkeypatch):
         import gaplab.rectify
 
         calls = []
         real = gaplab.rectify.linprog
 
         def spy(*args, **kwargs):
-            calls.append(kwargs)
+            calls.append((args, kwargs))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(gaplab.rectify, "linprog", spy)
@@ -543,18 +545,30 @@ class TestCostClassReductions:
         C = self._cost("copied", n)
         marginals = TestBatchedReweightedDuals._marginals(n, 5, seed=1)
         solved = _batched_reweighted_duals(C, marginals)
-        (kwargs,) = calls
+        (((cost,), kwargs),) = calls
         assert kwargs["options"]["presolve"] is False
+        assert kwargs["options"]["simplex_dual_edge_weight_strategy"] == _DEVEX
+        # no bounds but the default x >= 0: nothing is boxed
+        assert "bounds" not in kwargs and "A_ub" not in kwargs
         rcls, ccls = cost_classes(C)
         r, c = rcls.max() + 1, ccls.max() + 1
         assert (r, c) == (n - 2, n - 1)
         # posed at the power of two that brings max |C| into [1/2, 1)
         scale = 2.0 ** -np.frexp(np.abs(C).max())[1]
-        assert 0.5 <= np.abs(kwargs["b_ub"]).max() < 1.0
-        lo, hi = C.min() * scale, C.max() * scale
-        box = np.asarray(kwargs["bounds"]).reshape(-1, r + c, 2)
-        assert np.all(box[:, :r] == (lo, hi))
-        assert np.all(box[:, r:] == (lo - hi, 0.0))
+        assert 0.5 <= np.abs(cost).max() < 1.0
+        assert np.all(np.isin(cost, C * scale))
+        # one equality row per class, the class masses on the right-hand
+        # side (the classes in some order: sorted, each side matches)
+        masses = [
+            (np.bincount(rcls, a, r), np.bincount(ccls, b, c))
+            for a, b in marginals
+            if len(set(rcls[a > 0])) > 1 and len(set(ccls[b > 0])) > 1
+        ]
+        b_eq = kwargs["b_eq"].reshape(len(masses), r + c)
+        for row, (A, B) in zip(b_eq, masses):
+            assert np.allclose(np.sort(row[:r]), np.sort(A), rtol=0.0, atol=1e-15)
+            assert np.allclose(np.sort(row[r:]), np.sort(B), rtol=0.0, atol=1e-15)
+        assert kwargs["A_eq"].shape == (len(masses) * (r + c), cost.size)
         for (a, b), (phi, psi, obj) in zip(marginals, solved):
             ref = solve_primal(C, DiscreteMeasure(a), DiscreteMeasure(b)).value
             assert abs(obj - ref) <= 1e-9
@@ -587,6 +601,100 @@ class TestBoxPairs:
         ranges = dyadic_index_ranges(6)
         assert (0, 6) in ranges
         assert all((i, i + 1) in ranges for i in range(6))
+
+
+class TestAddPairs:
+    """One add_pairs call against one add_pair call per pair."""
+
+    @staticmethod
+    def _pairs(C):
+        """Signed-zero pairs, the dyadic box pairs and reweighted optimizers
+        of C, interleaved so that ties fall on either side of a chunk."""
+        n, m = C.shape
+        zero = [
+            FeasiblePair(np.zeros(n), np.zeros(m), "zero_pair"),
+            FeasiblePair(np.full(n, -0.0), np.full(m, -0.0), "user"),
+        ]
+        marginals = TestBatchedReweightedDuals._marginals(n, 9, seed=n)
+        solved = [
+            FeasiblePair(phi, psi, "reweighted_dual(level=2)", obj)
+            for phi, psi, obj in _batched_reweighted_duals(truncate_cost(C, 2), marginals)
+        ]
+        boxes = box_infimum_pairs(C)
+        # the last -0.0 pair ties a 0.0 already in the envelope
+        return zero + boxes[::2] + solved + zero + boxes[1::2] + zero[1:]
+
+    @staticmethod
+    def _state(acc):
+        return (
+            acc.lower_envelope.tobytes(),
+            acc.log,
+            list(acc.provenance_counts.items()),
+            acc.pair_count,
+        )
+
+    @staticmethod
+    def _fold(C, pairs):
+        """The state after the pairs, one at a time, written out: a running
+        np.maximum with -0.0 turned to 0.0, and one log row per pair."""
+        env = np.full(C.shape, -INF)
+        counts = {}
+        for pair in pairs:
+            env = np.maximum(env, pair.tensor()) + 0.0
+            key = pair.provenance.split("(")[0]
+            counts[key] = counts.get(key, 0) + 1
+        log = [(p.provenance, float(p.objective), p.feasibility_slack(C)) for p in pairs]
+        return env.tobytes(), log, list(counts.items()), len(pairs)
+
+    @pytest.mark.parametrize(
+        "name, n, per_chunk",
+        [("diag_inf", 32, None), ("diag_inf", 4, 3), ("fat_set", 8, 7), ("trivial_zero", 5, 1)],
+    )
+    def test_batch_equals_one_add_per_pair(self, name, n, per_chunk, monkeypatch):
+        import gaplab.rectify
+
+        C = discretize(get_instance(name), n)[0]
+        if per_chunk is not None:
+            monkeypatch.setattr(gaplab.rectify, "ENTRIES_PER_BATCH", per_chunk * C.size)
+        pairs = self._pairs(C)
+        # the default chunk of 2^15 entries holds 32 pairs at n = 32
+        assert len(pairs) > 2 * max(1, gaplab.rectify.ENTRIES_PER_BATCH // C.size)
+        one, batch = RectifiedAccumulator(C), RectifiedAccumulator(C)
+        for pair in pairs:
+            one.add_pair(pair)
+        batch.add_pairs(pairs)
+        assert self._state(batch) == self._state(one) == self._fold(C, pairs)
+        assert not np.signbit(batch.lower_envelope[batch.lower_envelope == 0]).any()
+
+    @pytest.mark.parametrize("bad", ["nan", "infeasible", "nan_on_forbidden"])
+    def test_bad_pair_inside_a_batch(self, bad, monkeypatch):
+        import gaplab.rectify
+
+        C = np.array([[INF, INF, INF], [0.0, 1.0, 2.0], [1.0, 0.0, 1.0]])
+        monkeypatch.setattr(gaplab.rectify, "ENTRIES_PER_BATCH", 3 * C.size)
+        pairs = box_infimum_pairs(C)
+        phi, psi = np.full(3, -5.0), np.zeros(3)
+        if bad == "nan":
+            phi[1] = np.nan
+        elif bad == "infeasible":
+            phi[2] = 1.0 + 2 * PAIR_TOL
+        else:
+            phi[0] = np.nan  # row 0 is forbidden: the slack cannot see it
+        at = 4  # the second pair of the second chunk
+        batch = pairs[:at] + [FeasiblePair(phi, psi, "user")] + pairs[at:]
+        acc, ref = RectifiedAccumulator(C), RectifiedAccumulator(C)
+        with pytest.raises(InputError):
+            acc.add_pairs(batch)
+        for pair in pairs[:at]:
+            ref.add_pair(pair)
+        # the pairs before the bad one are in, the rest are not
+        assert TestAddPairs._state(acc) == TestAddPairs._state(ref)
+        assert acc.pair_count == at and not np.isnan(acc.lower_envelope).any()
+
+    def test_empty_batch(self):
+        acc = RectifiedAccumulator(np.zeros((2, 2)))
+        acc.add_pairs([])
+        assert acc.pair_count == 0 and np.all(acc.lower_envelope == -INF)
 
 
 class TestGenerativeRectify:

@@ -187,6 +187,38 @@ class TestComplementarySlackness:
         assert {(i, j) for i, j, _ in violations} == {(0, 0), (1, 1)}
 
 
+class TestTransportPlanOwnership:
+    def test_public_constructor_copies(self):
+        # the caller's array is neither frozen, aliased nor clipped
+        arr = np.array([[0.5, -1e-14], [0.0, 0.5]])
+        plan = TransportPlan(arr)
+        assert not np.shares_memory(plan.mass, arr)
+        assert arr.flags.writeable and not plan.mass.flags.writeable
+        assert plan.mass[0, 1] == 0.0 and arr[0, 1] == -1e-14
+
+    def test_solver_plans_are_taken_without_a_copy(self, monkeypatch):
+        def copy(plan):
+            raise AssertionError("the solver copied a plan it built")
+
+        C, mu, nu = discretize(diag_inf(), 8)
+        monkeypatch.setattr(TransportPlan, "__post_init__", copy)
+        for r in (
+            solve_primal(C, mu, nu),
+            solve_partial(C, mu, nu, 0.5 / 8),
+            _highs_lp(C, mu.weights, nu.weights),
+            _highs_lp(C, mu.weights, nu.weights, 1 / 8),
+            _highs_lp(np.full((2, 2), INF), np.zeros(2), np.zeros(2)),
+        ):
+            assert r.status == "optimal" and not r.plan.mass.flags.writeable
+
+    def test_private_constructor_takes_the_array(self):
+        arr = np.array([[0.5, -1e-14], [0.0, 0.5]])
+        plan = TransportPlan._own(arr)
+        assert plan.mass is arr and not arr.flags.writeable and arr[0, 1] == 0.0
+        with pytest.raises(InputError):
+            TransportPlan._own(np.array([[-1.0]]))
+
+
 class TestSolvePartial:
     def test_eps_zero_equals_primal(self):
         C, mu, nu = discretize(diag_inf(), 4)
@@ -405,16 +437,20 @@ class TestAssignmentPath:
         assert _cross_check(C, uniform(3), uniform(3), 1).value == pytest.approx(0.0)
 
     def test_cap_within_rtol_of_no_atom_is_the_full_solve(self):
-        # k = theta = 0: the report is the full solve's, to the bit
+        # k = theta = 0: the report is the full solve's, to the bit, but for
+        # the cap multipliers, which bound phi and psi, and their cap term
         C, mu, nu = discretize(get_instance("random_finite", seed=4, n=8), 8)
         full = solve_primal(C, mu, nu)
         r = solve_partial(C, mu, nu, 1e-15)
         assert r.path == "assignment"
         assert r.value == full.value
         assert np.array_equal(r.plan.mass, full.plan.mass)
-        assert np.array_equal(r.potentials.phi, full.potentials.phi)
-        assert np.array_equal(r.potentials.psi, full.potentials.psi)
-        assert r.potentials.objective == full.potentials.objective
+        p = r.potentials
+        assert np.array_equal(p.phi, full.potentials.phi)
+        assert np.array_equal(p.psi, full.potentials.psi)
+        assert (p.alpha, p.beta) == (max(0.0, p.phi.max()), max(0.0, p.psi.max()))
+        assert p.alpha > 0 and p.beta > 0  # phi.max() = 0.134 here
+        assert p.objective == full.potentials.objective - 1e-15 * (p.alpha + p.beta)
 
     def test_eps_at_or_above_total_mass(self):
         rng = np.random.default_rng(3)
@@ -539,6 +575,27 @@ class TestPartialDualObjective:
         _check_partial_dual(r, C, a, a, k / 6)
         ref = _highs_lp(C, a, a, k / 6)
         _check_partial_dual(ref, C, a, a, k / 6)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_near_zero_cap_is_certified(self, name, n):
+        # a cap within UNIFORM_RTOL of zero atoms is solved as the full
+        # problem; its alpha and beta must still bound phi and psi
+        C, mu, nu = discretize(get_instance(name), n)
+        w = 1.0 / n
+        for eps in (1e-15, 1e-13 * w, 1e-12 * w):
+            r = solve_partial(C, mu, nu, eps)
+            assert r.path == "assignment"
+            if r.status != "optimal":
+                continue
+            p = r.potentials
+            bound = partial_dual_objective(
+                C, mu.weights, nu.weights, eps, p.phi, p.psi, p.alpha, p.beta
+            )
+            assert math.isfinite(bound)
+            assert abs(bound - r.value) <= DUALITY_TOL
+            assert abs(p.objective - r.value) <= DUALITY_TOL
+            assert p.alpha >= max(0.0, p.phi.max()) and p.beta >= max(0.0, p.psi.max())
 
     @given(
         seed=st.integers(0, 10_000),
@@ -1121,12 +1178,15 @@ def _posed_lps(monkeypatch, module, run):
     return calls
 
 
-def _same_as_scipy(c, kwargs):
+def _same_as_scipy(c, kwargs, scipy_options=None):
     """gaplab's HiGHS entry and scipy.optimize.linprog agree to the bit on
-    one LP; returns the status."""
+    one LP; returns the status.  ``scipy_options`` replaces the options
+    where scipy names a HiGHS option value that gaplab passes as HiGHS's."""
     from scipy.optimize import linprog as scipy_linprog
 
     ours = solver.linprog(c, **kwargs)
+    if scipy_options is not None:
+        kwargs = {**kwargs, "options": scipy_options}
     ref = scipy_linprog(c, method="highs", **kwargs)
     assert ours.status == ref.status, (ours.message, ref.message)
     assert ours.nit == ref.nit
@@ -1198,7 +1258,7 @@ class TestHighsEntry:
         assert _highs_lp(C, a, b).status == "infeasible_finite"
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_boxed_class_lp_of_reweighted_duals(self, monkeypatch, seed):
+    def test_class_transport_lp_of_reweighted_duals(self, monkeypatch, seed):
         import gaplab.rectify
 
         n = 5 + seed
@@ -1214,9 +1274,14 @@ class TestHighsEntry:
             gaplab.rectify,
             lambda: gaplab.rectify._batched_reweighted_duals(C, marginals),
         )
+        assert calls
         for c, kwargs in calls:
-            assert "A_eq" not in kwargs
-            assert _same_as_scipy(c, kwargs) == 0
+            assert "A_ub" not in kwargs and "bounds" not in kwargs
+            # scipy names HiGHS's dual edge-weight strategy 1 "devex"
+            options = kwargs["options"]
+            assert options["simplex_dual_edge_weight_strategy"] == 1
+            devex = {**options, "simplex_dual_edge_weight_strategy": "devex"}
+            assert _same_as_scipy(c, kwargs, devex) == 0
 
     def test_both_blocks_and_free_columns(self):
         # the rows of A_ub come before those of A_eq in the duals
