@@ -49,7 +49,6 @@ from .costs import (
     max_finite_entry,
     plan_cost,
     sample_cost,
-    truncate_cost,
     whole_square,
 )
 from .instance import (
@@ -80,13 +79,10 @@ from .plans import (
 from .rectify import (
     FeasiblePair,
     RectifiedAccumulator,
-    ReweightPair,
     box_infimum_pairs,
     envelope_matrix,
     generative_rectify,
     pointwise_dual_envelope,
-    reweighted_dual_optimizer,
-    sample_reweight_pair,
 )
 from .solver import (
     DualPotentials,

@@ -410,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rectify", help="generative envelope accumulation")
     _add_common(p)
     p.add_argument("--n", "--n-range", dest="n", required=True)
-    p.add_argument("--budget", type=int, default=200)
+    p.add_argument("--budget", type=int, default=200, help="accepted; has no effect")
 
     p = sub.add_parser("negligible", help="L-negligibility verdict + mass trend")
     p.add_argument("set", help='descriptor: diagonal | qxq | "segment y=.. x=[..]" | file.json')

@@ -403,14 +403,6 @@ def _outside_fractions(intervals, n: int) -> np.ndarray:
     return np.maximum((hi - lo) - covered, 0.0) / (hi - lo)
 
 
-def truncate_cost(C: np.ndarray, level: int) -> np.ndarray:
-    """min(C, level) entrywise: +inf maps to the level, and entries below
-    it, negative ones included, stay as they are."""
-    if level < 1:
-        raise ValueError(f"truncation level must be a positive integer, got {level}")
-    return np.minimum(np.asarray(C, dtype=float), float(level))
-
-
 def plan_cost(C: np.ndarray, pi: np.ndarray) -> float:
     """Integral of the cost against a plan with the inf * 0 = 0 convention."""
     C = np.asarray(C, dtype=float)

@@ -315,32 +315,15 @@ class TestRectify:
         assert float(row[5]) == 0.0  # sup gap
 
     def test_cost_near_the_float_limit_exits(self):
-        # 2 * top overflowed to inf and the truncation ladder never ended
+        # a loop bounded by 2 * top once never ended, and finite potentials
+        # off a box pair's box overflowed with a RuntimeWarning
         proc = run_process(
             "rectify", "--catalog", "diag_M", "--M", "1e308", "--n", "4", "--budget", "1"
         )
         assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
         row = proc.stdout.strip().splitlines()[1].split(",")
-        assert row[0] == "diag_M_1e+308" and row[4] == "51"
-
-    def test_only_ladder_levels_that_drew_a_pair_are_solved(self, tmp_path, monkeypatch):
-        # 1,024 ladder levels and a budget of one: one level drew a pair
-        import gaplab.rectify
-
-        calls = []
-        real = gaplab.rectify._batched_reweighted_duals
-
-        def spy(C, marginals):
-            calls.append(len(marginals))
-            return real(C, marginals)
-
-        monkeypatch.setattr(gaplab.rectify, "_batched_reweighted_duals", spy)
-        code, text = run(
-            tmp_path, "rectify", "--catalog", "diag_M", "--M", "1e308", "--n", "4",
-            "--budget", "1",
-        )
-        assert code == 0 and text.splitlines()[1].split(",")[4] == "51"
-        assert calls == [1]
+        assert row[0] == "diag_M_1e+308" and row[4] == "50"
 
     def test_diag_budget_200_writes_artifacts(self, tmp_path):
         out = tmp_path / "rect.csv"
@@ -355,7 +338,7 @@ class TestRectify:
         assert len(env) == 5  # header + 4 rows
         pairs = (tmp_path / "rect.pairs.csv").read_text().strip().splitlines()
         assert pairs[0] == "provenance,objective,feasibility_slack"
-        assert len(pairs) == 1 + 1 + 49 + 200  # header, zero pair, boxes, budget
+        assert len(pairs) == 1 + 1 + 49  # header, zero pair, boxes
 
     def test_signed_zero_written_as_zero(self, tmp_path):
         # trivial_zero's envelope and pair objectives hold -0.0 entries

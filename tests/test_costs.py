@@ -1,4 +1,4 @@
-"""Descriptor sampling, grid realization, truncation and plan integrals."""
+"""Descriptor sampling, grid realization and plan integrals."""
 
 import json
 import math
@@ -22,12 +22,10 @@ from gaplab import (
     fat_set,
     plan_cost,
     sample_cost,
-    truncate_cost,
     whole_square,
 )
 from gaplab.catalog import (
     catalog,
-    diag_M,
     excluded_intervals,
     fat_set_alpha,
     random_finite,
@@ -162,40 +160,6 @@ class TestDiscretize:
         )
         grid = Grid(n)
         assert abs(spec.cell_weights(grid).sum() - 1.0) <= 1e-12
-
-
-class TestTruncate:
-    def test_clamps_infinity(self):
-        C = np.array([[1.0, INF], [0.0, 1.0]])
-        assert np.array_equal(truncate_cost(C, 2), [[1.0, 2.0], [0.0, 1.0]])
-
-    def test_identity_when_level_dominates(self):
-        # negative entries are not clamped to 0
-        C = np.array([[1.0, 3.0], [-2.5, 2.0]])
-        assert np.array_equal(truncate_cost(C, 5), C)
-
-    def test_matches_finite_variant_descriptor(self):
-        C, _, _ = discretize(diag_inf(), 4)
-        CM, _, _ = discretize(diag_M(2.0), 4)
-        assert np.array_equal(truncate_cost(C, 2), CM)
-
-    def test_idempotent_at_higher_level(self):
-        C = np.array([[1.0, INF], [0.0, 4.0]])
-        t2 = truncate_cost(C, 2)
-        assert np.array_equal(truncate_cost(t2, 3), t2)
-
-    @given(
-        level1=st.integers(1, 5),
-        level2=st.integers(1, 5),
-        vals=st.lists(
-            st.one_of(st.floats(0, 10), st.just(INF)), min_size=4, max_size=4
-        ),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_monotone_in_level(self, level1, level2, vals):
-        lo, hi = sorted((level1, level2))
-        C = np.array(vals).reshape(2, 2)
-        assert np.all(truncate_cost(C, lo) <= truncate_cost(C, hi))
 
 
 class TestPlanCost:

@@ -1178,15 +1178,12 @@ def _posed_lps(monkeypatch, module, run):
     return calls
 
 
-def _same_as_scipy(c, kwargs, scipy_options=None):
+def _same_as_scipy(c, kwargs):
     """gaplab's HiGHS entry and scipy.optimize.linprog agree to the bit on
-    one LP; returns the status.  ``scipy_options`` replaces the options
-    where scipy names a HiGHS option value that gaplab passes as HiGHS's."""
+    one LP; returns the status."""
     from scipy.optimize import linprog as scipy_linprog
 
     ours = solver.linprog(c, **kwargs)
-    if scipy_options is not None:
-        kwargs = {**kwargs, "options": scipy_options}
     ref = scipy_linprog(c, method="highs", **kwargs)
     assert ours.status == ref.status, (ours.message, ref.message)
     assert ours.nit == ref.nit
@@ -1256,32 +1253,6 @@ class TestHighsEntry:
         ((c, kwargs),) = _posed_lps(monkeypatch, solver, lambda: _highs_lp(C, a, b))
         assert _same_as_scipy(c, kwargs) == 2
         assert _highs_lp(C, a, b).status == "infeasible_finite"
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_class_transport_lp_of_reweighted_duals(self, monkeypatch, seed):
-        import gaplab.rectify
-
-        n = 5 + seed
-        rng = np.random.default_rng(seed)
-        C = rng.integers(0, 4, size=(n, n)).astype(float)
-        C[:, 1] = C[:, 0]  # twin columns share a class
-        marginals = [
-            (w / w.sum(), v / v.sum())
-            for w, v in rng.uniform(0.1, 1.0, size=(6, 2, n))
-        ]
-        calls = _posed_lps(
-            monkeypatch,
-            gaplab.rectify,
-            lambda: gaplab.rectify._batched_reweighted_duals(C, marginals),
-        )
-        assert calls
-        for c, kwargs in calls:
-            assert "A_ub" not in kwargs and "bounds" not in kwargs
-            # scipy names HiGHS's dual edge-weight strategy 1 "devex"
-            options = kwargs["options"]
-            assert options["simplex_dual_edge_weight_strategy"] == 1
-            devex = {**options, "simplex_dual_edge_weight_strategy": "devex"}
-            assert _same_as_scipy(c, kwargs, devex) == 0
 
     def test_both_blocks_and_free_columns(self):
         # the rows of A_ub come before those of A_eq in the duals
