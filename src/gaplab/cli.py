@@ -53,6 +53,14 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _emit(text: str, out) -> None:
+    """Write a report to the path ``out``, or to stdout when it is None."""
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        Path(out).write_text(text)
+
+
 def _write_rows(header, rows, out, fmt) -> None:
     if fmt == "json":
         payload = [dict(zip(header, row)) for row in rows]
@@ -64,10 +72,7 @@ def _write_rows(header, rows, out, fmt) -> None:
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
         text = buf.getvalue()
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+    _emit(text, out)
 
 
 def _parse_n_list(spec: str) -> list[int]:
@@ -281,11 +286,7 @@ def cmd_negligible(args) -> int:
     payload = verdict.to_json_dict()
     payload["set"] = args.set
     payload["max_plan_mass"] = [{"n": n, "mass": m} for n, m in masses]
-    text = json.dumps(payload, indent=2, default=_fmt) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
+    _emit(json.dumps(payload, indent=2, default=_fmt) + "\n", args.out)
     return EXIT_OK
 
 

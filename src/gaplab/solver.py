@@ -23,12 +23,14 @@ Every solve takes one of two paths, picked from the input alone:
   each component's block is its own assignment problem, and a one-row
   block is a forced arc that needs no solve (every arc on ``diag_inf``).
 * **highs** -- everything else (non-square C, unequal or zero weights) is a
-  linear program posed to HiGHS through the bindings scipy ships
-  (scipy.optimize._highspy, see ``linprog``), which is also the cross-check
-  of the first path.  Its constraint matrix is built in CSC form at every
-  size; no dense copy is made for small LPs.  A partial solve is posed the
-  assignment path's way, with one dummy row and one dummy column of mass
-  cap each, and solved as a full transport LP.
+  linear program in equality form, A_eq x = b_eq and x >= 0, posed to HiGHS
+  through the bindings scipy ships (scipy.optimize._highspy, see
+  ``linprog``), which is also the cross-check of the first path.  Its
+  constraint matrix is built in CSC form at every size; no dense copy is
+  made for small LPs.  A partial solve is posed the assignment path's way,
+  with one dummy row and one dummy column of mass cap each, and solved as a
+  full transport LP.  A cap whose share of an atom underflows to 0.0 is
+  solved here too.
 
 On both paths arcs with a non-finite cost are forbidden, so they can never
 carry mass, and infeasibility over the remaining arcs is exactly the
@@ -97,8 +99,8 @@ DUALITY_TOL = 1e-7
 _PLAIN_SWEEPS = 16
 
 #: relative spread allowed among equal weights, and between a slack cap and
-#: k times the weight, on the assignment path (n=7's cell weights differ by
-#: one ulp)
+#: k times the weight for k >= 1, on the assignment path (n=7's cell weights
+#: differ by one ulp); a cap below one atom is never rounded to 0
 UNIFORM_RTOL = 1e-12
 
 
@@ -112,24 +114,20 @@ _HIGHS_FIXED = {
 }
 
 
-def linprog(
-    c, *, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None), options=None
-):
-    """min c.x subject to A_ub x <= b_ub, A_eq x = b_eq and the column bounds,
-    posed to HiGHS through the bindings scipy ships.
+def linprog(c, *, A_eq, b_eq):
+    """min c.x subject to A_eq x = b_eq and x >= 0, posed to HiGHS through
+    the bindings scipy ships.
 
-    The model and the options are the ones scipy.optimize.linprog(method=
-    "highs") hands HiGHS: the rows of A_ub, then those of A_eq, as one CSC
-    matrix (passed as is when it is the only block and already CSC), +-inf
-    bounds as HiGHS's infinity, ``options`` (a boolean ``presolve`` as
-    "on"/"off") on top of _HIGHS_FIXED, so the solve is the same to the bit.
-    ``bounds`` is one (lo, hi) pair for every column or one pair per
-    column, None meaning unbounded.  The result carries scipy's status
-    codes (0 optimal, 2 infeasible or a malformed model, 3 unbounded, 4
-    anything else), ``message``, ``nit`` and, when optimal, ``x``, ``fun``
-    and the row duals as ``ineqlin.marginals`` and ``eqlin.marginals``;
-    scipy's bound multipliers and residuals are not computed.  scipy is
-    imported on the first call.
+    The model and the options are the ones scipy.optimize.linprog(c, A_eq=
+    A_eq, b_eq=b_eq, method="highs", options=_HIGHS_OPTS) hands HiGHS: A_eq
+    as a CSC matrix (passed as is when already CSC), both sides of each row
+    b_eq, column bounds 0 and HiGHS's infinity, and _HIGHS_OPTS on top of
+    _HIGHS_FIXED, so the solve is the same to the bit.  The result carries
+    scipy's status codes (0 optimal, 2 infeasible or a malformed model, 3
+    unbounded, 4 anything else), ``message``, ``nit`` and, when optimal,
+    ``x``, ``fun`` and the row duals as ``eqlin.marginals``; scipy's bound
+    multipliers and residuals are not computed.  scipy is imported on the
+    first call.
     """
     from scipy import sparse
     from scipy.optimize import OptimizeResult
@@ -137,31 +135,21 @@ def linprog(
 
     c = np.asarray(c, dtype=float)
     n = c.size
-    blocks = [A for A in (A_ub, A_eq) if A is not None] or [np.zeros((0, n))]
-    A = blocks[0] if len(blocks) == 1 else sparse.vstack(blocks, format="csc")
-    A = A.tocsc() if sparse.issparse(A) else sparse.csc_array(A)
-    n_ub = 0 if A_ub is None else A_ub.shape[0]
-    b_ub = np.asarray([] if b_ub is None else b_ub, dtype=float)
-    b_eq = np.asarray([] if b_eq is None else b_eq, dtype=float)
-    # None reads as NaN, which leaves that side unbounded, as in scipy
-    lb, ub = np.broadcast_to(np.array(bounds, dtype=float), (n, 2)).T
-    lb, ub = np.where(np.isnan(lb), -INF, lb), np.where(np.isnan(ub), INF, ub)
-    lhs = np.concatenate([np.full(n_ub, -INF), b_eq])
-    rhs = np.concatenate([b_ub, b_eq])
+    A = A_eq.tocsc() if sparse.issparse(A_eq) else sparse.csc_array(A_eq)
+    b_eq = np.asarray(b_eq, dtype=float)
     # HiGHS reads each array up to the sizes passed with it
-    if A.shape != (rhs.size, n) or lhs.size != rhs.size:
+    if A.shape != (b_eq.size, n):
         raise ValueError(
-            f"an LP with {n} columns and {lhs.size}/{rhs.size} rows got a "
-            f"{A.shape} constraint matrix"
+            f"an LP with {n} columns and {b_eq.size} rows got a {A.shape} "
+            "constraint matrix"
         )
 
     h = highs._Highs()
-    for key, val in {**_HIGHS_FIXED, **(options or {})}.items():
-        if key == "presolve" and isinstance(val, bool):
+    for key, val in {**_HIGHS_FIXED, **_HIGHS_OPTS}.items():
+        if key == "presolve":  # scipy's boolean, HiGHS's "on"/"off"
             val = "on" if val else "off"
         if h.setOptionValue(key, val) != highs.HighsStatus.kOk:
             raise ValueError(f"HiGHS rejects option {key}={val!r}")
-    inf = highs.kHighsInf
     # the array overload of passModel: a HighsLp's index vectors would be
     # converted one Python int at a time
     passed = h.passModel(
@@ -172,10 +160,10 @@ def linprog(
         int(highs.ObjSense.kMinimize),
         0.0,
         c,
-        np.clip(lb, -inf, inf),
-        np.clip(ub, -inf, inf),
-        np.clip(lhs, -inf, inf),
-        np.clip(rhs, -inf, inf),
+        np.zeros(n),
+        np.full(n, highs.kHighsInf),
+        b_eq,
+        b_eq,
         A.indptr,
         A.indices,
         A.data,
@@ -195,14 +183,12 @@ def linprog(
         nit=nit,
         x=None,
         fun=None,
-        ineqlin=OptimizeResult(marginals=None),
         eqlin=OptimizeResult(marginals=None),
     )
     if res.status == 0:
         sol = h.getSolution()
-        duals = np.array(sol.row_dual)
         res.x, res.fun = np.array(sol.col_value), info.objective_function_value
-        res.ineqlin.marginals, res.eqlin.marginals = duals[:n_ub], duals[n_ub:]
+        res.eqlin.marginals = np.array(sol.row_dual)
     return res
 
 
@@ -362,10 +348,11 @@ def _assignment_drops(
     when it is an assignment problem (C square, all weights one w > 0), else
     None.
 
-    A full solve drops (0, 0.0).  A cap within UNIFORM_RTOL of k*w drops
-    (k, 0.0), one assignment solve.  Any other cap below the total mass is
-    (k + theta)*w with k = floor(cap/w) and 0 < theta < 1, solved from the
-    optima that drop k and k + 1 atoms.
+    A full solve drops (0, 0.0).  A cap within UNIFORM_RTOL of k*w, k >= 1,
+    drops (k, 0.0), one assignment solve.  Any other cap up to the total
+    mass is (k + theta)*w with k = floor(cap/w) and 0 < theta < 1, solved
+    from the optima that drop k and k + 1 atoms; a cap below one atom is
+    k = 0 and theta = cap/w, however small (None when cap/w underflows).
     """
     n, m = C.shape
     w = _uniform_weight(a, b) if n == m else None
@@ -374,10 +361,13 @@ def _assignment_drops(
     if slack_cap is None:
         return 0, 0.0
     k = round(slack_cap / w)
-    if abs(slack_cap - k * w) <= UNIFORM_RTOL * max(slack_cap, w):
+    if k and abs(slack_cap - k * w) <= UNIFORM_RTOL * max(slack_cap, w):
         return k, 0.0
     k = math.floor(slack_cap / w)
-    return k, slack_cap / w - k
+    theta = slack_cap / w - k
+    # a cap so far below one atom that cap/w underflows to 0 has no mix to
+    # pose on the atom lattice: HiGHS takes it
+    return (k, theta) if k or theta else None
 
 
 def _uniform_weight(a: np.ndarray, b: np.ndarray) -> float | None:
@@ -425,9 +415,9 @@ def _assignment_lp(
 ) -> SolveReport:
     """Exact solve of a transport problem with n equal weights w that may drop
     cap = (k + theta)*w mass on each side, 0 <= theta < 1 (a full solve when
-    cap is None or k = theta = 0): the (1 - theta, theta) mix of the optima
-    P_k and P_k+1 that drop k and k + 1 atoms (P_k alone when theta = 0),
-    with potentials from the residual graph of the mix.
+    cap is None): the (1 - theta, theta) mix of the optima P_k and P_k+1
+    that drop k and k + 1 atoms (P_k alone when theta = 0), with potentials
+    from the residual graph of the mix.
 
     Value.  Pose the problem with one dummy row and one dummy column of mass
     cap (the HiGHS path's posing) and scale it by 1/w: a min-cost flow whose
@@ -457,31 +447,9 @@ def _assignment_lp(
     the multipliers alpha, beta of the caps (_cap_potentials).
     _assignment_potentials runs the sweeps, and walks their forest from the
     first sweep when P_k is fully forced.
-
-    A cap within UNIFORM_RTOL of zero atoms (k = theta = 0, cap > 0) is
-    solved as the full problem, whose plan drops nothing and is feasible
-    for the cap, and its potentials (u, v) get the multipliers
-    alpha = max(0, max u) and beta = max(0, max v).  The pair is dual
-    feasible for the cap: the arcs are the full solve's, phi <= alpha and
-    psi <= beta by construction, and alpha, beta >= 0.  Its objective is
-    the value less cap*(alpha + beta), to rounding, which stays within
-    DUALITY_TOL when the costs are moderate.  Here u >= 0 is the least
-    fixed point of u_i = max of u_r + D_i,col[i] - D_r,col[i] over the rows
-    r with a finite arc into col[i] (see _assignment_potentials): the
-    heaviest path of at most n - 1 such steps, as the optimal plan leaves
-    no cycle of positive weight, each step the difference of two finite
-    entries.  So 0 <= u <= (n - 1)R with R = max - min of the finite
-    entries, and v_j, the least D_rj - u_r of column j, is at most the
-    largest finite entry c.  As cap <= UNIFORM_RTOL*w,
-    cap*(alpha + beta) <= UNIFORM_RTOL*n*w*(R + |c|), below
-    DUALITY_TOL = 1e5*UNIFORM_RTOL whenever the total mass n*w times
-    R + |c| is at most 1e5.
     """
     n = C.shape[0]
     w = float(a.sum()) / n
-    near_zero_cap = 0.0
-    if not (k or theta):  # a cap within UNIFORM_RTOL of 0: the full solve
-        near_zero_cap, cap = cap or 0.0, None
     finite = np.isfinite(C)
     D = np.where(finite, C, INF)
     low = _optimal_assignment(D, finite, k)
@@ -513,22 +481,12 @@ def _assignment_lp(
             # and a dummy-dummy arc carries cap that X leaves unused
             support[np.minimum(np.arange(col.size), n), np.minimum(col, n)] = True
     u, v = _assignment_potentials(E, support, forced)
-    potentials = _cap_potentials(u, v, a, b, cap)
-    if near_zero_cap:
-        alpha = max(0.0, float(potentials.phi.max()))
-        beta = max(0.0, float(potentials.psi.max()))
-        potentials = replace(
-            potentials,
-            objective=potentials.objective - near_zero_cap * (alpha + beta),
-            alpha=alpha,
-            beta=beta,
-        )
     return SolveReport(
         # (1 - theta)*V(k) + theta*V(k + 1); a 0.0 start would turn -0.0 to 0.0
         value=w * sum(parts[1:], parts[0]),
         status="optimal",
         plan=TransportPlan._own(plan),
-        potentials=potentials,
+        potentials=_cap_potentials(u, v, a, b, cap),
         path="assignment",
     )
 
@@ -779,13 +737,7 @@ def _highs_lp(
     indices = np.stack([rows, N + cols], axis=1).ravel().astype(np.int32)
     indptr = np.arange(0, 2 * narc + 1, 2, dtype=np.int32)
     A_eq = sparse.csc_array((np.ones(2 * narc), indices, indptr), shape=(N + M, narc))
-    res = linprog(
-        C[rows, cols],
-        A_eq=A_eq,
-        b_eq=np.concatenate([a, b]),
-        bounds=(0, None),
-        options=_HIGHS_OPTS,
-    )
+    res = linprog(C[rows, cols], A_eq=A_eq, b_eq=np.concatenate([a, b]))
     if res.status == 2:  # infeasible over finite arcs
         return SolveReport(value=INF, status="infeasible_finite")
     if res.status != 0:

@@ -73,9 +73,10 @@ class TestSolvePrimal:
         bf, _ = brute_force_primal(*_shrink_to_3(C, mu, nu))
         assert bf == pytest.approx(solve_primal(*_shrink_to_3(C, mu, nu)).value, abs=1e-10)
 
-    def test_mismatched_totals_rejected(self):
-        with pytest.raises(InputError):
-            solve_primal(np.zeros((2, 2)), [0.5, 0.5], [0.4, 0.5])
+    @pytest.mark.parametrize("short", [0.1, 1e-6])
+    def test_mismatched_totals_rejected(self, short):
+        with pytest.raises(InputError, match="marginal totals differ"):
+            solve_primal(np.zeros((2, 2)), [0.5, 0.5], [0.5 - short, 0.5])
 
     def test_infeasible_over_finite_arcs(self):
         C = np.array([[0.0, INF], [INF, INF]])
@@ -135,6 +136,13 @@ class TestSolveDual:
         r = solve_dual(C, uniform(3), uniform(3))
         assert r.value == pytest.approx(0.0, abs=1e-12)
         assert r.potentials.feasibility_slack(C) <= 1e-9
+
+    def test_feasibility_slack_sees_one_violated_arc(self):
+        # phi + psi exceeds C by 0.25 on the finite arc (0, 1) only; the
+        # forbidden arc (1, 1) constrains nothing
+        C = np.array([[0.0, 1.0], [1.0, INF]])
+        p = DualPotentials(np.zeros(2), np.array([0.0, 1.25]), 0.0)
+        assert p.feasibility_slack(C) == 0.25
 
     def test_diagonal_grid_dual_matches_primal(self):
         # the grid LP has no duality gap; the continuum gap only appears
@@ -244,6 +252,13 @@ class TestSolvePartial:
         assert r.plan.is_subcoupling_of(mu, nu)
         assert r.plan.total >= 0.7 - 1e-12
 
+    def test_row_over_its_marginal_is_no_subcoupling(self):
+        mu = uniform(2)
+        assert TransportPlan(np.eye(2) / 2).is_subcoupling_of(mu, mu)
+        over = TransportPlan(np.diag([0.5 + 1e-9, 0.5]))
+        assert not over.is_subcoupling_of(mu, mu)
+        assert not TransportPlan(over.mass.T).is_subcoupling_of(mu, mu)
+
     def test_constant_one_cost_saves_exactly_eps(self):
         C, mu, nu = discretize(rational_nullmod(), 4)
         for eps in (0.1, 0.25, 0.5):
@@ -302,6 +317,16 @@ class TestRelaxedValue:
     def test_rejects_nan_in_the_schedule(self):
         with pytest.raises(InputError):
             relaxed_value(trivial_zero(), 4, [0.5, math.nan])
+
+    def test_a_falling_partial_value_raises(self, monkeypatch):
+        # a correct solver never trips this guard: P^eps only grows as eps
+        # shrinks, so a stub whose value is eps itself must
+        def stub(C, mu, nu, eps):
+            return SolveReport(value=eps, status="optimal")
+
+        monkeypatch.setattr(solver, "solve_partial", stub)
+        with pytest.raises(RuntimeError, match="partial value decreased"):
+            relaxed_value(trivial_zero(), 4, [0.5, 0.25])
 
 
 class TestNaNInputs:
@@ -436,21 +461,23 @@ class TestAssignmentPath:
         # dropping that row's atom (and one column's) makes it feasible
         assert _cross_check(C, uniform(3), uniform(3), 1).value == pytest.approx(0.0)
 
-    def test_cap_within_rtol_of_no_atom_is_the_full_solve(self):
-        # k = theta = 0: the report is the full solve's, to the bit, but for
-        # the cap multipliers, which bound phi and psi, and their cap term
+    def test_cap_below_one_atom_is_the_k0_mix(self):
+        # eps = 1e-15 is 8e-15 of an atom: k = 0, theta = 8e-15, certified
+        # by the residual graph of the mix like every other capped solve
         C, mu, nu = discretize(get_instance("random_finite", seed=4, n=8), 8)
-        full = solve_primal(C, mu, nu)
-        r = solve_partial(C, mu, nu, 1e-15)
+        eps = 1e-15
+        r = solve_partial(C, mu, nu, eps)
         assert r.path == "assignment"
-        assert r.value == full.value
-        assert np.array_equal(r.plan.mass, full.plan.mass)
-        p = r.potentials
-        assert np.array_equal(p.phi, full.potentials.phi)
-        assert np.array_equal(p.psi, full.potentials.psi)
-        assert (p.alpha, p.beta) == (max(0.0, p.phi.max()), max(0.0, p.psi.max()))
-        assert p.alpha > 0 and p.beta > 0  # phi.max() = 0.134 here
-        assert p.objective == full.potentials.objective - 1e-15 * (p.alpha + p.beta)
+        assert abs(r.value - _highs_lp(C, mu.weights, nu.weights, eps).value) <= 1e-12
+        assert abs(r.value - r.potentials.objective) <= 1e-15
+        _certified(r, C, mu, nu, eps)
+
+    def test_cap_whose_atom_share_underflows_goes_to_highs(self):
+        # 5e-324 / 2 rounds to 0.0: no mix to pose on the atom lattice
+        C, a = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([2.0, 2.0])
+        r = solve_partial(C, a, a, 5e-324)
+        assert r.path == "highs" and r.status == "optimal" and r.value == 0.0
+        assert r.potentials.feasibility_slack(C) <= 1e-9
 
     def test_eps_at_or_above_total_mass(self):
         rng = np.random.default_rng(3)
@@ -579,8 +606,8 @@ class TestPartialDualObjective:
     @pytest.mark.parametrize("n", [1, 2, 8, 64])
     @pytest.mark.parametrize("name", catalog_names())
     def test_near_zero_cap_is_certified(self, name, n):
-        # a cap within UNIFORM_RTOL of zero atoms is solved as the full
-        # problem; its alpha and beta must still bound phi and psi
+        # a cap within UNIFORM_RTOL of zero atoms is the k = 0 mix; its
+        # alpha and beta must bound phi and psi
         C, mu, nu = discretize(get_instance(name), n)
         w = 1.0 / n
         for eps in (1e-15, 1e-13 * w, 1e-12 * w):
@@ -1184,7 +1211,7 @@ def _same_as_scipy(c, kwargs):
     from scipy.optimize import linprog as scipy_linprog
 
     ours = solver.linprog(c, **kwargs)
-    ref = scipy_linprog(c, method="highs", **kwargs)
+    ref = scipy_linprog(c, method="highs", options=solver._HIGHS_OPTS, **kwargs)
     assert ours.status == ref.status, (ours.message, ref.message)
     assert ours.nit == ref.nit
     if ref.status != 0:
@@ -1192,9 +1219,8 @@ def _same_as_scipy(c, kwargs):
         return ref.status
     assert ours.x.tobytes() == ref.x.tobytes()  # signs of zero included
     assert np.float64(ours.fun).tobytes() == np.float64(ref.fun).tobytes()
-    for part in ("eqlin", "ineqlin"):
-        mine, theirs = ours[part].marginals, ref[part].marginals
-        assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+    mine, theirs = ours.eqlin.marginals, ref.eqlin.marginals
+    assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
     return 0
 
 
@@ -1254,31 +1280,10 @@ class TestHighsEntry:
         assert _same_as_scipy(c, kwargs) == 2
         assert _highs_lp(C, a, b).status == "infeasible_finite"
 
-    def test_both_blocks_and_free_columns(self):
-        # the rows of A_ub come before those of A_eq in the duals
-        rng = np.random.default_rng(1)
-        A_ub, A_eq = rng.uniform(0, 1, (3, 5)), rng.uniform(0, 1, (2, 5))
-        kwargs = dict(
-            A_ub=A_ub,
-            b_ub=np.ones(3),
-            A_eq=A_eq,
-            b_eq=np.full(2, 0.5),
-            bounds=[(None, 1.0), (0, None), (-1.0, 1.0), (0, 2.0), (None, None)],
-            options=solver._HIGHS_OPTS,
-        )
-        assert _same_as_scipy(rng.uniform(-1, 1, 5), kwargs) == 0
-        # a free column with a negative cost and no row to stop it
-        kwargs = dict(A_ub=np.array([[1.0, 0.0]]), b_ub=[1.0], bounds=(None, None))
-        assert _same_as_scipy(np.array([-1.0, -1.0]), kwargs) == 3
-
     def test_mismatched_sizes_raise(self):
         # HiGHS would read past the end of a short array
         A = np.eye(2)
         with pytest.raises(ValueError):
             solver.linprog(np.ones(2), A_eq=A, b_eq=np.ones(1))
         with pytest.raises(ValueError):
-            solver.linprog(np.ones(3), A_ub=A, b_ub=np.ones(2))
-        with pytest.raises(ValueError):
-            solver.linprog(np.ones(2), A_ub=A, b_ub=np.ones(3), A_eq=A, b_eq=np.ones(1))
-        with pytest.raises(ValueError):
-            solver.linprog(np.ones(2), A_eq=A, b_eq=np.ones(2), bounds=[(0, 1)] * 3)
+            solver.linprog(np.ones(3), A_eq=A, b_eq=np.ones(2))
