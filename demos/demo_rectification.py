@@ -5,10 +5,11 @@ Two computable faces of the same object:
 * the pointwise envelope asks, per grid entry, how high a feasible dual
   pair can reach; on any full-support finite grid that is the cost itself,
   and it diverges exactly on the forbidden entries;
-* the generative route accumulates explicit feasible pairs (the zero pair
-  and one box-infimum pair per dyadic index box) and takes their pointwise
-  supremum; the singleton boxes already reach the cost on every finite
-  entry, and the forbidden entries end one above the largest finite one.
+* the generative route takes the pointwise supremum of feasible pairs (the
+  zero pair and one box-infimum pair per dyadic index box), read off one
+  table of box minima without building the pairs; the singleton boxes
+  already reach the cost on every finite entry, and the forbidden entries
+  end one above the largest finite one.
 
 Swapping the cost for its attached rectification (0 on and below the
 diagonal) closes the duality gap: the rectified primal is 0, which is the

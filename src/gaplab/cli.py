@@ -46,9 +46,7 @@ EXIT_NO_TARGET = 4
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        if np.isinf(v):
-            return "inf" if v > 0 else "-inf"
+    if isinstance(v, float):  # .12g writes inf, -inf and nan as they are
         return f"{v + 0.0:.12g}"  # + 0.0 turns -0.0 into 0.0: no "-0" in reports
     return str(v)
 
@@ -197,7 +195,6 @@ def cmd_rectify(args) -> int:
     acc = generative_rectify(inst, n, budget=args.budget, rng_seed=args.seed)
     base = Path(args.out) if args.out else None
 
-    env_rows = [tuple(row) for row in acc.lower_envelope]
     prov = sorted(acc.provenance_counts.items())
     summary = [
         (
@@ -215,7 +212,7 @@ def cmd_rectify(args) -> int:
     if base is not None:
         _write_rows(
             [f"c{j}" for j in range(n)],
-            env_rows,
+            acc.lower_envelope.tolist(),
             base.with_suffix(".envelope.csv"),
             "csv",
         )

@@ -431,3 +431,16 @@ def partial_lp_slack(C, a, b, cap):
     if res.status != 0:
         raise RuntimeError(f"slack-column partial LP failed: {res.message}")
     return float(res.fun)
+
+
+def pair_by_pair_rectify(C):
+    """The generative envelope of C built from explicit pairs: the zero pair,
+    then every dyadic box-infimum pair, one ``add_pair`` at a time."""
+    from gaplab.rectify import FeasiblePair, RectifiedAccumulator, box_infimum_pairs
+
+    n, m = np.shape(C)
+    acc = RectifiedAccumulator(C)
+    acc.add_pair(FeasiblePair(np.zeros(n), np.zeros(m), "zero_pair", 0.0))
+    for pair in box_infimum_pairs(C):
+        acc.add_pair(pair)
+    return acc

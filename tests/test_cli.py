@@ -12,9 +12,11 @@ import pytest
 import gaplab
 import gaplab.cli
 from gaplab import save_instance
-from gaplab.catalog import diag_inf
-from gaplab.cli import _fmt, main, parse_set_descriptor
+from gaplab.catalog import diag_inf, get_instance
+from gaplab.cli import _fmt, _write_rows, main, parse_set_descriptor
 from gaplab.core import ConfigurationError
+
+from _oracles import pair_by_pair_rectify
 
 
 def run_process(*argv):
@@ -355,6 +357,56 @@ class TestRectify:
             assert "-0" not in fields, path.name
         env = out.with_suffix(".envelope.csv").read_text().splitlines()
         assert env[1:] == ["0,0,0,0"] * 4
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (float("inf"), "inf"),
+            (float("-inf"), "-inf"),
+            (np.float64("-inf"), "-inf"),
+            (float("nan"), "nan"),
+            (np.float64("nan"), "nan"),
+            (-0.0, "0"),
+            (np.float64(-0.0), "0"),
+            (np.float64(0.1) + 0.2, "0.3"),
+            (1 / 3, "0.333333333333"),
+            (7, "7"),
+            (np.int64(-7), "-7"),
+            (True, "True"),
+        ],
+    )
+    def test_fmt(self, value, text):
+        assert _fmt(value) == text
+
+    @pytest.mark.parametrize("n", [1, 3, 32])
+    @pytest.mark.parametrize("name", ["diag_inf", "fat_set", "trivial_zero", "random_finite"])
+    def test_reports_equal_the_pair_by_pair_fold(self, tmp_path, name, n):
+        out = tmp_path / "rect.csv"
+        main(["rectify", "--catalog", name, "--n", str(n), "--seed", "5", "--out", str(out)])
+        inst = get_instance(name, seed=5)
+        acc = pair_by_pair_rectify(gaplab.discretize(inst, n)[0])
+        prov = ";".join(f"{k}:{v}" for k, v in sorted(acc.provenance_counts.items()))
+        ref = tmp_path / "ref.csv"
+        _write_rows(
+            ["instance", "n", "budget", "seed", "pairs", "sup_gap_finite", "provenance"],
+            [(inst.name, n, 200, 5, acc.pair_count, acc.sup_gap_finite(), prov)],
+            ref,
+            "csv",
+        )
+        _write_rows(
+            [f"c{j}" for j in range(n)],
+            [tuple(row) for row in acc.lower_envelope],
+            ref.with_suffix(".envelope.csv"),
+            "csv",
+        )
+        _write_rows(
+            ["provenance", "objective", "feasibility_slack"],
+            acc.log,
+            ref.with_suffix(".pairs.csv"),
+            "csv",
+        )
+        for suffix in (".csv", ".envelope.csv", ".pairs.csv"):
+            assert out.with_suffix(suffix).read_bytes() == ref.with_suffix(suffix).read_bytes()
 
     def test_determinism(self, tmp_path):
         args = ("rectify", "--catalog", "random_finite", "--catalog-n", "4",

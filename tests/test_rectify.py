@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaplab import (
     INF,
@@ -27,11 +29,12 @@ from gaplab.rectify import (
     PAIR_TOL,
     FeasiblePair,
     RectifiedAccumulator,
+    _box_minima,
     dyadic_index_ranges,
 )
 from gaplab.solver import InputError
 
-from _oracles import envelope_lp
+from _oracles import envelope_lp, pair_by_pair_rectify
 
 
 def uniform(n):
@@ -157,6 +160,31 @@ class TestBoxPairs:
         C, _, _ = discretize(diag_inf(), 4)
         for pair in box_infimum_pairs(C):
             assert pair.feasibility_slack(C) <= 1e-9
+
+    def test_empty_box_range_rejected(self):
+        with pytest.raises(InputError):
+            box_infimum_pairs(np.zeros((2, 2)), boxes=[((1, 1), (0, 2))])
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_box_minima_match_a_loop(self, data):
+        # non-square C with +inf entries, all-+inf rows and -0.0, against a
+        # per-box min over every range of each axis in a drawn order
+        n, m = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+        entry = st.one_of(st.sampled_from([0.0, -0.0, INF]), st.floats(0.0, 1e6))
+        C = np.array(data.draw(st.lists(entry, min_size=n * m, max_size=n * m)))
+        C = C.reshape(n, m)
+        C[data.draw(st.lists(st.integers(0, n - 1), max_size=2))] = INF
+        rows = data.draw(st.permutations([(a, b) for a in range(n) for b in range(a + 1, n + 1)]))
+        cols = data.draw(st.permutations([(a, b) for a in range(m) for b in range(a + 1, m + 1)]))
+        table, clamped = _box_minima(C, rows, cols)
+        assert table.shape == clamped.shape == (len(rows), len(cols))
+        top = max_finite_entry(C)
+        for r, (lo, hi) in enumerate(rows):
+            for c, (a, b) in enumerate(cols):
+                e = C[lo:hi, a:b].min()
+                assert clamped[r, c] == np.isinf(e)
+                assert table[r, c] == (top + 1.0 if np.isinf(e) else e)  # +-0 tie allowed
 
     def test_dyadic_ranges_cover_singletons(self):
         ranges = dyadic_index_ranges(6)
@@ -300,6 +328,16 @@ class TestGenerativeRectify:
             assert np.all(acc.lower_envelope <= E)
             counts.add(acc.pair_count)
         assert counts == {1 + len(dyadic_index_ranges(n)) ** 2}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 16, 32, 33])
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_equals_the_pair_by_pair_fold(self, name, n):
+        acc = generative_rectify(get_instance(name), n, budget=0, rng_seed=0)
+        ref = pair_by_pair_rectify(acc.C)
+        assert acc.lower_envelope.tobytes() == ref.lower_envelope.tobytes()
+        assert acc.log == ref.log
+        assert acc.pair_count == ref.pair_count
+        assert acc.provenance_counts == ref.provenance_counts
 
     @pytest.mark.parametrize("seed", [3, 7])
     def test_generative_envelope_never_exceeds_cost(self, seed):
