@@ -6,10 +6,10 @@ Two computable faces of the same object:
   pair can reach; on any full-support finite grid that is the cost itself,
   and it diverges exactly on the forbidden entries;
 * the generative route takes the pointwise supremum of feasible pairs (the
-  zero pair and one box-infimum pair per dyadic index box), read off one
-  table of box minima without building the pairs; the singleton boxes
-  already reach the cost on every finite entry, and the forbidden entries
-  end one above the largest finite one.
+  zero pair and one box-infimum pair per dyadic index box); the singleton
+  boxes already reach the cost on every finite entry, and the forbidden
+  entries end one above the largest finite one, so the supremum is written
+  down in that closed form without building the pairs.
 
 Swapping the cost for its attached rectification (0 on and below the
 diagonal) closes the duality gap: the rectified primal is 0, which is the

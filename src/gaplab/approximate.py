@@ -228,6 +228,11 @@ def weak_star_distance(p, q) -> float:
     """
     pm = p.mass if isinstance(p, TransportPlan) else np.asarray(p, dtype=float)
     qm = q.mass if isinstance(q, TransportPlan) else np.asarray(q, dtype=float)
+    for mass in (pm, qm):
+        if mass.ndim != 2 or mass.shape[0] != mass.shape[1] or mass.size == 0:
+            raise InputError(
+                f"weak* metric needs non-empty square plans, got shape {mass.shape}"
+            )
     K = min(_dyadic_level(pm.shape[0]), _dyadic_level(qm.shape[0]))
     pc, qc = _cell_masses(pm, K), _cell_masses(qm, K)
     diffs = [float(np.abs(pc - qc).max())]
@@ -290,6 +295,8 @@ def liminf_harness(
     resolution.  The sequence is called converged when the distances to the
     limit end below half their starting value (or at zero).
     """
+    if horizon < 1:
+        raise InputError(f"horizon must be at least 1, got {horizon}")
     if instance.known_rectified is None:
         raise InfiniteRectifiedCostError(
             f"instance {instance.name!r} has no rectified cost attached"

@@ -216,12 +216,6 @@ def cmd_rectify(args) -> int:
             base.with_suffix(".envelope.csv"),
             "csv",
         )
-        _write_rows(
-            ["provenance", "objective", "feasibility_slack"],
-            acc.log,
-            base.with_suffix(".pairs.csv"),
-            "csv",
-        )
     return EXIT_OK
 
 

@@ -7,22 +7,22 @@ Two independent routes to the same object:
   closed form: the cost itself on a finite entry and +inf on a forbidden
   one (the proof is in its docstring; the test-suite checks it against
   the per-entry linear program).
-* :func:`generative_rectify` builds the envelope from below as the
-  pointwise supremum of the zero pair and one box-infimum pair per dyadic
-  index box, read off one table of box minima.  Its result has a closed
-  form as well: the cost itself on a finite entry, and one above the
-  largest finite entry on a forbidden one (the proofs are in its docstring).
+* :func:`generative_rectify` gives the envelope from below: the pointwise
+  supremum of the zero pair and one box-infimum pair per dyadic index box
+  (:func:`box_infimum_pairs`).  That supremum has a closed form as well,
+  which it writes down without building the pairs: the cost itself on a
+  finite entry, and one above the largest finite entry on a forbidden one
+  (the proof is in its docstring).
 
-The generative supremum can never exceed the pointwise envelope: every
-generated pair satisfies phi_i + psi_j <= C_ij in floating point, with no
-tolerance, and the test-suite checks both ways.  ``PAIR_TOL`` is the slack
-allowed of pairs supplied from outside.
+The generative supremum can never exceed the pointwise envelope: every box
+pair satisfies phi_i + psi_j <= C_ij in floating point, with no tolerance,
+and the test-suite checks both ways.  ``PAIR_TOL`` is the slack allowed of
+pairs folded in through :meth:`RectifiedAccumulator.add_pair`.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,11 +48,6 @@ __all__ = [
 #: feasibility slack allowed of accumulated pairs
 PAIR_TOL = 1e-9
 
-#: grid entries per (pairs, n, m) temporary of RectifiedAccumulator.add_pairs
-ENTRIES_PER_BATCH = 2**15
-
-_BOX_PROVENANCE = "box_infimum(x[{},{})*y[{},{}))"
-
 
 @dataclass(frozen=True)
 class FeasiblePair:
@@ -61,7 +56,6 @@ class FeasiblePair:
     phi: np.ndarray
     psi: np.ndarray
     provenance: str
-    objective: float = 0.0
 
     def tensor(self) -> np.ndarray:
         return self.phi[:, None] + self.psi[None, :]
@@ -81,56 +75,32 @@ class RectifiedAccumulator:
     lower_envelope: np.ndarray = field(init=False)
     pair_count: int = field(init=False, default=0)
     provenance_counts: dict = field(init=False)
-    log: list = field(init=False)
 
     def __post_init__(self):
         self.C = np.asarray(self.C, dtype=float)
         self.lower_envelope = np.full(self.C.shape, -INF)
         self.provenance_counts = {}
-        self.log = []
 
     def add_pair(self, pair: FeasiblePair) -> None:
-        self.add_pairs([pair])
+        """Fold one pair into the envelope.
 
-    def add_pairs(self, pairs: Sequence[FeasiblePair]) -> None:
-        """Fold pairs into the envelope in order, as one add per pair would.
-
-        A pair whose slack exceeds ``PAIR_TOL``, or whose tensor holds a NaN,
-        raises InputError; the pairs before it are added, the rest are not.
-        The tensors are taken ``ENTRIES_PER_BATCH // C.size`` pairs at a
-        time, so the temporaries stay small whatever the batch.
+        A pair whose slack exceeds ``PAIR_TOL`` or is NaN, or whose tensor
+        holds a NaN anywhere (forbidden entries included, which the slack
+        does not see but which would poison the running maximum), raises
+        InputError and leaves the accumulator as it was.
         """
-        finite = np.isfinite(self.C)
-        per_chunk = max(1, ENTRIES_PER_BATCH // max(1, self.C.size))
-        for start in range(0, len(pairs), per_chunk):
-            part = pairs[start : start + per_chunk]
-            tensor = (
-                np.stack([p.phi for p in part])[:, :, None]
-                + np.stack([p.psi for p in part])[:, None, :]
+        tensor = pair.tensor()
+        slack = pair.feasibility_slack(self.C)
+        if not slack <= PAIR_TOL or np.isnan(tensor).any():
+            raise InputError(
+                f"pair {pair.provenance} is infeasible or NaN (slack {slack:.3e})"
             )
-            gap = tensor - self.C
-            gap[:, ~finite] = -INF  # the slack is over the finite entries
-            slack = gap.reshape(len(part), -1).max(axis=1, initial=-INF)
-            # written so that a NaN slack fails; NaN on a forbidden entry, which
-            # the slack does not see, would still poison the running maximum
-            bad = ~(slack <= PAIR_TOL) | np.isnan(tensor).any(axis=(1, 2))
-            good = int(bad.argmax()) if bad.any() else len(part)
-            if good:
-                # on a tie np.maximum keeps its second operand, so a -0.0 sum
-                # would replace a 0.0; adding 0.0 turns -0.0 into 0.0
-                top = tensor[:good].max(axis=0)
-                self.lower_envelope = np.maximum(self.lower_envelope, top) + 0.0
-            for pair, s in zip(part[:good], slack[:good].tolist()):
-                self.pair_count += 1
-                key = pair.provenance.split("(")[0]
-                self.provenance_counts[key] = self.provenance_counts.get(key, 0) + 1
-                self.log.append((pair.provenance, float(pair.objective), s))
-            if good < len(part):
-                pair = part[good]
-                raise InputError(
-                    f"pair {pair.provenance} is infeasible or NaN "
-                    f"(slack {slack[good]:.3e})"
-                )
+        # on a tie np.maximum keeps its second operand, so a -0.0 sum would
+        # replace a 0.0; adding 0.0 turns -0.0 into 0.0
+        self.lower_envelope = np.maximum(self.lower_envelope, tensor) + 0.0
+        self.pair_count += 1
+        key = pair.provenance.split("(")[0]
+        self.provenance_counts[key] = self.provenance_counts.get(key, 0) + 1
 
     def sup_gap_finite(self) -> float:
         """max over finite entries of C - lower_envelope (0 when saturated)."""
@@ -202,19 +172,18 @@ def dyadic_index_ranges(n: int) -> list[tuple[int, int]]:
     return sorted(set(out))
 
 
-def _box_minima(C: np.ndarray, row_ranges, col_ranges) -> tuple[np.ndarray, np.ndarray]:
+def _box_minima(C: np.ndarray, row_ranges, col_ranges) -> np.ndarray:
     """min C over every box U x V, U in ``row_ranges`` and V in
-    ``col_ranges`` (non-empty (lo, hi) ranges), as a (rows, cols) table, and
-    the mask of the boxes with an infinite minimum, which hold the clamp
-    ``max_finite_entry(C) + 1.0``.  Each ``np.minimum.reduceat`` pass reads C
-    padded with +inf at the interleaved indices lo_0, hi_0, lo_1, ...: the
-    even results are the box minima, and the padding keeps hi = n in bounds.
+    ``col_ranges`` (non-empty (lo, hi) ranges), as a (rows, cols) table, with
+    a box of infinite minimum clamped to ``max_finite_entry(C) + 1.0``.  Each
+    ``np.minimum.reduceat`` pass reads C padded with +inf at the interleaved
+    indices lo_0, hi_0, lo_1, ...: the even results are the box minima, and
+    the padding keeps hi = n in bounds.
     """
     padded = np.pad(C, ((0, 1), (0, 1)), constant_values=INF)
     rows = np.minimum.reduceat(padded, np.ravel(row_ranges), axis=0)[::2]
     table = np.minimum.reduceat(rows, np.ravel(col_ranges), axis=1)[:, ::2]
-    clamped = np.isinf(table)
-    return np.where(clamped, max_finite_entry(C) + 1.0, table), clamped
+    return np.where(np.isinf(table), max_finite_entry(C) + 1.0, table)
 
 
 def box_infimum_pairs(C: np.ndarray, boxes=None) -> list[FeasiblePair]:
@@ -238,17 +207,14 @@ def box_infimum_pairs(C: np.ndarray, boxes=None) -> list[FeasiblePair]:
         raise InputError("every box range (lo, hi) needs lo < hi")
     rows = {u: k for k, u in enumerate(sorted({u for u, _ in boxes}))}
     cols = {v: k for k, v in enumerate(sorted({v for _, v in boxes}))}
-    table = _box_minima(C, list(rows), list(cols))[0].tolist()
+    table = _box_minima(C, list(rows), list(cols)).tolist()
     pairs = []
     for u, v in boxes:
-        e = table[rows[u]][cols[v]]
         phi = np.full(n, -INF)
         psi = np.full(m, -INF)
-        phi[u[0] : u[1]] = e
+        phi[u[0] : u[1]] = table[rows[u]][cols[v]]
         psi[v[0] : v[1]] = 0.0
-        pairs.append(
-            FeasiblePair(phi=phi, psi=psi, provenance=_BOX_PROVENANCE.format(*u, *v), objective=e)
-        )
+        pairs.append(FeasiblePair(phi, psi, "box_infimum(x[{},{})*y[{},{}))".format(*u, *v)))
     return pairs
 
 
@@ -256,8 +222,8 @@ def generative_rectify(
     instance, n: int, budget: int, rng_seed: int
 ) -> RectifiedAccumulator:
     """Accumulate the generative envelope at resolution n: the zero pair,
-    then every dyadic box-infimum pair, folded in one step from one
-    :func:`_box_minima` table without building the pairs.
+    then every dyadic box-infimum pair, folded in one step from the closed
+    form below without building the pairs.
 
     ``budget`` must be non-negative; it and ``rng_seed`` are accepted and
     have no effect.
@@ -280,29 +246,15 @@ def generative_rectify(
     The zero pair gives 0, which never binds: an instance's costs live in
     [0, inf], so C_ij >= 0 on a finite entry and top + 1 >= 1.  Adding 0.0
     changes only a -0.0, to 0.0, as the accumulator does after every pair.
-
-    Each logged box slack, the max of phi_i + psi_j - C_ij over the finite
-    entries, is then 0.0 on a box that holds a finite entry, where the gap
-    (e + 0.0) - C_ij is at most 0 and +0.0 where C_ij = e, and -inf on a box
-    that holds none, as every other gap has a -inf term.
     """
     if budget < 0:
         raise InputError("budget must be non-negative")
     C, _, _ = discretize(instance, n)
     acc = RectifiedAccumulator(C)
-    acc.add_pair(
-        FeasiblePair(
-            phi=np.zeros(n), psi=np.zeros(n), provenance="zero_pair", objective=0.0
-        )
-    )
-    ranges = dyadic_index_ranges(n)
-    table, clamped = _box_minima(C, ranges, ranges)
-    # by the proof above the envelope is the singleton boxes' values
-    single = [k for k, (lo, hi) in enumerate(ranges) if hi - lo == 1]
-    acc.lower_envelope = np.maximum(acc.lower_envelope, table[np.ix_(single, single)]) + 0.0
-    slack = np.where(clamped, -INF, 0.0)
-    provenance = [_BOX_PROVENANCE.format(*u, *v) for u in ranges for v in ranges]
-    acc.log.extend(zip(provenance, table.ravel().tolist(), slack.ravel().tolist()))
-    acc.pair_count += len(provenance)
-    acc.provenance_counts["box_infimum"] = len(provenance)
+    acc.add_pair(FeasiblePair(np.zeros(n), np.zeros(n), "zero_pair"))
+    closed = np.where(np.isfinite(C), C, max_finite_entry(C) + 1.0)
+    acc.lower_envelope = np.maximum(acc.lower_envelope, closed) + 0.0
+    boxes = len(dyadic_index_ranges(n)) ** 2
+    acc.pair_count += boxes
+    acc.provenance_counts["box_infimum"] = boxes
     return acc

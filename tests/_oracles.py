@@ -440,7 +440,7 @@ def pair_by_pair_rectify(C):
 
     n, m = np.shape(C)
     acc = RectifiedAccumulator(C)
-    acc.add_pair(FeasiblePair(np.zeros(n), np.zeros(m), "zero_pair", 0.0))
+    acc.add_pair(FeasiblePair(np.zeros(n), np.zeros(m), "zero_pair"))
     for pair in box_infimum_pairs(C):
         acc.add_pair(pair)
     return acc

@@ -208,6 +208,15 @@ class TestWeakStarDistance:
         with pytest.raises(InputError):
             weak_star_distance(diagonal_plan(6), diagonal_plan(8))
 
+    @pytest.mark.parametrize(
+        "mass", [np.full((4, 8), 1 / 32), np.zeros((0, 0))], ids=["non_square", "empty"]
+    )
+    def test_rejects_bad_plan_shapes(self, mass):
+        with pytest.raises(InputError, match=rf"shape \({mass.shape[0]}, {mass.shape[1]}\)"):
+            weak_star_distance(TransportPlan(mass), diagonal_plan(8))
+        with pytest.raises(InputError, match="shape"):
+            weak_star_distance(diagonal_plan(8), mass)
+
     def test_symmetry_and_triangle(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -262,6 +271,11 @@ class TestLiminfHarness:
         seq = [antidiagonal_plan(16)] * 6
         rep = liminf_harness(diag_M(2.0), seq, diagonal_plan(16), horizon=6)
         assert rep.status == "inconclusive"
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_rejects_horizon_below_one(self, horizon):
+        with pytest.raises(InputError, match="horizon"):
+            liminf_harness(diag_inf(), [diagonal_plan(16)], diagonal_plan(16), horizon)
 
     def test_optimizer_sequence_costs_vanish(self):
         # LP optimizers of the finite variant are the cyclic shifts; their

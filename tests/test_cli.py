@@ -338,12 +338,10 @@ class TestRectify:
         assert float(summary[1].split(",")[5]) <= 1e-6
         env = (tmp_path / "rect.envelope.csv").read_text().strip().splitlines()
         assert len(env) == 5  # header + 4 rows
-        pairs = (tmp_path / "rect.pairs.csv").read_text().strip().splitlines()
-        assert pairs[0] == "provenance,objective,feasibility_slack"
-        assert len(pairs) == 1 + 1 + 49  # header, zero pair, boxes
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rect.csv", "rect.envelope.csv"]
 
     def test_signed_zero_written_as_zero(self, tmp_path):
-        # trivial_zero's envelope and pair objectives hold -0.0 entries
+        # a -0.0 is written as 0; trivial_zero's all-zero envelope is where one would show
         assert _fmt(-0.0) == "0" and _fmt(np.float64(-0.0)) == "0"
         assert _fmt(-1e-300) == "-1e-300"
         out = tmp_path / "rect.csv"
@@ -352,7 +350,7 @@ class TestRectify:
              "--seed", "0", "--out", str(out)]
         )
         assert code == 0
-        for path in (out, out.with_suffix(".envelope.csv"), out.with_suffix(".pairs.csv")):
+        for path in (out, out.with_suffix(".envelope.csv")):
             fields = [f for line in path.read_text().splitlines() for f in line.split(",")]
             assert "-0" not in fields, path.name
         env = out.with_suffix(".envelope.csv").read_text().splitlines()
@@ -399,13 +397,7 @@ class TestRectify:
             ref.with_suffix(".envelope.csv"),
             "csv",
         )
-        _write_rows(
-            ["provenance", "objective", "feasibility_slack"],
-            acc.log,
-            ref.with_suffix(".pairs.csv"),
-            "csv",
-        )
-        for suffix in (".csv", ".envelope.csv", ".pairs.csv"):
+        for suffix in (".csv", ".envelope.csv"):
             assert out.with_suffix(suffix).read_bytes() == ref.with_suffix(suffix).read_bytes()
 
     def test_determinism(self, tmp_path):

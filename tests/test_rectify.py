@@ -156,10 +156,12 @@ class TestBoxPairs:
         pairs = box_infimum_pairs(C, boxes=[((3, 4), (3, 4))])
         assert pairs[0].tensor()[3, 3] == pytest.approx(1.0)
 
-    def test_every_pair_feasible(self):
-        C, _, _ = discretize(diag_inf(), 4)
+    @pytest.mark.parametrize("name", ["diag_inf", "fat_set"])
+    def test_every_pair_feasible(self, name):
+        # feasible in floating point, with no tolerance
+        C, _, _ = discretize(get_instance(name), 32)
         for pair in box_infimum_pairs(C):
-            assert pair.feasibility_slack(C) <= 1e-9
+            assert pair.feasibility_slack(C) <= 0.0
 
     def test_empty_box_range_rejected(self):
         with pytest.raises(InputError):
@@ -177,13 +179,12 @@ class TestBoxPairs:
         C[data.draw(st.lists(st.integers(0, n - 1), max_size=2))] = INF
         rows = data.draw(st.permutations([(a, b) for a in range(n) for b in range(a + 1, n + 1)]))
         cols = data.draw(st.permutations([(a, b) for a in range(m) for b in range(a + 1, m + 1)]))
-        table, clamped = _box_minima(C, rows, cols)
-        assert table.shape == clamped.shape == (len(rows), len(cols))
+        table = _box_minima(C, rows, cols)
+        assert table.shape == (len(rows), len(cols))
         top = max_finite_entry(C)
         for r, (lo, hi) in enumerate(rows):
             for c, (a, b) in enumerate(cols):
                 e = C[lo:hi, a:b].min()
-                assert clamped[r, c] == np.isinf(e)
                 assert table[r, c] == (top + 1.0 if np.isinf(e) else e)  # +-0 tie allowed
 
     def test_dyadic_ranges_cover_singletons(self):
@@ -192,14 +193,14 @@ class TestBoxPairs:
         assert all((i, i + 1) in ranges for i in range(6))
 
 
-class TestAddPairs:
-    """One add_pairs call against one add_pair call per pair."""
+class TestAddPair:
+    """add_pair against the fold written out, and every check it keeps."""
 
     @staticmethod
     def _pairs(C):
         """Signed-zero pairs, the dyadic box pairs and c-transform pairs of C
         (random phi, psi its c-transform over the finite entries),
-        interleaved so that ties fall on either side of a chunk."""
+        interleaved so that ties fall on either side."""
         n, m = C.shape
         zero = [
             FeasiblePair(np.zeros(n), np.zeros(m), "zero_pair"),
@@ -215,7 +216,7 @@ class TestAddPairs:
                 phi = rng.uniform(-1.0, 1.0, n)
             psi = np.where(np.isfinite(C), C - phi[:, None], INF).min(axis=0)
             psi[np.isinf(psi)] = 0.0
-            transforms.append(FeasiblePair(phi, psi, "c_transform", phi.sum() + psi.sum()))
+            transforms.append(FeasiblePair(phi, psi, "c_transform"))
         boxes = box_infimum_pairs(C)
         # the last -0.0 pair ties a 0.0 already in the envelope
         return zero + boxes[::2] + transforms + zero + boxes[1::2] + zero[1:]
@@ -224,73 +225,57 @@ class TestAddPairs:
     def _state(acc):
         return (
             acc.lower_envelope.tobytes(),
-            acc.log,
             list(acc.provenance_counts.items()),
             acc.pair_count,
         )
 
     @staticmethod
     def _fold(C, pairs):
-        """The state after the pairs, one at a time, written out: a running
-        np.maximum with -0.0 turned to 0.0, and one log row per pair."""
+        """The state after the pairs, written out: a running np.maximum with
+        -0.0 turned to 0.0, and one count per pair."""
         env = np.full(C.shape, -INF)
         counts = {}
         for pair in pairs:
             env = np.maximum(env, pair.tensor()) + 0.0
             key = pair.provenance.split("(")[0]
             counts[key] = counts.get(key, 0) + 1
-        log = [(p.provenance, float(p.objective), p.feasibility_slack(C)) for p in pairs]
-        return env.tobytes(), log, list(counts.items()), len(pairs)
+        return env.tobytes(), list(counts.items()), len(pairs)
 
     @pytest.mark.parametrize(
-        "name, n, per_chunk",
-        [("diag_inf", 32, None), ("diag_inf", 4, 3), ("fat_set", 8, 7), ("trivial_zero", 5, 1)],
+        "name, n", [("diag_inf", 32), ("diag_inf", 4), ("fat_set", 8), ("trivial_zero", 5)]
     )
-    def test_batch_equals_one_add_per_pair(self, name, n, per_chunk, monkeypatch):
-        import gaplab.rectify
-
+    def test_equals_the_written_out_fold(self, name, n):
         C = discretize(get_instance(name), n)[0]
-        if per_chunk is not None:
-            monkeypatch.setattr(gaplab.rectify, "ENTRIES_PER_BATCH", per_chunk * C.size)
         pairs = self._pairs(C)
-        # the default chunk of 2^15 entries holds 32 pairs at n = 32
-        assert len(pairs) > 2 * max(1, gaplab.rectify.ENTRIES_PER_BATCH // C.size)
-        one, batch = RectifiedAccumulator(C), RectifiedAccumulator(C)
+        acc = RectifiedAccumulator(C)
         for pair in pairs:
-            one.add_pair(pair)
-        batch.add_pairs(pairs)
-        assert self._state(batch) == self._state(one) == self._fold(C, pairs)
-        assert not np.signbit(batch.lower_envelope[batch.lower_envelope == 0]).any()
+            acc.add_pair(pair)
+        assert self._state(acc) == self._fold(C, pairs)
+        assert not np.signbit(acc.lower_envelope[acc.lower_envelope == 0]).any()
 
     @pytest.mark.parametrize("bad", ["nan", "infeasible", "nan_on_forbidden"])
-    def test_bad_pair_inside_a_batch(self, bad, monkeypatch):
-        import gaplab.rectify
-
+    def test_bad_pair_leaves_the_state(self, bad):
         C = np.array([[INF, INF, INF], [0.0, 1.0, 2.0], [1.0, 0.0, 1.0]])
-        monkeypatch.setattr(gaplab.rectify, "ENTRIES_PER_BATCH", 3 * C.size)
-        pairs = box_infimum_pairs(C)
         phi, psi = np.full(3, -5.0), np.zeros(3)
         if bad == "nan":
             phi[1] = np.nan
         elif bad == "infeasible":
-            phi[2] = 1.0 + 2 * PAIR_TOL
+            phi[2] = 2 * PAIR_TOL  # C[2, 1] = 0: the slack is 2 * PAIR_TOL
         else:
             phi[0] = np.nan  # row 0 is forbidden: the slack cannot see it
-        at = 4  # the second pair of the second chunk
-        batch = pairs[:at] + [FeasiblePair(phi, psi, "user")] + pairs[at:]
-        acc, ref = RectifiedAccumulator(C), RectifiedAccumulator(C)
+        acc = RectifiedAccumulator(C)
+        for pair in box_infimum_pairs(C)[:4]:
+            acc.add_pair(pair)
+        before = self._state(acc)
         with pytest.raises(InputError):
-            acc.add_pairs(batch)
-        for pair in pairs[:at]:
-            ref.add_pair(pair)
-        # the pairs before the bad one are in, the rest are not
-        assert TestAddPairs._state(acc) == TestAddPairs._state(ref)
-        assert acc.pair_count == at and not np.isnan(acc.lower_envelope).any()
+            acc.add_pair(FeasiblePair(phi, psi, "user"))
+        assert self._state(acc) == before
+        assert acc.pair_count == 4 and not np.isnan(acc.lower_envelope).any()
 
-    def test_empty_batch(self):
+    def test_slack_within_tolerance_is_accepted(self):
         acc = RectifiedAccumulator(np.zeros((2, 2)))
-        acc.add_pairs([])
-        assert acc.pair_count == 0 and np.all(acc.lower_envelope == -INF)
+        acc.add_pair(FeasiblePair(np.full(2, PAIR_TOL), np.zeros(2), "user"))
+        assert acc.pair_count == 1 and np.all(acc.lower_envelope == PAIR_TOL)
 
 
 class TestGenerativeRectify:
@@ -335,17 +320,14 @@ class TestGenerativeRectify:
         acc = generative_rectify(get_instance(name), n, budget=0, rng_seed=0)
         ref = pair_by_pair_rectify(acc.C)
         assert acc.lower_envelope.tobytes() == ref.lower_envelope.tobytes()
-        assert acc.log == ref.log
         assert acc.pair_count == ref.pair_count
         assert acc.provenance_counts == ref.provenance_counts
 
     @pytest.mark.parametrize("seed", [3, 7])
     def test_generative_envelope_never_exceeds_cost(self, seed):
-        # every pair is feasible in floating point, with no tolerance
         acc = generative_rectify(fat_set(), 32, 200, seed)
         finite = np.isfinite(acc.C)
         assert np.all(acc.lower_envelope[finite] <= acc.C[finite])
-        assert max(s for _, _, s in acc.log) <= 0.0
 
     def test_monotone_in_accumulation(self):
         C, mu, nu = discretize(diag_M(2.0), 4)
@@ -383,8 +365,7 @@ class TestGenerativeRectify:
         assert acc.pair_count == 1
         assert acc.sup_gap_finite() == 0.0
 
-    def test_provenance_log_lines(self):
+    def test_provenance_counts(self):
         acc = generative_rectify(trivial_zero(), 2, budget=3, rng_seed=1)
-        kinds = {prov.split("(")[0] for prov, _, _ in acc.log}
-        assert kinds == {"zero_pair", "box_infimum"}
-        assert acc.pair_count == len(acc.log)
+        assert acc.provenance_counts == {"zero_pair": 1, "box_infimum": 9}
+        assert acc.pair_count == sum(acc.provenance_counts.values())
