@@ -27,7 +27,7 @@ from .approximate import (
 from .catalog import catalog, catalog_names, get_instance
 from .core import ConfigurationError, DiscreteMeasure, Grid, malformed
 from .costs import CountableMarker, Graph, PointSet, Rectangle, Segment
-from .instance import discretize, load_instance
+from .instance import discretize, load_instance, write_text_file
 from .negligible import (
     SetDescriptor,
     is_L_negligible,
@@ -52,11 +52,17 @@ def _fmt(v) -> str:
 
 
 def _emit(text: str, out) -> None:
-    """Write a report to the path ``out``, or to stdout when it is None."""
+    """Write a report to the path ``out``, or to stdout when it is None.
+
+    ``out`` is rewritten in place and cut to length, not opened with
+    ``O_TRUNC``: with ext4's default ``auto_da_alloc``, closing a file that
+    was truncated to zero starts its write-back, which took longer than
+    formatting and writing the report (:func:`gaplab.instance.write_text_file`).
+    """
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        write_text_file(out, text)
 
 
 def _write_rows(header, rows, out, fmt) -> None:
@@ -71,6 +77,17 @@ def _write_rows(header, rows, out, fmt) -> None:
             writer.writerow([_fmt(v) for v in row])
         text = buf.getvalue()
     _emit(text, out)
+
+
+def _matrix_csv(E: np.ndarray) -> str:
+    """``_write_rows``' CSV of the float matrix ``E`` under the header
+    c0..c{n-1}, formatted one row per ``%`` operation instead of one
+    ``_fmt`` call per value: ``%.12g`` writes what ``_fmt`` writes, and
+    ``+ 0.0`` turns -0.0 into 0.0 as it does there."""
+    row = ",".join(["%.12g"] * E.shape[1])
+    lines = [",".join(f"c{j}" for j in range(E.shape[1]))]
+    lines += [row % tuple(r) for r in (E + 0.0).tolist()]
+    return "\n".join(lines) + "\n"
 
 
 def _parse_n_list(spec: str) -> list[int]:
@@ -210,12 +227,7 @@ def cmd_rectify(args) -> int:
     header = ["instance", "n", "budget", "seed", "pairs", "sup_gap_finite", "provenance"]
     _write_rows(header, summary, base, args.format)
     if base is not None:
-        _write_rows(
-            [f"c{j}" for j in range(n)],
-            acc.lower_envelope.tolist(),
-            base.with_suffix(".envelope.csv"),
-            "csv",
-        )
+        _emit(_matrix_csv(acc.lower_envelope), base.with_suffix(".envelope.csv"))
     return EXIT_OK
 
 

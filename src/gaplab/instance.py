@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -112,8 +115,29 @@ def loads_instance(text: str) -> Instance:
         raise ConfigurationError(f"instance file is not valid JSON: {exc}") from exc
 
 
+def write_text_file(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` with ``Path.write_text``'s encoding and
+    newline handling, rewriting an existing file in place.
+
+    The file is opened without ``O_TRUNC`` and, when it is a regular file,
+    cut to the written length afterwards, so ext4's ``auto_da_alloc`` does
+    not start its write-back on close.  A stream (``/dev/null``,
+    ``/dev/stdout``, a FIFO) cannot be truncated and is only written; a
+    symlink is written through.  A path that cannot be opened or written
+    raises :class:`ConfigurationError` naming it.
+    """
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding=io.text_encoding(None)) as fh:
+            fh.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {str(path)!r}: {exc}") from exc
+
+
 def save_instance(inst: Instance, path: str | Path) -> None:
-    Path(path).write_text(dumps_instance(inst))
+    write_text_file(path, dumps_instance(inst))
 
 
 def load_instance(path: str | Path) -> Instance:

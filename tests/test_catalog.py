@@ -220,6 +220,23 @@ class TestInstanceFiles:
         assert np.array_equal(C1, C2)
         assert np.array_equal(mu1.weights, mu2.weights)
 
+    def test_save_over_a_longer_file_round_trips(self, tmp_path):
+        path = tmp_path / "inst.json"
+        save_instance(fat_set(5), path)
+        longer = path.read_text()
+        save_instance(diag_inf(), path)
+        text = path.read_text()
+        assert len(text) < len(longer)
+        assert text == dumps_instance(diag_inf())
+        assert dumps_instance(load_instance(path)) == text
+
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_path_raises_configuration_error(self, tmp_path, where):
+        path = tmp_path / "missing" / "x.json" if where == "missing_dir" else tmp_path
+        with pytest.raises(ConfigurationError, match="cannot write") as info:
+            save_instance(diag_inf(), path)
+        assert str(path) in str(info.value)
+
     def test_infinity_serializes_as_string(self):
         text = dumps_instance(diag_inf())
         assert '"inf"' in text

@@ -4,7 +4,9 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -400,6 +402,26 @@ class TestRectify:
         for suffix in (".csv", ".envelope.csv"):
             assert out.with_suffix(suffix).read_bytes() == ref.with_suffix(suffix).read_bytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 33])
+    def test_envelope_rows_equal_write_rows(self, tmp_path, monkeypatch, n):
+        # envelope.csv is formatted one row at a time; it must read as the
+        # per-value _fmt CSV of the same matrix, at every entry position
+        entries = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, 1 / 3, 0.1 + 0.2]
+        out, ref = tmp_path / "rect.csv", tmp_path / "ref.csv"
+        for k in range(len(entries)):
+            E = np.resize(np.roll(entries, k), (n, n))
+            acc = SimpleNamespace(
+                lower_envelope=E, pair_count=1, provenance_counts={},
+                sup_gap_finite=lambda: 0.0,
+            )
+            monkeypatch.setattr(gaplab.cli, "generative_rectify", lambda *a, **kw: acc)
+            code = main(["rectify", "--catalog", "trivial_zero", "--n", str(n),
+                         "--out", str(out)])
+            assert code == 0
+            _write_rows([f"c{j}" for j in range(n)], E.tolist(), ref, "csv")
+            text = out.with_suffix(".envelope.csv").read_text()
+            assert text == ref.read_text(), k
+
     def test_determinism(self, tmp_path):
         args = ("rectify", "--catalog", "random_finite", "--catalog-n", "4",
                 "--n", "4", "--budget", "20", "--seed", "3")
@@ -531,6 +553,105 @@ class TestCatalogCmd:
         assert "diag_inf" in text and "fat_set_20" in text
         header = text.splitlines()[0]
         assert header == "name,tags,P_c,D_c,P_rectified,notes"
+
+
+REPORT_COMMANDS = {
+    "solve": ("solve", "--catalog", "diag_M", "--n", "2,4"),
+    "gap-scan": ("gap-scan", "--catalog", "diag_inf", "--n", "2..4", "--eps", "0.5,1/n"),
+    "negligible": ("negligible", "diagonal", "--n", "2,4"),
+    "approximate": ("approximate", "--catalog", "diag_inf", "--n", "2", "--s", "2"),
+    "rectify": ("rectify", "--catalog", "fat_set", "--n", "4"),
+}
+
+
+class TestReportFiles:
+    """--out rewrites a file in place and cuts it to length; streams and
+    symlinks are written through; an unwritable path exits 2."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("cmd", sorted(REPORT_COMMANDS))
+    def test_overwrite_equals_fresh_write(self, tmp_path, cmd, fmt):
+        argv = [*REPORT_COMMANDS[cmd], "--format", fmt]
+        fresh, over = tmp_path / "fresh.out", tmp_path / "over.out"
+        assert main([*argv, "--out", str(fresh)]) == 0
+        written = [p.suffix for p in sorted(tmp_path.iterdir())]
+        assert written == ([".csv", ".out"] if cmd == "rectify" else [".out"])
+        longer = "x" * 9 + "\n" + fresh.read_text() * 3
+        for suffix in (".out", ".envelope.csv"):
+            over.with_suffix(suffix).write_text(longer)
+        assert main([*argv, "--out", str(over)]) == 0
+        assert over.read_bytes() == fresh.read_bytes()
+        if cmd == "rectify":
+            envelope = fresh.with_suffix(".envelope.csv").read_bytes()
+            assert over.with_suffix(".envelope.csv").read_bytes() == envelope
+            assert len(envelope) < len(longer)
+
+    @pytest.mark.parametrize("cmd", ["solve", "gap-scan", "negligible", "approximate"])
+    def test_dev_null_exits_0(self, cmd, capsys):
+        # rectify is left out: it writes its envelope beside --out
+        assert main([*REPORT_COMMANDS[cmd], "--out", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_fifo_receives_the_report(self, tmp_path):
+        fresh, fifo = tmp_path / "fresh.csv", tmp_path / "fifo"
+        assert main([*REPORT_COMMANDS["solve"], "--out", str(fresh)]) == 0
+        os.mkfifo(fifo)
+        got = []
+
+        def read():
+            with open(fifo, "rb") as fh:
+                got.append(fh.read())
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        assert main([*REPORT_COMMANDS["solve"], "--out", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [fresh.read_bytes()]
+
+    def test_symlink_is_written_through(self, tmp_path):
+        fresh, target, link = (tmp_path / f"{k}.csv" for k in ("fresh", "target", "link"))
+        assert main([*REPORT_COMMANDS["solve"], "--out", str(fresh)]) == 0
+        target.write_text("x" * 10_000)
+        link.symlink_to(target)
+        assert main([*REPORT_COMMANDS["solve"], "--out", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, where):
+        out = tmp_path / "missing" / "x.csv" if where == "missing_dir" else tmp_path
+        code = main(["solve", "--catalog", "diag_inf", "--n", "4", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot write") and str(out) in err
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_report_write_truncates(self, tmp_path, monkeypatch):
+        # opening with O_TRUNC makes ext4 flush the file on close; every
+        # report and instance write must go through os.open without it
+        opened = []
+        real_open = os.open
+
+        def spy(path, flags, *args, **kwargs):
+            opened.append((Path(path).name, flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        for k, cmd in enumerate(sorted(REPORT_COMMANDS)):
+            for fmt in ("csv", "json"):
+                out = tmp_path / f"{k}.{fmt}"
+                out.write_text("x" * 10_000)
+                code = main([*REPORT_COMMANDS[cmd], "--format", fmt, "--out", str(out)])
+                assert code == 0
+        save_instance(diag_inf(), tmp_path / "inst.json")
+        names = [name for name, _ in opened]
+        assert sorted(names) == sorted(
+            [f"{k}.{fmt}" for k in range(5) for fmt in ("csv", "json")]
+            + ["3.envelope.csv"] * 2 + ["inst.json"]
+        )
+        assert all(not flags & os.O_TRUNC for _, flags in opened)
 
 
 class TestOneParserPerProcess:
