@@ -635,7 +635,8 @@ class TestReportFiles:
         real_open = os.open
 
         def spy(path, flags, *args, **kwargs):
-            opened.append((Path(path).name, flags))
+            if Path(path).parent == tmp_path:
+                opened.append((Path(path).name, flags))
             return real_open(path, flags, *args, **kwargs)
 
         monkeypatch.setattr(os, "open", spy)
