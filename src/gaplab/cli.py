@@ -13,7 +13,9 @@ import csv
 import functools
 import io
 import json
+import os
 import re
+import stat
 import sys
 from pathlib import Path
 
@@ -27,7 +29,12 @@ from .approximate import (
 from .catalog import catalog, catalog_names, get_instance
 from .core import ConfigurationError, DiscreteMeasure, Grid, malformed
 from .costs import CountableMarker, Graph, PointSet, Rectangle, Segment
-from .instance import discretize, load_instance, write_text_file
+from .instance import (
+    discretize,
+    load_instance,
+    write_text_file,
+    write_text_files,
+)
 from .negligible import (
     SetDescriptor,
     is_L_negligible,
@@ -66,17 +73,19 @@ def _emit(text: str, out) -> None:
 
 
 def _write_rows(header, rows, out, fmt) -> None:
+    _emit(_rows_text(header, rows, fmt), out)
+
+
+def _rows_text(header, rows, fmt) -> str:
     if fmt == "json":
         payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(payload, indent=2, default=_fmt) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-        text = buf.getvalue()
-    _emit(text, out)
+        return json.dumps(payload, indent=2, default=_fmt) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    return buf.getvalue()
 
 
 def _matrix_csv(E: np.ndarray) -> str:
@@ -209,8 +218,20 @@ def cmd_rectify(args) -> int:
         raise ConfigurationError(f"budget must be non-negative, got {args.budget}")
     if args.seed < 0:
         raise ConfigurationError(f"seed must be non-negative, got {args.seed}")
-    acc = generative_rectify(inst, n, budget=args.budget, rng_seed=args.seed)
     base = Path(args.out) if args.out else None
+    if base is not None:
+        targets = (base, base.with_suffix(".envelope.csv"))
+        for path in targets:
+            try:
+                regular = stat.S_ISREG(os.stat(path).st_mode)
+            except OSError:  # not there: opening it decides
+                continue
+            if not regular:  # no envelope beside /dev/null
+                raise ConfigurationError(
+                    f"rectify writes {str(base)!r} and {str(targets[1])!r} as "
+                    f"regular files: {str(path)!r} is not one"
+                )
+    acc = generative_rectify(inst, n, budget=args.budget, rng_seed=args.seed)
 
     prov = sorted(acc.provenance_counts.items())
     summary = [
@@ -225,9 +246,12 @@ def cmd_rectify(args) -> int:
         )
     ]
     header = ["instance", "n", "budget", "seed", "pairs", "sup_gap_finite", "provenance"]
-    _write_rows(header, summary, base, args.format)
-    if base is not None:
-        _emit(_matrix_csv(acc.lower_envelope), base.with_suffix(".envelope.csv"))
+    text = _rows_text(header, summary, args.format)
+    if base is None:
+        _emit(text, None)
+    else:  # both opened before either is written
+        envelope = _matrix_csv(acc.lower_envelope)
+        write_text_files([(targets[0], text), (targets[1], envelope)])
     return EXIT_OK
 
 

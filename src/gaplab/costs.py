@@ -346,7 +346,10 @@ def discretize_cost(descriptor: CostDescriptor, grid: Grid) -> np.ndarray:
     ``ComplementOfIntervals``, which is blended by the exact per-cell fraction
     lying outside its intervals (cells fully outside take the region value,
     fully covered cells keep the value underneath), so that coupling
-    integrals reproduce interval measures exactly.
+    integrals reproduce interval measures exactly.  The fractions depend on
+    one coordinate, so the blend reads them off a vector and touches only
+    the rows (axis x) or columns (axis y) a cell boundary of the intervals
+    straddles; no n x n mask or temporary is built.
 
     The matrix starts as NaN and no region value is NaN, so the NaN cells are
     the ones no region has painted yet.
@@ -359,21 +362,20 @@ def discretize_cost(descriptor: CostDescriptor, grid: Grid) -> np.ndarray:
             ix = region.cells(atoms)
             C[...] = region.values[ix[:, None], ix[None, :]]
         elif isinstance(kind := region.where, ComplementOfIntervals):
-            fracs = _outside_fractions(kind.intervals, n)
-            axis_fr = np.broadcast_to(
-                fracs[:, None] if kind.axis == "x" else fracs[None, :], (n, n)
-            )
-            full = axis_fr >= 1.0 - GEOM_TOL
-            partial = ~full & (axis_fr > GEOM_TOL)
-            if np.any(partial & np.isnan(C)):
+            fr = _outside_fractions(kind.intervals, n)
+            full = fr >= 1.0 - GEOM_TOL
+            part = np.flatnonzero(~full & (fr > GEOM_TOL))
+            lines = C if kind.axis == "x" else C.T  # a view: its rows are the cells
+            below = lines[part]
+            if np.isnan(below).any():
                 raise ConfigurationError(
                     "complement_of_intervals blends into uncovered cells"
                 )
+            lines[full] = region.value
             # partial cells blend with the value underneath; inf stays inf
             with np.errstate(invalid="ignore"):
-                mixed = axis_fr * region.value + (1.0 - axis_fr) * C
-            C[full] = region.value
-            C[partial] = mixed[partial]
+                fp = fr[part, None]
+                lines[part] = fp * region.value + (1.0 - fp) * below
         else:
             C[_grid_mask(kind, atoms)] = region.value
     if np.isnan(C).any():

@@ -50,12 +50,16 @@ class Instance:
 def discretize(
     instance: Instance, n: int
 ) -> tuple[np.ndarray, DiscreteMeasure, DiscreteMeasure]:
-    """Grid realization: cost matrix plus both marginal measures at resolution n."""
+    """Grid realization: cost matrix plus both marginal measures at resolution n.
+
+    Equal densities give one (frozen) measure, returned for both sides.
+    """
     grid = Grid(n)
     C = discretize_cost(instance.cost, grid)
     mu = DiscreteMeasure.from_density(instance.marginal_x, grid)
-    nu = DiscreteMeasure.from_density(instance.marginal_y, grid)
-    return C, mu, nu
+    if instance.marginal_y != instance.marginal_x:
+        return C, mu, DiscreteMeasure.from_density(instance.marginal_y, grid)
+    return C, mu, mu
 
 
 # ---------------------------------------------------------------------------
@@ -126,14 +130,40 @@ def write_text_file(path: str | Path, text: str) -> None:
     symlink is written through.  A path that cannot be opened or written
     raises :class:`ConfigurationError` naming it.
     """
+    write_text_files([(path, text)])
+
+
+def write_text_files(files) -> None:
+    """Write each ``(path, text)`` of ``files`` as :func:`write_text_file`
+    does, opening every path before writing any: when a path cannot be
+    opened, :class:`ConfigurationError` names it, no file has been written,
+    and the files this call created are removed again."""
+    handles, created = [], []  # created: a symlink's new target, not the link
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-        with open(fd, "w", encoding=io.text_encoding(None)) as fh:
-            fh.write(text)
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                fh.truncate()
+        for k, (path, _) in enumerate(files):
+            # only a file opened before the one that fails may need removing
+            new = k + 1 < len(files) and not os.path.exists(path)
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+            handles.append(open(fd, "w", encoding=io.text_encoding(None)))
+            if new:
+                created.append(os.path.realpath(path))
+    except OSError as exc:
+        for fh in handles:
+            fh.close()
+        for p in created:
+            os.unlink(p)
+        raise ConfigurationError(f"cannot write {str(path)!r}: {exc}") from exc
+    try:
+        for fh, (path, text) in zip(handles, files):
+            with fh:
+                fh.write(text)
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate()
     except OSError as exc:
         raise ConfigurationError(f"cannot write {str(path)!r}: {exc}") from exc
+    finally:
+        for fh in handles:
+            fh.close()
 
 
 def save_instance(inst: Instance, path: str | Path) -> None:

@@ -98,6 +98,11 @@ DUALITY_TOL = 1e-7
 #: whose optimum at k dropped atoms is such a solve
 _PLAIN_SWEEPS = 16
 
+#: entries of D - u a sweep of _assignment_potentials holds at a time (its
+#: blocks are whole rows): 512 KB of floats, so every N <= 256 is one block
+#: and a large N never holds an N x N temporary
+_SWEEP_BLOCK = 2**16
+
 #: relative spread allowed among equal weights, and between a slack cap and
 #: k times the weight for k >= 1, on the assignment path (n=7's cell weights
 #: differ by one ulp); a cap below one atom is never rounded to 0
@@ -447,23 +452,33 @@ def _assignment_lp(
     the multipliers alpha, beta of the caps (_cap_potentials).
     _assignment_potentials runs the sweeps, and walks their forest from the
     first sweep when P_k is fully forced.
+
+    Memory.  D is C itself, only ever read, unless C holds a NaN or a -inf;
+    then D is C with +inf on every non-finite arc.  A mixed cap releases
+    P_k's padded matrix before padding for k + 1, so one is alive at a time.
     """
     n = C.shape[0]
     w = float(a.sum()) / n
     finite = np.isfinite(C)
-    D = np.where(finite, C, INF)
+    # C.min() is NaN or -inf when C holds one; else C is its own +inf copy,
+    # and nothing below writes D (linear_sum_assignment, the split's blocks,
+    # the padding and the sweeps only read it)
+    D = C if C.min() > -INF else np.where(finite, C, INF)
     low = _optimal_assignment(D, finite, k)
     if low is None:
         return SolveReport(value=INF, status="infeasible_finite", path="assignment")
     padded, col, forced = low
     mix = [(col, 1.0 - theta)]
     if theta:
+        low = padded = None  # one padded matrix at a time
         padded, col, _ = _optimal_assignment(D, finite, k + 1)
         mix.append((col, theta))
     # C padded with the dummy row and column of mass cap: the top left of
     # the last optimum's k or k + 1 dummies
     E = D if cap is None else padded[: n + 1, : n + 1]
-    del D  # unless E is D, the plan reuses its memory: no fresh pages to fault in
+    # a copy D that E does not keep is freed here, so the plan reuses its
+    # pages instead of faulting in fresh ones
+    del D
     plan = np.zeros((n, n))
     support = np.zeros(E.shape, dtype=bool)  # X's support on E
     parts = []
@@ -634,6 +649,13 @@ def _assignment_potentials(
     state u with u <= F(u) and u <= L, keeps both.  u only grows, and the
     loop still stops only when a full sweep returns u unchanged, i.e. at a
     fixed point below L, which is L itself.
+
+    A sweep reads D - u a block of whole rows at a time, at most
+    _SWEEP_BLOCK entries (one block for every N <= 256), so no N x N
+    temporary is held at large N.  Min is exact, so folding the blocks'
+    column minima gives the one-block v; a walking sweep keeps the first
+    row attaining each column's minimum, since a later block replaces it
+    only with a strictly smaller value (_block_sweep).
     """
     N = D.shape[0]
     rows = np.arange(N)
@@ -645,6 +667,7 @@ def _assignment_potentials(
         # off the support -inf - v stays -inf, so argmax picks a support arc
         on_support = np.where(support[several], D[several], -INF)
     plain_sweeps = 1 if forced else _PLAIN_SWEEPS
+    step = max(1, _SWEEP_BLOCK // N)  # rows a sweep takes at a time
     u = np.zeros(N)
     v = D.min(axis=0)
     best = None
@@ -671,15 +694,44 @@ def _assignment_potentials(
                 if t > u[i]:
                     u[i] = t
             u = np.array(u)
-        R = D - u[:, None]
-        if sweep + 1 < plain_sweeps:
-            v = R.min(axis=0)
+        walk = sweep + 1 >= plain_sweeps
+        if step < N:
+            v, best = _block_sweep(D, u, step, walk)
+        elif not walk:
+            v = (D - u[:, None]).min(axis=0)
         else:
+            R = D - u[:, None]
             # the first row of each column's minimum, as argmin finds it, but
             # a column min and a compare sweep C-ordered R several times faster
             best = (R == R.min(axis=0)).argmax(axis=0)
             v = R[best, rows]
     return u, v
+
+
+def _block_sweep(
+    D: np.ndarray, u: np.ndarray, step: int, walk: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One sweep of _assignment_potentials over ``step`` rows of D at a
+    time: v_j = min_i (D_ij - u_i) and, when ``walk``, the first row
+    attaining it (else None), as the one-block sweep finds them.  A later
+    block takes a column only with a strictly smaller value, so the first
+    row of a tie keeps it."""
+    v = best = None
+    for lo in range(0, D.shape[0], step):
+        R = D[lo : lo + step] - u[lo : lo + step, None]
+        if not walk:
+            m = R.min(axis=0)
+            v = m if v is None else np.minimum(v, m, out=v)
+            continue
+        at = (R == R.min(axis=0)).argmax(axis=0)
+        m = R[at, np.arange(R.shape[1])]
+        if v is None:
+            v, best = m, at
+        else:
+            lower = m < v
+            v[lower] = m[lower]
+            best[lower] = at[lower] + lo
+    return v, best
 
 
 def _forest_order(pred: np.ndarray) -> np.ndarray:

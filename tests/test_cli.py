@@ -588,7 +588,8 @@ class TestReportFiles:
 
     @pytest.mark.parametrize("cmd", ["solve", "gap-scan", "negligible", "approximate"])
     def test_dev_null_exits_0(self, cmd, capsys):
-        # rectify is left out: it writes its envelope beside --out
+        # rectify is left out: it writes its envelope beside --out, so it
+        # refuses a --out that is not a regular file (test_rectify_refuses_a_fifo)
         assert main([*REPORT_COMMANDS[cmd], "--out", os.devnull]) == 0
         assert capsys.readouterr() == ("", "")
 
@@ -627,6 +628,44 @@ class TestReportFiles:
         assert err.startswith("error: cannot write") and str(out) in err
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("old_summary", [False, True])
+    @pytest.mark.parametrize("envelope", ["directory", "dangling_symlink"])
+    def test_rectify_writes_neither_file_when_the_envelope_fails(
+        self, tmp_path, capsys, envelope, old_summary
+    ):
+        out = tmp_path / "d.csv"
+        if envelope == "directory":
+            (tmp_path / "d.envelope.csv").mkdir()
+        else:  # not there, so no regular-file check sees it; opening it fails
+            (tmp_path / "d.envelope.csv").symlink_to(tmp_path / "missing" / "e.csv")
+        if old_summary:
+            out.write_text("old\n")
+        before = sorted(tmp_path.iterdir())
+        code = main([*REPORT_COMMANDS["rectify"], "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "d.envelope.csv" in err
+        assert sorted(tmp_path.iterdir()) == before
+        if old_summary:
+            assert out.read_text() == "old\n"
+        else:
+            assert not out.exists()
+
+    def test_rectify_refuses_a_fifo(self, tmp_path):
+        # refused before anything is opened: no reader is needed, and a
+        # child process turns a blocking open into a failed timeout
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        done = run_process(*REPORT_COMMANDS["rectify"], "--out", str(fifo))
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == (
+            f"error: rectify writes {str(fifo)!r} and "
+            f"{str(tmp_path / 'fifo.envelope.csv')!r} as regular files: "
+            f"{str(fifo)!r} is not one\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
 
     def test_no_report_write_truncates(self, tmp_path, monkeypatch):
         # opening with O_TRUNC makes ext4 flush the file on close; every

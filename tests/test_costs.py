@@ -17,6 +17,7 @@ from gaplab import (
     INF,
     Instance,
     diag_inf,
+    diagonal_split,
     discretize,
     discretize_cost,
     fat_set,
@@ -160,6 +161,22 @@ class TestDiscretize:
         )
         grid = Grid(n)
         assert abs(spec.cell_weights(grid).sum() - 1.0) <= 1e-12
+
+    def test_equal_densities_share_one_measure(self):
+        inst = fat_set()
+        assert inst.marginal_x == inst.marginal_y
+        _, mu, nu = discretize(inst, 16)
+        assert mu is nu
+        assert np.array_equal(mu.weights, inst.marginal_x.cell_weights(Grid(16)))
+
+    def test_different_densities_get_their_own_measures(self):
+        skewed = DensitySpec(breakpoints=(0.0, 0.25, 1.0), values=(2.0, 2 / 3))
+        cost = CostDescriptor((whole_square(0.0),))
+        inst = Instance("skewed", DensitySpec.uniform(), skewed, cost)
+        _, mu, nu = discretize(inst, 8)
+        assert mu is not nu
+        assert np.array_equal(mu.weights, DensitySpec.uniform().cell_weights(Grid(8)))
+        assert np.array_equal(nu.weights, skewed.cell_weights(Grid(8)))
 
 
 class TestPlanCost:
@@ -362,6 +379,19 @@ class TestSlicePainting:
             assert np.array_equal(
                 discretize_cost(desc, Grid(n)), mask_painted(reference, n)
             ), n
+
+    @pytest.mark.parametrize("n", [1, 4, 7, 64])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_complements_match_mask_painting(self, n, axis):
+        # the catalog's one complement (fat_set) lies on axis x over zeros;
+        # here also axis y, +inf entries underneath, and intervals on cell
+        # edges that leave no partial cell ((0.25, 0.5) at n = 4 and 64)
+        over_inf = diagonal_split(1.0, 0.5, INF).regions
+        for intervals in (((0.3, 0.55),), ((0.25, 0.5),), ((0.1, 0.2), (0.5, 0.7))):
+            for below in ((whole_square(0.0),), over_inf):
+                region = Region(ComplementOfIntervals(intervals, axis), 2.0)
+                desc = CostDescriptor((*below, region))
+                assert np.array_equal(discretize_cost(desc, Grid(n)), mask_painted(desc, n))
 
     @pytest.mark.parametrize("n", [1, 5, 63, 64, 100])
     def test_random_finite_64_matches_mask_painting(self, n):

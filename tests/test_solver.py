@@ -411,6 +411,18 @@ def _drops(n):
     return sorted({0, 1, 2, n} & set(range(n + 1)))
 
 
+def _report_bits(r):
+    """Everything a report holds, with floats as their bytes (-0.0 is not 0.0)."""
+    bits = [np.float64(r.value).tobytes(), r.status, r.path]
+    if r.plan is not None:
+        bits.append(r.plan.mass.tobytes())
+    if r.potentials is not None:
+        p = r.potentials
+        bits += [p.phi.tobytes(), p.psi.tobytes()]
+        bits += [np.float64(x).tobytes() for x in (p.objective, p.alpha, p.beta)]
+    return bits
+
+
 class TestAssignmentPath:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 64])
     @pytest.mark.parametrize("name", catalog_names())
@@ -447,6 +459,41 @@ class TestAssignmentPath:
             r = _cross_check(C, uniform(n), uniform(n), k)
             expected = bf if k == 0 else brute_force_partial_matching(C, 1 / n, k)
             assert r.value == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_nan_and_minus_inf_solve_as_forbidden_arcs(self, n):
+        # such a C is copied with +inf in their place; any other C is read
+        # as it is, so the copy must give the +inf matrix's reports
+        rng = np.random.default_rng(n)
+        optimal = 0
+        for case in range(12):
+            C = rng.uniform(-1.0, 2.0, (n, n))
+            C[rng.random((n, n)) < 0.2] = INF
+            odd = rng.random((n, n)) < 0.25
+            odd[case % n, case % n] = True  # at least one, and sometimes a NaN
+            forbidden = np.where(odd, INF, C)
+            C[odd] = rng.choice([math.nan, -INF], np.count_nonzero(odd))
+            for eps in (None, 1 / n, 0.37 / n, 1.5 / n):  # full, on and off the lattice
+                got, ref = (
+                    solve_primal(M, uniform(n), uniform(n)) if eps is None
+                    else solve_partial(M, uniform(n), uniform(n), eps)
+                    for M in (C, forbidden)
+                )
+                assert got.path == "assignment"
+                assert _report_bits(got) == _report_bits(ref)
+                optimal += got.status == "optimal"
+        assert optimal
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_read_only_cost_is_solved_as_it_is(self, name):
+        C, mu, nu = discretize(get_instance(name), 16)
+        solves = [
+            lambda: solve_primal(C, mu, nu),
+            *(lambda eps=eps: solve_partial(C, mu, nu, eps) for eps in (1 / 16, 0.37 / 16)),
+        ]
+        ref = [_report_bits(solve()) for solve in solves]
+        C.setflags(write=False)  # a write to C, or to D when D is C, raises
+        assert [_report_bits(solve()) for solve in solves] == ref
 
     def test_single_atom(self):
         for c, full, dropped in ((3.0, 3.0, 0.0), (-2.0, -2.0, -2.0), (INF, INF, 0.0)):
@@ -936,6 +983,41 @@ class TestAssignmentPotentials:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_PLAIN_SWEEPS", plain)
             _matches_jacobi(*problem)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 33])
+    def test_row_blocks_sweep_as_one_block(self, monkeypatch, n):
+        # the (D, support, forced) of full, on- and off-lattice solves of
+        # drawn costs (ties, signed zeros, +inf arcs, forced lower-triangular
+        # supports, rows on several arcs of a mix) swept a few rows at a time:
+        # _SWEEP_BLOCK 1 and N take one row, 3N three and N^2 - 1 all but one
+        potentials, calls = solver._assignment_potentials, []
+
+        def spied(D, support, forced=False):
+            calls.append((D, support, forced))
+            return potentials(D, support, forced)
+
+        rng = np.random.default_rng(n)
+        palette = np.array([-1.0, -0.0, 0.0, 0.0, 0.5, 1.0, 1 / 3, 2.0])
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "_assignment_potentials", spied)
+            for case in range(24):
+                C = rng.choice(palette, (n, n))
+                C[rng.random((n, n)) < (0.0, 0.3, 0.6)[case % 3]] = INF
+                if case % 4 == 0:
+                    C[np.triu_indices(n, 1)] = INF
+                solve_primal(C, uniform(n), uniform(n))
+                for eps in (1 / n, 0.37 / n, 1.5 / n):
+                    solve_partial(C, uniform(n), uniform(n), eps)
+        if n > 1:
+            assert any(forced for *_, forced in calls)
+            assert any(support.sum(axis=1).max() > 1 for _, support, _ in calls)
+        for D, support, forced in calls:
+            N = D.shape[0]
+            whole = [x.tobytes() for x in potentials(D, support, forced)]
+            for block in (1, 7, N, 3 * N, N * N - 1):
+                monkeypatch.setattr(solver, "_SWEEP_BLOCK", block)
+                assert [x.tobytes() for x in potentials(D, support, forced)] == whole
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
     def test_diag_inf_closed_form_is_jacobi(self, n):
