@@ -100,7 +100,9 @@ _PLAIN_SWEEPS = 16
 
 #: entries of D - u a sweep of _assignment_potentials holds at a time (its
 #: blocks are whole rows): 512 KB of floats, so every N <= 256 is one block
-#: and a large N never holds an N x N temporary
+#: and a large N never holds an N x N temporary.  A capped solve sweeps C
+#: padded to N = n + 1, so a full solve is one block up to n = 256 and a
+#: partial one up to n = 255
 _SWEEP_BLOCK = 2**16
 
 #: relative spread allowed among equal weights, and between a slack cap and
@@ -651,11 +653,12 @@ def _assignment_potentials(
     fixed point below L, which is L itself.
 
     A sweep reads D - u a block of whole rows at a time, at most
-    _SWEEP_BLOCK entries (one block for every N <= 256), so no N x N
-    temporary is held at large N.  Min is exact, so folding the blocks'
-    column minima gives the one-block v; a walking sweep keeps the first
-    row attaining each column's minimum, since a later block replaces it
-    only with a strictly smaller value (_block_sweep).
+    _SWEEP_BLOCK entries (one block for every N <= 256, where a capped
+    solve's N is n + 1), so no N x N temporary is held at large N.  Min is
+    exact, so folding the blocks' column minima gives the one-block v; a
+    walking sweep keeps the first row attaining each column's minimum,
+    since a later block replaces it only with a strictly smaller value
+    (_block_sweep).
     """
     N = D.shape[0]
     rows = np.arange(N)
@@ -668,6 +671,7 @@ def _assignment_potentials(
         on_support = np.where(support[several], D[several], -INF)
     plain_sweeps = 1 if forced else _PLAIN_SWEEPS
     step = max(1, _SWEEP_BLOCK // N)  # rows a sweep takes at a time
+    blocks = [(lo, D[lo : lo + step]) for lo in range(0, N, step)]
     u = np.zeros(N)
     v = D.min(axis=0)
     best = None
@@ -694,37 +698,29 @@ def _assignment_potentials(
                 if t > u[i]:
                     u[i] = t
             u = np.array(u)
-        walk = sweep + 1 >= plain_sweeps
-        if step < N:
-            v, best = _block_sweep(D, u, step, walk)
-        elif not walk:
-            v = (D - u[:, None]).min(axis=0)
-        else:
-            R = D - u[:, None]
-            # the first row of each column's minimum, as argmin finds it, but
-            # a column min and a compare sweep C-ordered R several times faster
-            best = (R == R.min(axis=0)).argmax(axis=0)
-            v = R[best, rows]
+        v, best = _block_sweep(blocks, u, sweep + 1 >= plain_sweeps, rows)
     return u, v
 
 
 def _block_sweep(
-    D: np.ndarray, u: np.ndarray, step: int, walk: bool
+    blocks: list[tuple[int, np.ndarray]], u: np.ndarray, walk: bool, cols: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """One sweep of _assignment_potentials over ``step`` rows of D at a
-    time: v_j = min_i (D_ij - u_i) and, when ``walk``, the first row
-    attaining it (else None), as the one-block sweep finds them.  A later
-    block takes a column only with a strictly smaller value, so the first
-    row of a tie keeps it."""
+    """One sweep of _assignment_potentials over D given as ``blocks``, each
+    its first row and a view of its rows: v_j = min_i (D_ij - u_i) and, when
+    ``walk``, the first row attaining it (else None); ``cols`` is arange(N).
+    A later block takes a column only with a strictly smaller value, so the
+    first row of a tie keeps it."""
     v = best = None
-    for lo in range(0, D.shape[0], step):
-        R = D[lo : lo + step] - u[lo : lo + step, None]
+    for lo, B in blocks:
+        R = B - u[lo : lo + len(B), None]
         if not walk:
             m = R.min(axis=0)
             v = m if v is None else np.minimum(v, m, out=v)
             continue
+        # the first row of each column's minimum, as argmin finds it, but a
+        # column min and a compare sweep C-ordered R several times faster
         at = (R == R.min(axis=0)).argmax(axis=0)
-        m = R[at, np.arange(R.shape[1])]
+        m = R[at, cols]
         if v is None:
             v, best = m, at
         else:
