@@ -14,7 +14,6 @@ from .approximate import (
     LiminfReport,
     block_approximate_plan,
     liminf_harness,
-    restrict_plan,
     weak_star_distance,
 )
 from .catalog import (

@@ -32,7 +32,6 @@ __all__ = [
     "BlockPartition",
     "ApproximationStep",
     "InfiniteRectifiedCostError",
-    "restrict_plan",
     "block_approximate_plan",
     "weak_star_distance",
     "liminf_harness",
@@ -46,7 +45,11 @@ class InfiniteRectifiedCostError(ValueError):
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """n x n half-open cells, each holding s x s fine atoms (fine grid n*s)."""
+    """n x n half-open cells, each holding s x s fine atoms (fine grid n*s).
+
+    The one owner of the cell layout: an n*s x n*s matrix viewed as
+    (n, s, n, s) holds cell (l, m) at [l, :, m, :].
+    """
 
     n: int
     s: int
@@ -64,21 +67,15 @@ class BlockPartition:
         s = self.s
         return (slice(l * s, (l + 1) * s), slice(m * s, (m + 1) * s))
 
+    def cell_sums(self, M: np.ndarray) -> np.ndarray:
+        """The n x n cell totals of M."""
+        return M.reshape(self.n, self.s, self.n, self.s).sum(axis=(1, 3))
 
-def restrict_plan(
-    pi: TransportPlan, partition: BlockPartition, l: int, m: int
-) -> tuple[TransportPlan, np.ndarray, np.ndarray]:
-    """Plan zeroed outside cell (l, m) plus its fine-grid marginals."""
-    N = partition.fine_n
-    if pi.mass.shape != (N, N):
-        raise InputError(
-            f"plan lives on a {pi.mass.shape} grid, partition expects {N}x{N}"
-        )
-    sub = np.zeros((N, N))
-    sl = partition.cell_slice(l, m)
-    sub[sl] = pi.mass[sl]
-    restricted = TransportPlan(sub)
-    return restricted, restricted.row_sums, restricted.col_sums
+    def cell_marginals(self, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every cell's row sums ([l, :, m] for cell (l, m)) and column sums
+        ([l, m, :]), bit-equal to summing each block along that axis."""
+        cells = M.reshape(self.n, self.s, self.n, self.s)
+        return cells.sum(axis=3), cells.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -98,16 +95,6 @@ class ApproximationStep:
     @property
     def bound_ok(self) -> bool:
         return self.cost_c <= self.bound + 1e-9
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "s": self.s,
-            "mass": self.mass,
-            "cost_c": "inf" if math.isinf(self.cost_c) else self.cost_c,
-            "target_cr_integral": self.target_cr_integral,
-            "bound_ok": self.bound_ok,
-        }
 
 
 def block_approximate_plan(
@@ -152,10 +139,7 @@ def block_approximate_plan(
     glued = np.zeros((N, N))
     reports = []
     solved: dict[bytes, SolveReport] = {}
-    # every cell's marginals at once: [l, :, m] are cell (l, m)'s row sums,
-    # [l, m, :] its column sums, bit-equal to summing the block itself
-    cells = pi.mass.reshape(n, s, n, s)
-    row_sums, col_sums = cells.sum(axis=3), cells.sum(axis=1)
+    row_sums, col_sums = part.cell_marginals(pi.mass)
     # entries are non-negative, so a cell sums to 0 only if it holds no mass
     for l, m in np.argwhere(row_sums.sum(axis=1) > 0).tolist():
         sl = part.cell_slice(l, m)
@@ -198,17 +182,9 @@ def block_approximate_plan(
 
 
 def _dyadic_level(size: int) -> int:
-    level = int(round(math.log2(size)))
-    if 2**level != size:
+    if not Grid(size).is_dyadic:
         raise InputError(f"weak* metric needs power-of-two grids, got {size}")
-    return level
-
-
-def _cell_masses(mass: np.ndarray, level: int) -> np.ndarray:
-    """Aggregate atom masses into the 2^level x 2^level dyadic cells."""
-    N = mass.shape[0]
-    b = N >> level
-    return mass.reshape(2**level, b, 2**level, b).sum(axis=(1, 3))
+    return size.bit_length() - 1
 
 
 def _coarser(cells: np.ndarray) -> np.ndarray:
@@ -234,7 +210,7 @@ def weak_star_distance(p, q) -> float:
                 f"weak* metric needs non-empty square plans, got shape {mass.shape}"
             )
     K = min(_dyadic_level(pm.shape[0]), _dyadic_level(qm.shape[0]))
-    pc, qc = _cell_masses(pm, K), _cell_masses(qm, K)
+    pc, qc = (BlockPartition(2**K, m.shape[0] >> K).cell_sums(m) for m in (pm, qm))
     diffs = [float(np.abs(pc - qc).max())]
     for _ in range(K):
         pc, qc = _coarser(pc), _coarser(qc)

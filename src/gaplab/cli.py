@@ -220,7 +220,10 @@ def cmd_rectify(args) -> int:
         raise ConfigurationError(f"seed must be non-negative, got {args.seed}")
     base = Path(args.out) if args.out else None
     if base is not None:
-        targets = (base, base.with_suffix(".envelope.csv"))
+        # a symlinked --out (such as /dev/stdout) gets its envelope beside
+        # the file it resolves to, not beside the link
+        real = base.resolve() if base.is_symlink() else base
+        targets = (base, real.with_suffix(".envelope.csv"))
         for path in targets:
             try:
                 regular = stat.S_ISREG(os.stat(path).st_mode)

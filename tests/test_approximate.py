@@ -1,14 +1,18 @@
 """Block partition, per-cell partial solves, the weak* metric, liminf harness."""
 
+import math
+
 import numpy as np
 import pytest
 
 import gaplab.approximate
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gaplab import (
     BlockPartition,
+    ConfigurationError,
     InfiniteRectifiedCostError,
     TransportPlan,
     antidiagonal_plan,
@@ -19,7 +23,6 @@ from gaplab import (
     discretize,
     liminf_harness,
     product_plan,
-    restrict_plan,
     shift_subplan,
     weak_star_distance,
 )
@@ -27,28 +30,48 @@ from gaplab.catalog import diag_M, fat_set, random_finite, trivial_zero
 from gaplab.solver import InputError, solve_partial
 
 
-class TestRestrictPlan:
-    def test_off_diagonal_cell_of_diagonal_plan_is_empty(self):
-        part = BlockPartition(4, 4)
-        sub, a, b = restrict_plan(diagonal_plan(16), part, 0, 2)
-        assert sub.total == 0.0
-        assert a.sum() == 0.0 and b.sum() == 0.0
+@st.composite
+def cell_layouts(draw):
+    """A partition with n, s in 1..8 and an n*s x n*s mass matrix of
+    non-uniform entries in which whole cells may be zero."""
+    n, s = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    N = n * s
+    entries = st.floats(0, 1) | st.sampled_from([0.0, 1e-300, 1e300])
+    M = draw(arrays(float, (N, N), elements=entries))
+    empty = draw(arrays(bool, (n, n)))
+    M[np.kron(empty, np.ones((s, s), dtype=bool))] = 0.0
+    return BlockPartition(n, s), M
 
-    def test_diagonal_cell_mass(self):
-        part = BlockPartition(4, 4)
-        sub, a, b = restrict_plan(diagonal_plan(16), part, 1, 1)
-        assert sub.total == pytest.approx(0.25, abs=1e-15)
-        assert a.sum() == pytest.approx(0.25, abs=1e-15)
 
-    def test_product_plan_cell_mass(self):
-        part = BlockPartition(4, 2)
+class TestBlockPartition:
+    @pytest.mark.parametrize("n, s", [(0, 4), (4, 0)])
+    def test_empty_side_rejected(self, n, s):
+        with pytest.raises(ConfigurationError):
+            BlockPartition(n, s)
+
+    def test_cell_sums_of_closed_form_plans(self):
+        sums = BlockPartition(4, 4).cell_sums(diagonal_plan(16).mass)
+        assert np.array_equal(sums, np.diag([0.25] * 4))
         _, mu, nu = discretize(trivial_zero(), 8)
-        sub, _, _ = restrict_plan(product_plan(mu, nu), part, 2, 3)
-        assert sub.total == pytest.approx(1 / 16, abs=1e-15)
+        sums = BlockPartition(4, 2).cell_sums(product_plan(mu, nu).mass)
+        assert sums == pytest.approx(np.full((4, 4), 1 / 16), abs=1e-15)
 
-    def test_wrong_resolution_rejected(self):
-        with pytest.raises(InputError):
-            restrict_plan(diagonal_plan(8), BlockPartition(4, 4), 0, 0)
+    @given(cell_layouts())
+    @settings(max_examples=60, deadline=None)
+    def test_cells_match_each_block(self, layout):
+        part, M = layout
+        rows, cols = part.cell_marginals(M)
+        sums = part.cell_sums(M)
+        assert rows.shape == (part.n, part.s, part.n)
+        assert cols.shape == (part.n, part.n, part.s)
+        assert sums.shape == (part.n, part.n)
+        for l in range(part.n):
+            for m in range(part.n):
+                block = M[part.cell_slice(l, m)]
+                assert rows[l, :, m].tobytes() == block.sum(axis=1).tobytes()
+                assert cols[l, m].tobytes() == block.sum(axis=0).tobytes()
+                exact = math.fsum(block.ravel())
+                assert abs(sums[l, m] - exact) <= 1e-12 * exact
 
 
 class TestBlockApproximate:
@@ -102,6 +125,11 @@ class TestBlockApproximate:
     def test_refuses_instances_without_rectified_descriptor(self):
         with pytest.raises(InfiniteRectifiedCostError):
             block_approximate_plan(diagonal_plan(32), random_finite(0, 8), 4, 8)
+
+    @pytest.mark.parametrize("N", [8, 15, 32])
+    def test_plan_off_the_fine_grid_rejected(self, N):
+        with pytest.raises(InputError, match="fine 16x16 grid"):
+            block_approximate_plan(diagonal_plan(N), diag_inf(), 4, 4)
 
 
 def _solve_every_cell(pi, inst, n, s):

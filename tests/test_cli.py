@@ -619,6 +619,16 @@ class TestReportFiles:
         assert link.is_symlink() and link.resolve() == target.resolve()
         assert target.read_bytes() == fresh.read_bytes()
 
+    def test_rectify_envelope_lands_beside_the_symlink_target(self, tmp_path):
+        target, link = tmp_path / "sub" / "target.csv", tmp_path / "link.csv"
+        target.parent.mkdir()
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert main([*REPORT_COMMANDS["rectify"], "--out", str(link)]) == 0
+        assert target.with_suffix(".envelope.csv").is_file()
+        assert not (tmp_path / "link.envelope.csv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "sub"]
+
     @pytest.mark.parametrize("where", ["missing_dir", "directory"])
     def test_unwritable_out_exits_2(self, tmp_path, capsys, where):
         out = tmp_path / "missing" / "x.csv" if where == "missing_dir" else tmp_path
