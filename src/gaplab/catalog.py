@@ -205,20 +205,15 @@ def trivial_zero() -> Instance:
     )
 
 
-def random_finite(
-    seed: int, n: int, value_range: tuple[float, float] = (0.0, 1.0)
-) -> Instance:
-    """Seeded finite-cost instance: one constant value per cell of an n x n
-    grid (a ``CellTable``), uniform marginals.  Deterministic per
-    (seed, n, value_range)."""
+def random_finite(seed: int, n: int) -> Instance:
+    """Seeded finite-cost instance: one constant value in [0, 1) per cell of
+    an n x n grid (a ``CellTable``), uniform marginals.  Deterministic per
+    (seed, n)."""
     if not 1 <= n <= 64:
         raise ConfigurationError(f"random instances need 1 <= n <= 64, got n = {n}")
     if seed < 0:
         raise ConfigurationError(f"random instances need a seed >= 0, got {seed}")
-    lo, hi = value_range
-    if not (0 <= lo < hi):
-        raise ConfigurationError("value range must satisfy 0 <= lo < hi")
-    values = np.random.default_rng(seed).uniform(lo, hi, size=(n, n))
+    values = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, n))
     return Instance(
         name=f"random_finite_s{seed}_n{n}",
         marginal_x=_UNIFORM,

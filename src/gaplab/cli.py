@@ -2,7 +2,7 @@
 and block-approximation sequences, reported as CSV or JSON.
 
 Exit codes: 0 success (an infinite value is a result, not an error),
-2 malformed instance or descriptor, 4 approximation precondition failure.
+2 any input the library rejects, 4 approximation precondition failure.
 Identical configurations (including seeds) produce byte-identical reports.
 """
 
@@ -29,12 +29,7 @@ from .approximate import (
 from .catalog import catalog, catalog_names, get_instance
 from .core import ConfigurationError, DiscreteMeasure, Grid, malformed
 from .costs import CountableMarker, Graph, PointSet, Rectangle, Segment
-from .instance import (
-    discretize,
-    load_instance,
-    write_text_file,
-    write_text_files,
-)
+from .instance import discretize, load_instance, write_text_files
 from .negligible import (
     SetDescriptor,
     is_L_negligible,
@@ -64,12 +59,12 @@ def _emit(text: str, out) -> None:
     ``out`` is rewritten in place and cut to length, not opened with
     ``O_TRUNC``: with ext4's default ``auto_da_alloc``, closing a file that
     was truncated to zero starts its write-back, which took longer than
-    formatting and writing the report (:func:`gaplab.instance.write_text_file`).
+    formatting and writing the report (:func:`gaplab.instance.write_text_files`).
     """
     if out is None:
         sys.stdout.write(text)
     else:
-        write_text_file(out, text)
+        write_text_files([(out, text)])
 
 
 def _write_rows(header, rows, out, fmt) -> None:
@@ -100,7 +95,8 @@ def _matrix_csv(E: np.ndarray) -> str:
 
 
 def _parse_n_list(spec: str) -> list[int]:
-    """Accept "8", "4,8,16" or a doubling range "4..64"; every n must be >= 1."""
+    """Accept "8", "4,8,16" or a doubling range "4..64"; every n must be >= 1.
+    The list comes back in ascending order, the order every scan reports."""
     spec = spec.strip()
     try:
         if ".." in spec:
@@ -117,7 +113,7 @@ def _parse_n_list(spec: str) -> list[int]:
         raise ConfigurationError(
             f"resolution list {spec!r} needs integers n >= 1 and at least one n"
         )
-    return out
+    return sorted(out)
 
 
 def _parse_eps(spec: str, n: int) -> list[float]:
@@ -171,7 +167,7 @@ def cmd_solve(args) -> int:
         gap = p.value - dual if np.isfinite(p.value) else 0.0
         return (inst.name, n, p.value, dual, p.status, gap)
 
-    rows = sorted((one(n) for n in ns), key=lambda r: r[1])
+    rows = [one(n) for n in ns]
     _write_rows(
         ["instance", "n", "primal", "dual", "status", "duality_gap"],
         rows,
@@ -280,7 +276,7 @@ def parse_set_descriptor(text: str) -> SetDescriptor:
             return set_descriptor_from_json(json.loads(Path(text).read_text()))
         if text == "diagonal":
             return SetDescriptor((Graph((Segment(0.0, 1.0, 0.0, 1.0),)),))
-        if text in ("qxq", "countable"):
+        if text == "qxq":
             return SetDescriptor((CountableMarker(),))
         m = _SEGMENT_RE.fullmatch(text)
         if m:
@@ -312,7 +308,7 @@ def cmd_negligible(args) -> int:
         nu = DiscreteMeasure.from_density(inst.marginal_y, grid)
         return (n, max_plan_mass(A, mu, nu, n))
 
-    masses = sorted(one(n) for n in ns)
+    masses = [one(n) for n in ns]
     payload = verdict.to_json_dict()
     payload["set"] = args.set
     payload["max_plan_mass"] = [{"n": n, "mass": m} for n, m in masses]
@@ -428,19 +424,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="primal and dual values over resolutions")
     _add_common(p)
-    p.add_argument(
-        "--n", "--n-range", dest="n", required=True,
-        help="resolution list: 8 | 4,8,16 | 4..64",
-    )
+    p.add_argument("--n", required=True, help="resolution list: 8 | 4,8,16 | 4..64")
 
     p = sub.add_parser("gap-scan", help="(n, eps) table of partial values")
     _add_common(p)
-    p.add_argument("--n", "--n-range", dest="n", required=True)
+    p.add_argument("--n", required=True)
     p.add_argument("--eps", default="1/n", help='schedule "1/n" or "0.5,0.25,..."')
 
     p = sub.add_parser("rectify", help="generative envelope accumulation")
     _add_common(p)
-    p.add_argument("--n", "--n-range", dest="n", required=True)
+    p.add_argument("--n", required=True)
     p.add_argument("--budget", type=int, default=200, help="accepted; has no effect")
 
     p = sub.add_parser("negligible", help="L-negligibility verdict + mass trend")
@@ -450,17 +443,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--catalog", choices=catalog_names(), default="trivial_zero", help="marginal source"
     )
-    p.add_argument("--n", "--n-range", dest="n", default="4,8,16,32")
+    p.add_argument("--n", default="4,8,16,32")
 
     p = sub.add_parser("approximate", help="block approximation sequence")
     _add_common(p)
-    p.add_argument("--n", "--n-range", dest="n", required=True)
+    p.add_argument("--n", required=True)
     p.add_argument("--s", type=int, default=8, help="fine atoms per cell side")
     p.add_argument("--plan", choices=sorted(_PLAN_BUILDERS), default="diagonal")
 
     p = sub.add_parser("catalog", help="list canonical instances")
     _add_common(p, need_instance=False)
-    p.add_argument("--list", action="store_true", help="(default action)")
 
     return ap
 

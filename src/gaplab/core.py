@@ -34,7 +34,7 @@ MASS_TOL = 1e-12
 
 
 class ConfigurationError(ValueError):
-    """A descriptor or instance is malformed (does not cover, bad density, ...)."""
+    """Input the library rejects."""
 
 
 @contextmanager
@@ -49,10 +49,6 @@ def malformed(what: str):
         raise ConfigurationError(f"malformed {what}: {exc}") from exc
 
 
-def is_inf(v: float) -> bool:
-    return math.isinf(v) and v > 0
-
-
 def check_cost_value(v: float) -> float:
     """Validate a single extended-real cost value (finite >= 0, or +inf)."""
     v = float(v)
@@ -63,7 +59,7 @@ def check_cost_value(v: float) -> float:
 
 def extreal_to_json(v: float):
     """Serialize an extended real: finite numbers stay numbers, +inf -> "inf"."""
-    return "inf" if is_inf(v) else float(v)
+    return "inf" if v == INF else float(v)
 
 
 def extreal_from_json(v) -> float:
@@ -205,20 +201,5 @@ class DiscreteMeasure:
         return cls(spec.cell_weights(grid))
 
     @property
-    def n(self) -> int:
-        return self.weights.shape[0]
-
-    @property
     def total(self) -> float:
         return float(self.weights.sum())
-
-    @property
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.weights > 0)
-
-    @property
-    def is_probability(self) -> bool:
-        return abs(self.total - 1.0) <= MASS_TOL
-
-    def reweighted(self, factors: np.ndarray) -> "DiscreteMeasure":
-        return DiscreteMeasure(self.weights * np.asarray(factors, dtype=float))

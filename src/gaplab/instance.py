@@ -119,25 +119,19 @@ def loads_instance(text: str) -> Instance:
         raise ConfigurationError(f"instance file is not valid JSON: {exc}") from exc
 
 
-def write_text_file(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` with ``Path.write_text``'s encoding and
-    newline handling, rewriting an existing file in place.
-
-    The file is opened without ``O_TRUNC`` and, when it is a regular file,
-    cut to the written length afterwards, so ext4's ``auto_da_alloc`` does
-    not start its write-back on close.  A stream (``/dev/null``,
-    ``/dev/stdout``, a FIFO) cannot be truncated and is only written; a
-    symlink is written through.  A path that cannot be opened or written
-    raises :class:`ConfigurationError` naming it.
-    """
-    write_text_files([(path, text)])
-
-
 def write_text_files(files) -> None:
-    """Write each ``(path, text)`` of ``files`` as :func:`write_text_file`
-    does, opening every path before writing any: when a path cannot be
-    opened, :class:`ConfigurationError` names it, no file has been written,
-    and the files this call created are removed again."""
+    """Write each ``(path, text)`` of ``files`` with ``Path.write_text``'s
+    encoding and newline handling, rewriting an existing file in place, and
+    open every path before writing any.
+
+    A file is opened without ``O_TRUNC`` and, when it is a regular file, cut
+    to the written length afterwards, so ext4's ``auto_da_alloc`` does not
+    start its write-back on close.  A stream (``/dev/null``, ``/dev/stdout``,
+    a FIFO) cannot be truncated and is only written; a symlink is written
+    through.  A path that cannot be opened or written raises
+    :class:`ConfigurationError` naming it; when a path cannot be opened, no
+    file has been written, and the files this call created are removed
+    again."""
     handles, created = [], []  # created: a symlink's new target, not the link
     try:
         for k, (path, _) in enumerate(files):
@@ -167,7 +161,7 @@ def write_text_files(files) -> None:
 
 
 def save_instance(inst: Instance, path: str | Path) -> None:
-    write_text_file(path, dumps_instance(inst))
+    write_text_files([(path, dumps_instance(inst))])
 
 
 def load_instance(path: str | Path) -> Instance:

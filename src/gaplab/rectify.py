@@ -27,13 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import INF, DiscreteMeasure
+from .core import INF, ConfigurationError, DiscreteMeasure
 from .costs import max_finite_entry
 from .instance import discretize
 # linprog and solve_primal are not called here; they stay importable as
 # gaplab.rectify.linprog and gaplab.rectify.solve_primal, where
 # perfbench/tracing.py wraps them
-from .solver import InputError, linprog, solve_primal  # noqa: F401
+from .solver import linprog, solve_primal  # noqa: F401
 
 __all__ = [
     "FeasiblePair",
@@ -87,12 +87,12 @@ class RectifiedAccumulator:
         A pair whose slack exceeds ``PAIR_TOL`` or is NaN, or whose tensor
         holds a NaN anywhere (forbidden entries included, which the slack
         does not see but which would poison the running maximum), raises
-        InputError and leaves the accumulator as it was.
+        ConfigurationError and leaves the accumulator as it was.
         """
         tensor = pair.tensor()
         slack = pair.feasibility_slack(self.C)
         if not slack <= PAIR_TOL or np.isnan(tensor).any():
-            raise InputError(
+            raise ConfigurationError(
                 f"pair {pair.provenance} is infeasible or NaN (slack {slack:.3e})"
             )
         # on a tie np.maximum keeps its second operand, so a -0.0 sum would
@@ -117,7 +117,7 @@ class RectifiedAccumulator:
 
 def _require_full_support(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
     if np.any(mu.weights <= 0) or np.any(nu.weights <= 0):
-        raise InputError("the envelope oracle needs full-support marginals")
+        raise ConfigurationError("the envelope oracle needs full-support marginals")
 
 
 def pointwise_dual_envelope(
@@ -204,7 +204,7 @@ def box_infimum_pairs(C: np.ndarray, boxes=None) -> list[FeasiblePair]:
             (u, v) for u in dyadic_index_ranges(n) for v in dyadic_index_ranges(m)
         ]
     if any(lo >= hi for box in boxes for lo, hi in box):
-        raise InputError("every box range (lo, hi) needs lo < hi")
+        raise ConfigurationError("every box range (lo, hi) needs lo < hi")
     rows = {u: k for k, u in enumerate(sorted({u for u, _ in boxes}))}
     cols = {v: k for k, v in enumerate(sorted({v for _, v in boxes}))}
     table = _box_minima(C, list(rows), list(cols)).tolist()
@@ -248,7 +248,7 @@ def generative_rectify(
     changes only a -0.0, to 0.0, as the accumulator does after every pair.
     """
     if budget < 0:
-        raise InputError("budget must be non-negative")
+        raise ConfigurationError("budget must be non-negative")
     C, _, _ = discretize(instance, n)
     acc = RectifiedAccumulator(C)
     acc.add_pair(FeasiblePair(np.zeros(n), np.zeros(n), "zero_pair"))

@@ -56,7 +56,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import INF, MASS_TOL, DiscreteMeasure
+from .core import INF, MASS_TOL, ConfigurationError, DiscreteMeasure
 
 __all__ = [
     "TransportPlan",
@@ -199,20 +199,16 @@ def linprog(c, *, A_eq, b_eq):
     return res
 
 
-class InputError(ValueError):
-    """Solver inputs violate a precondition (mismatched marginals, ...)."""
-
-
 def _frozen_plan(m: np.ndarray) -> np.ndarray:
     """m, a float array, checked to be a non-negative matrix, its solver dust
     clipped and itself made read-only, all in place."""
     if m.ndim != 2:
-        raise InputError("a transport plan is a matrix")
+        raise ConfigurationError("a transport plan is a matrix")
     # one pass finds the minimum; NaN is not >= 0 either, and is left
     # alone while any solver dust beside it is clipped
     if m.size and not m.min() >= 0:
         if np.any(m < -SUPPORT_TOL):
-            raise InputError("plan entries must be non-negative")
+            raise ConfigurationError("plan entries must be non-negative")
         m[m < 0] = 0.0  # clip solver dust
     m.setflags(write=False)
     return m
@@ -248,12 +244,10 @@ class TransportPlan:
     def total(self) -> float:
         return float(self.mass.sum())
 
-    def is_subcoupling_of(
-        self, mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = MASS_TOL
-    ) -> bool:
+    def is_subcoupling_of(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
         return bool(
-            np.all(self.row_sums <= mu.weights + tol)
-            and np.all(self.col_sums <= nu.weights + tol)
+            np.all(self.row_sums <= mu.weights + MASS_TOL)
+            and np.all(self.col_sums <= nu.weights + MASS_TOL)
         )
 
 
@@ -296,23 +290,6 @@ class SolveReport:
     potentials: DualPotentials | None = None
     path: str = "highs"  # assignment | highs: the solver path that ran
 
-    def to_json_dict(self, include_dense: bool = False) -> dict:
-        d = {
-            "value": "inf" if math.isinf(self.value) else self.value,
-            "status": self.status,
-            "objective_gap": (
-                None
-                if self.potentials is None or math.isinf(self.value)
-                else self.value - self.potentials.objective
-            ),
-        }
-        if include_dense and self.plan is not None:
-            d["plan"] = self.plan.mass.tolist()
-        if include_dense and self.potentials is not None:
-            d["phi"] = self.potentials.phi.tolist()
-            d["psi"] = self.potentials.psi.tolist()
-        return d
-
 
 def _as_weights(m) -> np.ndarray:
     if isinstance(m, DiscreteMeasure):
@@ -323,12 +300,12 @@ def _as_weights(m) -> np.ndarray:
 def _check_marginals(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     n, m = C.shape
     if a.shape != (n,) or b.shape != (m,):
-        raise InputError("marginal lengths do not match the cost matrix")
+        raise ConfigurationError("marginal lengths do not match the cost matrix")
     # each check is written so that NaN fails it
     if not (np.all(a >= -SUPPORT_TOL) and np.all(b >= -SUPPORT_TOL)):
-        raise InputError("marginals must be non-negative")
+        raise ConfigurationError("marginals must be non-negative")
     if not abs(a.sum() - b.sum()) <= 1e-9:
-        raise InputError(
+        raise ConfigurationError(
             f"marginal totals differ: {a.sum():.12g} vs {b.sum():.12g}"
         )
 
@@ -720,7 +697,7 @@ def _block_sweep(
         # the first row of each column's minimum, as argmin finds it, but a
         # column min and a compare sweep C-ordered R several times faster
         at = (R == R.min(axis=0)).argmax(axis=0)
-        m = R[at, cols]
+        m = R[at, cols]  # not the column min, whose zero may carry the other sign
         if v is None:
             v, best = m, at
         else:
@@ -853,7 +830,7 @@ def solve_partial(C: np.ndarray, mu, nu, eps: float) -> SolveReport:
     """Cheapest sub-coupling with row sums <= mu, col sums <= nu and total
     mass >= total - eps (the relaxed problem; eps in absolute mass units)."""
     if not eps >= 0:  # also rejects NaN
-        raise InputError(f"eps must be non-negative, got {eps}")
+        raise ConfigurationError(f"eps must be non-negative, got {eps}")
     C = np.asarray(C, dtype=float)
     a, b = _as_weights(mu), _as_weights(nu)
     _check_marginals(C, a, b)
@@ -870,10 +847,6 @@ class RelaxedReport:
     primal_value: float
     limit_estimate: float
 
-    @property
-    def bracket(self) -> tuple[float, float]:
-        return (self.limit_estimate, self.primal_value)
-
 
 def relaxed_value(instance, n: int, eps_schedule) -> RelaxedReport:
     """Partial transport values P^eps along the schedule; the eps -> 0 limit
@@ -882,9 +855,9 @@ def relaxed_value(instance, n: int, eps_schedule) -> RelaxedReport:
 
     eps_schedule = [float(e) for e in eps_schedule]
     if not all(e > 0 for e in eps_schedule):  # also rejects NaN
-        raise InputError("eps schedule must stay positive")
+        raise ConfigurationError("eps schedule must stay positive")
     if any(e2 >= e1 for e1, e2 in zip(eps_schedule, eps_schedule[1:])):
-        raise InputError("eps schedule must be strictly decreasing")
+        raise ConfigurationError("eps schedule must be strictly decreasing")
     C, mu, nu = discretize(instance, n)
     rows = []
     prev = None
@@ -905,16 +878,16 @@ def relaxed_value(instance, n: int, eps_schedule) -> RelaxedReport:
 
 
 def check_complementary_slackness(
-    report: SolveReport, C: np.ndarray, tol: float = DUALITY_TOL
+    report: SolveReport, C: np.ndarray
 ) -> tuple[bool, list[tuple[int, int, float]]]:
     """Certify optimality: wherever the plan carries mass, the dual constraint
     must be tight.  Returns (ok, violations) with one (i, j, gap) per bad pair."""
     if report.status != "optimal":
-        raise InputError("complementary slackness needs an optimal report")
+        raise ConfigurationError("complementary slackness needs an optimal report")
     C = np.asarray(C, dtype=float)
     pi = report.plan.mass
     pot = report.potentials
     gap = C - (pot.phi[:, None] + pot.psi[None, :])
-    bad = (pi > SUPPORT_TOL) & (np.abs(gap) > tol)
+    bad = (pi > SUPPORT_TOL) & (np.abs(gap) > DUALITY_TOL)
     violations = [(int(i), int(j), float(gap[i, j])) for i, j in zip(*np.nonzero(bad))]
     return (not violations, violations)

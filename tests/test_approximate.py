@@ -27,7 +27,7 @@ from gaplab import (
     weak_star_distance,
 )
 from gaplab.catalog import diag_M, fat_set, random_finite, trivial_zero
-from gaplab.solver import InputError, solve_partial
+from gaplab.solver import solve_partial
 
 
 @st.composite
@@ -128,7 +128,7 @@ class TestBlockApproximate:
 
     @pytest.mark.parametrize("N", [8, 15, 32])
     def test_plan_off_the_fine_grid_rejected(self, N):
-        with pytest.raises(InputError, match="fine 16x16 grid"):
+        with pytest.raises(ConfigurationError, match="fine 16x16 grid"):
             block_approximate_plan(diagonal_plan(N), diag_inf(), 4, 4)
 
 
@@ -233,16 +233,18 @@ class TestWeakStarDistance:
         assert 0 < d <= 4 / 16
 
     def test_rejects_non_dyadic(self):
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigurationError):
             weak_star_distance(diagonal_plan(6), diagonal_plan(8))
 
     @pytest.mark.parametrize(
         "mass", [np.full((4, 8), 1 / 32), np.zeros((0, 0))], ids=["non_square", "empty"]
     )
     def test_rejects_bad_plan_shapes(self, mass):
-        with pytest.raises(InputError, match=rf"shape \({mass.shape[0]}, {mass.shape[1]}\)"):
+        with pytest.raises(
+            ConfigurationError, match=rf"shape \({mass.shape[0]}, {mass.shape[1]}\)"
+        ):
             weak_star_distance(TransportPlan(mass), diagonal_plan(8))
-        with pytest.raises(InputError, match="shape"):
+        with pytest.raises(ConfigurationError, match="shape"):
             weak_star_distance(diagonal_plan(8), mass)
 
     def test_symmetry_and_triangle(self):
@@ -302,7 +304,7 @@ class TestLiminfHarness:
 
     @pytest.mark.parametrize("horizon", [0, -3])
     def test_rejects_horizon_below_one(self, horizon):
-        with pytest.raises(InputError, match="horizon"):
+        with pytest.raises(ConfigurationError, match="horizon"):
             liminf_harness(diag_inf(), [diagonal_plan(16)], diagonal_plan(16), horizon)
 
     def test_optimizer_sequence_costs_vanish(self):

@@ -205,7 +205,7 @@ class TestGapScan:
         assert first == second
 
     def test_scans_write_rows_in_ascending_n(self, tmp_path):
-        for cmd in ("solve", "gap-scan"):
+        for cmd in ("solve", "gap-scan", "approximate"):
             code, text = run(tmp_path, cmd, "--catalog", "diag_inf", "--n", "16,4,8")
             assert code == 0
             ns = [int(l.split(",")[1]) for l in text.strip().splitlines()[1:]]
@@ -538,6 +538,19 @@ class TestApproximate:
             "--s", "4", "--plan", "product",
         )
         assert code == 0 and calls == [8, 16]
+
+    def test_fine_grid_off_the_powers_of_two_exits_2(self, tmp_path):
+        # n * s = 3: the weak* metric needs a power-of-two grid and rejects it
+        out = tmp_path / "o.csv"
+        proc = run_process(
+            "approximate", "--catalog", "diag_inf", "--n", "3", "--s", "1",
+            "--out", str(out),
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert not out.exists()
 
     def test_missing_rectified_target_exits_4(self, tmp_path):
         code = main(

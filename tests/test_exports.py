@@ -1,7 +1,9 @@
 """Every name a module lists in ``__all__`` or the package imports resolves,
-and importing the package loads no scipy."""
+importing the package loads no scipy, and the CLI maps each exception class
+of the library that reports rejected input to its exit code."""
 
 import ast
+import builtins
 import importlib
 import os
 import pkgutil
@@ -12,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import gaplab
+import gaplab.cli
+from gaplab import ConfigurationError, InfiniteRectifiedCostError
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(gaplab.__path__))
 WITH_ALL = [
@@ -55,3 +59,48 @@ def test_import_and_parser_leave_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _exception_classes():
+    """Names of the classes in gaplab's modules that derive, directly or
+    through one another, from a built-in exception."""
+    bases = {}  # class name -> the names of its bases
+    for path in Path(gaplab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {
+                    b.attr if isinstance(b, ast.Attribute) else getattr(b, "id", "")
+                    for b in node.bases
+                }
+    builtin = {
+        name
+        for name, obj in vars(builtins).items()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+    }
+    known = builtin
+    while True:
+        grown = known | {name for name, names in bases.items() if names & known}
+        if grown == known:
+            return known - builtin
+        known = grown
+
+
+def test_one_exception_class_per_meaning():
+    # rejected input, an infinite approximation target, a blocking piece
+    assert _exception_classes() == {
+        "ConfigurationError",
+        "InfiniteRectifiedCostError",
+        "NotNegligibleError",
+    }
+
+
+@pytest.mark.parametrize(
+    "exc,code", [(ConfigurationError, 2), (InfiniteRectifiedCostError, 4)]
+)
+def test_main_maps_each_error_to_its_exit_code(monkeypatch, capsys, exc, code):
+    def cmd_catalog(args):
+        raise exc("rejected")
+
+    monkeypatch.setattr(gaplab.cli, "cmd_catalog", cmd_catalog)
+    assert gaplab.cli.main(["catalog"]) == code
+    assert capsys.readouterr().err == "error: rejected\n"
