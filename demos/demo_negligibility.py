@@ -39,7 +39,7 @@ for name, A in battery.items():
     masses = []
     for n in (4, 8, 16, 32):
         _, mu, nu = discretize(trivial_zero(), n)
-        masses.append(max_plan_mass(A, mu, nu, n))
+        masses.append(max_plan_mass(A, mu, nu))
     verdict = "negligible" if v.negligible else "NOT negligible"
     print(f"{name:35}  {verdict:15}  " + ", ".join(f"{m:.4f}" for m in masses))
 

@@ -81,7 +81,6 @@ from .rectify import (
     box_infimum_pairs,
     envelope_matrix,
     generative_rectify,
-    pointwise_dual_envelope,
 )
 from .solver import (
     DualPotentials,

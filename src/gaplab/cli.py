@@ -27,7 +27,7 @@ from .approximate import (
     weak_star_distance,
 )
 from .catalog import catalog, catalog_names, get_instance
-from .core import ConfigurationError, DiscreteMeasure, Grid, malformed
+from .core import ConfigurationError, DensitySpec, DiscreteMeasure, Grid, malformed
 from .costs import CountableMarker, Graph, PointSet, Rectangle, Segment
 from .instance import discretize, load_instance, write_text_files
 from .negligible import (
@@ -143,7 +143,7 @@ def _parse_eps(spec: str, n: int) -> list[float]:
 
 
 def _load(args) -> object:
-    if getattr(args, "instance", None):
+    if args.instance:
         return load_instance(args.instance)
     return get_instance(
         args.catalog, M=args.M, K=args.K, seed=args.seed, n=args.catalog_n
@@ -298,15 +298,19 @@ def parse_set_descriptor(text: str) -> SetDescriptor:
 
 def cmd_negligible(args) -> int:
     A = parse_set_descriptor(args.set)
-    inst = _load(args)
-    verdict = is_L_negligible(A, inst.marginal_x, inst.marginal_y)
+    if args.instance:
+        inst = load_instance(args.instance)
+        mx, my = inst.marginal_x, inst.marginal_y
+    else:
+        mx = my = DensitySpec.uniform()
+    verdict = is_L_negligible(A, mx, my)
     ns = _parse_n_list(args.n)
 
     def one(n):
         grid = Grid(n)
-        mu = DiscreteMeasure.from_density(inst.marginal_x, grid)
-        nu = DiscreteMeasure.from_density(inst.marginal_y, grid)
-        return (n, max_plan_mass(A, mu, nu, n))
+        mu = DiscreteMeasure.from_density(mx, grid)
+        nu = DiscreteMeasure.from_density(my, grid)
+        return (n, max_plan_mass(A, mu, nu))
 
     masses = [one(n) for n in ns]
     payload = verdict.to_json_dict()
@@ -344,7 +348,7 @@ def cmd_approximate(args) -> int:
                 step.mass,
                 step.cost_c,
                 step.target_cr_integral,
-                1.0 / n,
+                step.bound,
                 step.bound_ok,
                 dist,
             )
@@ -436,14 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True)
     p.add_argument("--budget", type=int, default=200, help="accepted; has no effect")
 
-    p = sub.add_parser("negligible", help="L-negligibility verdict + mass trend")
+    p = sub.add_parser("negligible", help="L-negligibility verdict + mass trend (JSON)")
     p.add_argument("set", help='descriptor: diagonal | qxq | "segment y=.. x=[..]" | file.json')
-    _add_common(p, need_instance=False)
-    p.add_argument("--instance", help="path to an instance JSON file")
     p.add_argument(
-        "--catalog", choices=catalog_names(), default="trivial_zero", help="marginal source"
+        "--instance", help="instance JSON file whose marginals to use (default uniform)"
     )
     p.add_argument("--n", default="4,8,16,32")
+    p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("approximate", help="block approximation sequence")
     _add_common(p)

@@ -169,19 +169,21 @@ def grid_indicator(A: SetDescriptor, grid: Grid) -> np.ndarray:
     return mask
 
 
-def max_plan_mass(A: SetDescriptor, mu, nu, n: int) -> float:
-    """Largest mass any coupling of (mu, nu) puts on the grid atoms of A.
+def max_plan_mass(A: SetDescriptor, mu, nu) -> float:
+    """Largest mass any coupling of (mu, nu) puts on the grid atoms of A, on
+    the grid with one atom per atom of mu.
 
     That is minus the optimal value of the cost that is -1 on A and 0
     elsewhere.  When every atom of mu and nu weighs the same w, the
     couplings are w times the Birkhoff polytope, whose vertices are
     permutations, so the answer is w times the largest matching on A's atoms:
     one Hopcroft-Karp matching, certified by its Koenig cover (the grid form
-    of Kellerer's duality).  Other marginals solve the LP.
+    of Kellerer's duality).  Other marginals solve the LP, which rejects a
+    nu whose length differs from mu's.
     """
-    ind = grid_indicator(A, Grid(n))
     a, b = _as_weights(mu), _as_weights(nu)
-    w = _uniform_weight(a, b) if a.shape == (n,) else None
+    ind = grid_indicator(A, Grid(a.size))
+    w = _uniform_weight(a, b)
     if w is not None:
         col, _ = _max_matching(ind)
         return w * float(np.count_nonzero(col >= 0))

@@ -2,7 +2,7 @@
 
 Two independent routes to the same object:
 
-* :func:`pointwise_dual_envelope` answers, per entry, "how high can a
+* :func:`envelope_matrix` answers, at every entry, "how high can a
   feasible dual pair reach here?".  On a full-support grid the answer has a
   closed form: the cost itself on a finite entry and +inf on a forbidden
   one (the proof is in its docstring; the test-suite checks it against
@@ -22,7 +22,6 @@ pairs folded in through :meth:`RectifiedAccumulator.add_pair`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +37,6 @@ from .solver import linprog, solve_primal  # noqa: F401
 __all__ = [
     "FeasiblePair",
     "RectifiedAccumulator",
-    "pointwise_dual_envelope",
     "envelope_matrix",
     "box_infimum_pairs",
     "dyadic_index_ranges",
@@ -115,15 +113,11 @@ class RectifiedAccumulator:
 # ---------------------------------------------------------------------------
 
 
-def _require_full_support(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
-    if np.any(mu.weights <= 0) or np.any(nu.weights <= 0):
-        raise ConfigurationError("the envelope oracle needs full-support marginals")
-
-
-def pointwise_dual_envelope(
-    C: np.ndarray, mu: DiscreteMeasure, nu: DiscreteMeasure, i: int, j: int
-) -> float:
-    """sup of phi[i] + psi[j] over pairs feasible against C (+inf if unbounded).
+def envelope_matrix(
+    C: np.ndarray, mu: DiscreteMeasure, nu: DiscreteMeasure
+) -> np.ndarray:
+    """The pointwise dual envelope of C: at each entry (i, j), the sup of
+    phi[i] + psi[j] over pairs feasible against C (+inf if unbounded).
 
     Requires full-support marginals so that the grid has no null atoms and
     the supremum is the honest entrywise rectification.  The supremum has a
@@ -138,16 +132,8 @@ def pointwise_dual_envelope(
     psi[j], so phi[i] = psi[j] = t with every other potential at -B is
     feasible for every t, and the supremum is +inf.
     """
-    _require_full_support(mu, nu)
-    c = float(np.asarray(C, dtype=float)[i, j])
-    return c if math.isfinite(c) else INF
-
-
-def envelope_matrix(
-    C: np.ndarray, mu: DiscreteMeasure, nu: DiscreteMeasure
-) -> np.ndarray:
-    """:func:`pointwise_dual_envelope` at every entry of C, in closed form."""
-    _require_full_support(mu, nu)
+    if np.any(mu.weights <= 0) or np.any(nu.weights <= 0):
+        raise ConfigurationError("the envelope oracle needs full-support marginals")
     C = np.asarray(C, dtype=float)
     return np.where(np.isfinite(C), C, INF)
 

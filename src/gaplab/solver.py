@@ -285,7 +285,7 @@ class DualPotentials:
 @dataclass(frozen=True)
 class SolveReport:
     value: float
-    status: str  # optimal | infeasible_finite | degenerate
+    status: str  # optimal | infeasible_finite
     plan: TransportPlan | None = None
     potentials: DualPotentials | None = None
     path: str = "highs"  # assignment | highs: the solver path that ran

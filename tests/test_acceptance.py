@@ -339,7 +339,7 @@ def test_criterion_10_negligibility_battery():
     masses = []
     for n in ns:
         _, mu, nu = discretize(diag_inf(), n)
-        masses.append(max_plan_mass(diagonal, mu, nu, n))
+        masses.append(max_plan_mass(diagonal, mu, nu))
     checks.append(("diagonal not negligible", not v.negligible))
     checks.append(("diagonal mass == 1", all(abs(m - 1.0) <= 1e-9 for m in masses)))
     for idx, A in enumerate(battery):
@@ -347,7 +347,7 @@ def test_criterion_10_negligibility_battery():
         ok = v.negligible
         for n in ns:
             _, mu, nu = discretize(diag_inf(), n)
-            ok = ok and max_plan_mass(A, mu, nu, n) <= 2.0 / n + 1e-9
+            ok = ok and max_plan_mass(A, mu, nu) <= 2.0 / n + 1e-9
         checks.append((f"negligible piece {idx}", ok))
     _report(10, "verdicts and max plan mass trends agree (10 descriptors)", checks, t0, 30.0)
 

@@ -1,5 +1,6 @@
 """Command surface: outputs, determinism, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -16,7 +17,9 @@ import gaplab.cli
 from gaplab import save_instance
 from gaplab.catalog import diag_inf, get_instance
 from gaplab.cli import _fmt, _write_rows, main, parse_set_descriptor
-from gaplab.core import ConfigurationError
+from gaplab.core import ConfigurationError, DensitySpec, DiscreteMeasure, Grid
+from gaplab.negligible import grid_indicator
+from gaplab.solver import solve_primal
 
 from _oracles import pair_by_pair_rectify
 
@@ -34,6 +37,20 @@ def run(tmp_path, *argv):
     out = tmp_path / "out.txt"
     code = main([*argv, "--out", str(out)])
     return code, out.read_text() if out.exists() else ""
+
+
+def nonuniform_instance_file(tmp_path):
+    """An instance file with piecewise marginals, mu null on [0, 0.25]: every
+    catalog family has uniform ones."""
+    path = tmp_path / "nonuniform.json"
+    inst = dataclasses.replace(
+        diag_inf(),
+        name="nonuniform",
+        marginal_x=DensitySpec((0.0, 0.25, 1.0), (0.0, 4.0 / 3.0)),
+        marginal_y=DensitySpec((0.0, 0.5, 0.75, 1.0), (0.5, 2.0, 1.0)),
+    )
+    save_instance(inst, path)
+    return path, inst
 
 
 class TestSolve:
@@ -496,6 +513,55 @@ class TestNegligible:
         assert code == 2 and text == ""
         assert "must be finite" in capsys.readouterr().err
 
+    def test_instance_file_gives_the_marginals(self, tmp_path):
+        path, inst = nonuniform_instance_file(tmp_path)
+        for spec in ("diagonal", "rect [0,0.25]x[0,1]"):
+            code, text = run(tmp_path, "negligible", spec, "--n", "1,2,4,8",
+                             "--instance", str(path))
+            assert code == 0
+            payload = json.loads(text)
+            A = parse_set_descriptor(spec)
+            for row in payload["max_plan_mass"]:
+                grid = Grid(row["n"])
+                mu = DiscreteMeasure.from_density(inst.marginal_x, grid)
+                nu = DiscreteMeasure.from_density(inst.marginal_y, grid)
+                lp = solve_primal(np.where(grid_indicator(A, grid), -1.0, 0.0), mu, nu)
+                assert row["mass"] == float(-lp.value) + 0.0
+        # mu is null on [0, 0.25], so the strip is covered by M = [0, 0.25];
+        # under the default uniform marginals it blocks
+        assert payload["negligible"] is True
+        assert payload["witness"]["M"]["intervals"] == [[0.0, 0.25]]
+        assert all(row["mass"] == 0.0 for row in payload["max_plan_mass"])
+        code, text = run(tmp_path, "negligible", spec, "--n", "4")
+        assert json.loads(text)["negligible"] is False
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--catalog", "fat_set"), ("--M", "5"), ("--K", "3"), ("--seed", "3"),
+         ("--catalog-n", "7"), ("--format", "csv")],
+    )
+    def test_dropped_flags_exit_2(self, tmp_path, capsys, flag, value):
+        # the marginals come from --instance or are uniform, and the report
+        # is JSON: no catalog instance or format is read
+        out = tmp_path / "o.json"
+        with pytest.raises(SystemExit) as exit_:
+            main(["negligible", "diagonal", "--n", "4", flag, value, "--out", str(out)])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gaplab ")
+        assert err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
+        assert not out.exists()
+
+    def test_help_lists_the_kept_inputs(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["negligible", "--help"])
+        assert exit_.value.code == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert usage.split() == [
+            "usage:", "gaplab", "negligible", "[-h]", "[--instance", "INSTANCE]",
+            "[--n", "N]", "[--out", "OUT]", "set",
+        ]
+
     def test_parse_forms(self):
         assert parse_set_descriptor("qxq").pieces
         assert parse_set_descriptor("rect [0,0.25]x[0,1]").pieces
@@ -552,6 +618,19 @@ class TestApproximate:
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
         assert not out.exists()
 
+    def test_bound_column_is_target_plus_one_over_n(self, tmp_path):
+        # fat_set's rectified target is about 0.5, so a bound of 1/n alone
+        # would sit below cost_c while bound_ok reads True
+        code, text = run(
+            tmp_path, "approximate", "--catalog", "fat_set", "--n", "4,8",
+            "--s", "4", "--plan", "product", "--format", "json",
+        )
+        assert code == 0
+        for row in json.loads(text):
+            assert row["target_cr_integral"] > 0
+            assert row["bound"] == row["target_cr_integral"] + 1.0 / row["n"]
+            assert row["bound_ok"] == (row["cost_c"] <= row["bound"] + 1e-9)
+
     def test_missing_rectified_target_exits_4(self, tmp_path):
         code = main(
             ["approximate", "--catalog", "random_finite", "--n", "4", "--s", "4"]
@@ -577,14 +656,30 @@ REPORT_COMMANDS = {
 }
 
 
+def report_argv(cmd, fmt):
+    """REPORT_COMMANDS[cmd] writing ``fmt``; negligible writes JSON only and
+    takes no --format."""
+    if cmd == "negligible":
+        return list(REPORT_COMMANDS[cmd])
+    return [*REPORT_COMMANDS[cmd], "--format", fmt]
+
+
 class TestReportFiles:
     """--out rewrites a file in place and cuts it to length; streams and
     symlinks are written through; an unwritable path exits 2."""
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("cmd", sorted(REPORT_COMMANDS))
+    @pytest.mark.parametrize(
+        ("fmt", "cmd"),
+        [
+            (fmt, cmd)
+            for cmd in sorted(REPORT_COMMANDS)
+            for fmt in ("csv", "json")
+            if (cmd, fmt) != ("negligible", "csv")
+        ],
+        ids=lambda v: v,
+    )
     def test_overwrite_equals_fresh_write(self, tmp_path, cmd, fmt):
-        argv = [*REPORT_COMMANDS[cmd], "--format", fmt]
+        argv = report_argv(cmd, fmt)
         fresh, over = tmp_path / "fresh.out", tmp_path / "over.out"
         assert main([*argv, "--out", str(fresh)]) == 0
         written = [p.suffix for p in sorted(tmp_path.iterdir())]
@@ -706,7 +801,7 @@ class TestReportFiles:
             for fmt in ("csv", "json"):
                 out = tmp_path / f"{k}.{fmt}"
                 out.write_text("x" * 10_000)
-                code = main([*REPORT_COMMANDS[cmd], "--format", fmt, "--out", str(out)])
+                code = main([*report_argv(cmd, fmt), "--out", str(out)])
                 assert code == 0
         save_instance(diag_inf(), tmp_path / "inst.json")
         names = [name for name, _ in opened]
@@ -736,12 +831,13 @@ class TestOneParserPerProcess:
     def test_calls_in_a_row_match_fresh_processes(self, tmp_path):
         # each call after the first parses with the parser of the first, and
         # must leave no flag of its predecessor behind
+        instance, _ = nonuniform_instance_file(tmp_path)
         calls = [
             ("solve", "--catalog", "diag_M", "--n", "4,8", "--format", "json"),
             ("solve", "--catalog", "diag_M", "--n", "4,8"),
             ("gap-scan", "--catalog", "diag_inf", "--n", "4..8", "--eps", "0.25"),
             ("gap-scan", "--catalog", "diag_inf", "--n", "4..8"),
-            ("negligible", "diagonal", "--n", "4,8", "--catalog", "fat_set"),
+            ("negligible", "diagonal", "--n", "4,8", "--instance", str(instance)),
             ("negligible", "rect [0,0.25]x[0,1]", "--n", "4,8"),
         ]
         for k, argv in enumerate(calls):

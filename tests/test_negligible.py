@@ -124,20 +124,20 @@ class TestMaxPlanMass:
     def test_empty_set(self):
         A = SetDescriptor((PointSet(()),))
         mu, nu = uniform_measures(4)
-        assert max_plan_mass(A, mu, nu, 4) == 0.0
+        assert max_plan_mass(A, mu, nu) == 0.0
 
     def test_diagonal_carries_everything(self):
         mu, nu = uniform_measures(4)
-        assert max_plan_mass(DIAGONAL, mu, nu, 4) == pytest.approx(1.0, abs=1e-9)
+        assert max_plan_mass(DIAGONAL, mu, nu) == pytest.approx(1.0, abs=1e-9)
 
     def test_vertical_strip_row_bound(self):
         A = SetDescriptor((Rectangle(0.0, 0.25, 0.0, 1.0),))
         mu, nu = uniform_measures(8)
-        assert max_plan_mass(A, mu, nu, 8) == pytest.approx(0.25, abs=1e-9)
+        assert max_plan_mass(A, mu, nu) == pytest.approx(0.25, abs=1e-9)
 
     def test_countable_marker_owns_no_atoms(self):
         mu, nu = uniform_measures(8)
-        assert max_plan_mass(QXQ, mu, nu, 8) == 0.0
+        assert max_plan_mass(QXQ, mu, nu) == 0.0
         assert not grid_indicator(QXQ, Grid(8)).any()
 
     def test_negligible_masses_bounded_by_witness_cover(self):
@@ -146,15 +146,15 @@ class TestMaxPlanMass:
             assert v.negligible
             for n in (4, 8, 16):
                 mu, nu = uniform_measures(n)
-                mass = max_plan_mass(A, mu, nu, n)
+                mass = max_plan_mass(A, mu, nu)
                 cover = witness_cover_mass(v.witness, UNIF, UNIF, n)
                 assert mass <= cover + 1e-9
 
     def test_horizontal_segment_mass_hits_only_aligned_grids(self):
         mu, nu = uniform_measures(10)
-        assert max_plan_mass(H_SEGMENT, mu, nu, 10) == pytest.approx(0.1, abs=1e-9)
+        assert max_plan_mass(H_SEGMENT, mu, nu) == pytest.approx(0.1, abs=1e-9)
         mu, nu = uniform_measures(8)
-        assert max_plan_mass(H_SEGMENT, mu, nu, 8) == 0.0
+        assert max_plan_mass(H_SEGMENT, mu, nu) == 0.0
 
 
 def _atoms_of(mask):
@@ -194,7 +194,7 @@ class TestMaxPlanMassByMatching:
         mu, nu = uniform_measures(n)
         lp = solve_primal(np.where(mask, -1.0, 0.0), mu, nu)
         assert lp.path == "assignment"
-        mass = max_plan_mass(A, mu, nu, n)
+        mass = max_plan_mass(A, mu, nu)
         assert mass == float(-lp.value) + 0.0
         if n <= 6:
             assert mass == float(mu.weights.mean()) * brute_force_max_matching(mask)
@@ -215,7 +215,7 @@ class TestMaxPlanMassByMatching:
 
         monkeypatch.setattr(gaplab.negligible, "solve_primal", no_lp)
         mu, nu = uniform_measures(16)
-        assert max_plan_mass(DIAGONAL, mu, nu, 16) == 1.0
+        assert max_plan_mass(DIAGONAL, mu, nu) == 1.0
 
     def test_non_uniform_marginals_solve_the_lp(self, monkeypatch):
         calls = []
@@ -228,10 +228,17 @@ class TestMaxPlanMassByMatching:
         mu = np.array([0.1, 0.2, 0.3, 0.4])
         nu = np.full(4, 0.25)
         mask = np.eye(4, dtype=bool)
-        mass = max_plan_mass(_atoms_of(mask), mu, nu, 4)
+        mass = max_plan_mass(_atoms_of(mask), mu, nu)
         assert len(calls) == 1 and np.array_equal(calls[0], np.where(mask, -1.0, 0.0))
         # the diagonal carries min(mu_i, nu_i) at most on each row
         assert mass == pytest.approx(0.1 + 0.2 + 0.25 + 0.25, abs=1e-9)
+
+    @pytest.mark.parametrize("nu", [np.full(8, 0.125), np.array([0.5, 0.5])])
+    def test_marginals_of_unequal_length_rejected(self, nu):
+        # the grid size is mu's length; a nu of another length fits no grid
+        mu = np.full(4, 0.25)
+        with pytest.raises(ConfigurationError, match="marginal lengths"):
+            max_plan_mass(DIAGONAL, mu, nu)
 
 
 class TestKoenigCover:

@@ -15,7 +15,6 @@ from gaplab import (
     envelope_matrix,
     generative_rectify,
     max_finite_entry,
-    pointwise_dual_envelope,
 )
 from gaplab.catalog import (
     catalog_names,
@@ -55,11 +54,13 @@ def assert_matches_envelope_lp(C, E, tol=1e-7):
 class TestPointwiseEnvelope:
     def test_corner_entry_reaches_above_neighbours(self):
         C = np.array([[0.0, 0.0], [0.0, 1.0]])
-        assert pointwise_dual_envelope(C, uniform(2), uniform(2), 1, 1) == 1.0
+        assert envelope_matrix(C, uniform(2), uniform(2))[1, 1] == 1.0
+        assert envelope_lp(C, 1, 1) == pytest.approx(1.0, abs=1e-7)
 
     def test_disconnected_forbidden_pattern_is_unbounded(self):
         C = np.array([[INF, 0.0], [0.0, INF]])
-        assert pointwise_dual_envelope(C, uniform(2), uniform(2), 0, 0) == INF
+        assert envelope_matrix(C, uniform(2), uniform(2))[0, 0] == INF
+        assert envelope_lp(C, 0, 0) == INF
 
     def test_equals_cost_on_finite_instances(self):
         # every function on a finite full-support grid is already "closed":
@@ -98,17 +99,11 @@ class TestPointwiseEnvelope:
         E = envelope_matrix(C, mu, nu)
         assert E.shape == C.shape
         assert np.array_equal(E, np.where(np.isfinite(C), C, INF))
-        for (i, j), e in np.ndenumerate(E):
-            assert pointwise_dual_envelope(C, mu, nu, i, j) == e
         assert_matches_envelope_lp(C, E)
 
     def test_requires_full_support(self):
         bad = DiscreteMeasure(np.array([1.0, 0.0]))
         C = np.zeros((2, 2))
-        with pytest.raises(ConfigurationError):
-            pointwise_dual_envelope(C, bad, uniform(2), 0, 0)
-        with pytest.raises(ConfigurationError):
-            pointwise_dual_envelope(C, uniform(2), bad, 1, 1)
         with pytest.raises(ConfigurationError):
             envelope_matrix(C, bad, uniform(2))
         with pytest.raises(ConfigurationError):
