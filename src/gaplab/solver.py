@@ -30,7 +30,14 @@ Every solve takes one of two paths, picked from the input alone:
   made for small LPs.  A partial solve is posed the assignment path's way,
   with one dummy row and one dummy column of mass cap each, and solved as a
   full transport LP.  A cap whose share of an atom underflows to 0.0 is
-  solved here too.
+  solved here too.  HiGHS does not start cold: a matrix-minimum greedy gives
+  a basic tree, and the model starts with the tree's arcs and each row's
+  and column's _START_ARCS cheapest (the shortlist of Gottschlich &
+  Schuhmacher, PLoS ONE 9, 2014; _greedy_start).  Primal simplex solves
+  that restricted LP; every arc left out is priced at its duals, each one
+  with a negative reduced cost joins the model, and the rounds stop when
+  none does, so the duals are feasible on every finite arc (``linprog``).
+  Only the LP over every finite arc may report infeasibility.
 
 On both paths arcs with a non-finite cost are forbidden, so they can never
 carry mass, and infeasibility over the remaining arcs is exactly the
@@ -121,20 +128,45 @@ _HIGHS_FIXED = {
 }
 
 
-def linprog(c, *, A_eq, b_eq):
+#: a column outside the restricted model of a started solve whose reduced
+#: cost is below minus this joins the model (the dual-feasibility certificate
+#: on every column, far inside the 1e-9 contract)
+_PRICE_TOL = 1e-12
+
+#: cheapest finite arcs of each row and of each column that join the greedy
+#: tree in the start set of a transport LP (_greedy_start)
+_START_ARCS = 4
+
+
+def linprog(c, *, A_eq, b_eq, start=None):
     """min c.x subject to A_eq x = b_eq and x >= 0, posed to HiGHS through
     the bindings scipy ships.
 
-    The model and the options are the ones scipy.optimize.linprog(c, A_eq=
-    A_eq, b_eq=b_eq, method="highs", options=_HIGHS_OPTS) hands HiGHS: A_eq
-    as a CSC matrix (passed as is when already CSC), both sides of each row
-    b_eq, column bounds 0 and HiGHS's infinity, and _HIGHS_OPTS on top of
-    _HIGHS_FIXED, so the solve is the same to the bit.  The result carries
-    scipy's status codes (0 optimal, 2 infeasible or a malformed model, 3
-    unbounded, 4 anything else), ``message``, ``nit`` and, when optimal,
-    ``x``, ``fun`` and the row duals as ``eqlin.marginals``; scipy's bound
-    multipliers and residuals are not computed.  scipy is imported on the
-    first call.
+    Without ``start``, the model and the options are the ones
+    scipy.optimize.linprog(c, A_eq=A_eq, b_eq=b_eq, method="highs",
+    options=_HIGHS_OPTS) hands HiGHS: A_eq as a CSC matrix (passed as is
+    when already CSC), both sides of each row b_eq, column bounds 0 and
+    HiGHS's infinity, and _HIGHS_OPTS on top of _HIGHS_FIXED, so the solve
+    is the same to the bit.
+
+    ``start = (cols, basic, basic_rows)`` solves the LP by column
+    generation from a basis instead: ``cols`` indexes the columns the model
+    starts with, ``basic`` (a boolean mask over cols) and ``basic_rows`` (one
+    over the rows, each a basic logical) name a nonsingular basis of them,
+    and primal simplex runs from it.  Each round prices every column outside
+    the model by c - A_eq^T y at the row duals y, adds each one below
+    -_PRICE_TOL and reruns from the current basis; the solve ends when none
+    prices in, so y is dual feasible on every column to _PRICE_TOL.  A
+    restricted model that is infeasible says nothing of the LP: every column
+    left out joins it and the rerun decides.  A restricted model that is
+    unbounded makes the LP unbounded.
+
+    The result carries scipy's status codes (0 optimal, 2 infeasible or a
+    malformed model, 3 unbounded, 4 anything else), ``message``, ``nit``
+    (summed over the rounds), ``rounds`` (HiGHS runs) and, when optimal,
+    ``x`` over every column, ``fun`` and the row duals as
+    ``eqlin.marginals``; scipy's bound multipliers and residuals are not
+    computed.  scipy is imported on the first call.
     """
     from scipy import sparse
     from scipy.optimize import OptimizeResult
@@ -152,51 +184,116 @@ def linprog(c, *, A_eq, b_eq):
         )
 
     h = highs._Highs()
-    for key, val in {**_HIGHS_FIXED, **_HIGHS_OPTS}.items():
+    options = {**_HIGHS_FIXED, **_HIGHS_OPTS}
+    cols, arrays = None, (A.indptr, A.indices, A.data)
+    if start is not None:
+        cols, basic, basic_rows = start
+        cols = np.asarray(cols, dtype=np.intp)
+        arrays = _csc_columns(A, cols)
+        # primal simplex: the basis a round leaves stays primal feasible when
+        # columns join; from the same starts dual simplex took 1,002
+        # iterations where primal took 14 (a non-uniform diag_M LP, n = 64)
+        options["simplex_strategy"] = 4
+    for key, val in options.items():
         if key == "presolve":  # scipy's boolean, HiGHS's "on"/"off"
             val = "on" if val else "off"
         if h.setOptionValue(key, val) != highs.HighsStatus.kOk:
             raise ValueError(f"HiGHS rejects option {key}={val!r}")
+    k = n if cols is None else cols.size
     # the array overload of passModel: a HighsLp's index vectors would be
     # converted one Python int at a time
     passed = h.passModel(
-        n,
+        k,
         A.shape[0],
-        A.nnz,
+        arrays[1].size,
         int(highs.MatrixFormat.kColwise),
         int(highs.ObjSense.kMinimize),
         0.0,
-        c,
-        np.zeros(n),
-        np.full(n, highs.kHighsInf),
+        c if cols is None else c[cols],
+        np.zeros(k),
+        np.full(k, highs.kHighsInf),
         b_eq,
         b_eq,
-        A.indptr,
-        A.indices,
-        A.data,
-        np.zeros(n, dtype=np.int32),  # every column continuous
+        *arrays,
+        np.zeros(k, dtype=np.int32),  # every column continuous
     )
-    if passed == highs.HighsStatus.kError:
-        model, nit = highs.HighsModelStatus.kModelError, 0
-    else:
-        h.run()
-        model, info = h.getModelStatus(), h.getInfo()
-        nit = info.simplex_iteration_count or info.ipm_iteration_count
     S = highs.HighsModelStatus
+    nit = rounds = 0
+    if passed == highs.HighsStatus.kError:
+        model = S.kModelError
+    else:
+        if cols is not None:
+            # one enum lookup per status: HighsBasisStatus(int) per entry
+            # costs more than the solve at small sizes
+            kb, kl = highs.HighsBasisStatus.kBasic, highs.HighsBasisStatus.kLower
+            basis = highs.HighsBasis()
+            basis.col_status = [kb if t else kl for t in np.asarray(basic).tolist()]
+            basis.row_status = [kb if t else kl for t in np.asarray(basic_rows).tolist()]
+            basis.valid, basis.alien = True, False
+            if h.setBasis(basis) != highs.HighsStatus.kOk:
+                raise ValueError("HiGHS rejects the start basis")
+            outside = np.ones(n, dtype=bool)
+            outside[cols] = False
+            At = A.T  # CSR, sharing A's arrays: A^T y is one sparse product
+        while True:
+            h.run()
+            rounds += 1
+            model = h.getModelStatus()
+            # the one count, not the whole HighsInfo, each round
+            nit += h.getInfoValue("simplex_iteration_count")[1]
+            if cols is None or model not in (S.kOptimal, S.kInfeasible):
+                break
+            if model == S.kOptimal:
+                price = c - At @ np.array(h.getSolution().row_dual)
+                add = np.flatnonzero(outside & (price < -_PRICE_TOL))
+            else:  # the restricted model is infeasible: pose the whole LP
+                add = np.flatnonzero(outside)
+            if not add.size:
+                break
+            starts, indices, data = _csc_columns(A, add)
+            h.addCols(
+                add.size,
+                c[add],
+                np.zeros(add.size),
+                np.full(add.size, highs.kHighsInf),
+                indices.size,
+                starts,
+                indices,
+                data,
+            )
+            outside[add] = False
+            cols = np.concatenate([cols, add])
     status = {S.kOptimal: 0, S.kInfeasible: 2, S.kModelError: 2, S.kUnbounded: 3}
     res = OptimizeResult(
         status=status.get(model, 4),
         message=h.modelStatusToString(model),
         nit=nit,
+        rounds=rounds,
         x=None,
         fun=None,
         eqlin=OptimizeResult(marginals=None),
     )
     if res.status == 0:
         sol = h.getSolution()
-        res.x, res.fun = np.array(sol.col_value), info.objective_function_value
+        res.x = np.array(sol.col_value)
+        if cols is not None:  # model column k is column cols[k] of the LP
+            res.x, model_x = np.zeros(n), res.x
+            res.x[cols] = model_x
+        res.fun = h.getInfo().objective_function_value
         res.eqlin.marginals = np.array(sol.row_dual)
     return res
+
+
+def _csc_columns(A, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """indptr, indices and data of the columns ``cols`` of the CSC matrix A,
+    in that order, with int32 index arrays as HiGHS reads them."""
+    lo = A.indptr[cols]
+    counts = A.indptr[cols + 1] - lo
+    indptr = np.zeros(cols.size + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    # each column's run of A's entries, one gather for them all
+    take = np.repeat(lo - indptr[:-1], counts) + np.arange(indptr[-1])
+    return indptr, A.indices[take].astype(np.int32), A.data[take]
 
 
 def _frozen_plan(m: np.ndarray) -> np.ndarray:
@@ -737,6 +834,9 @@ def _highs_lp(
     sends to a dummy is dropped, and the dummy-dummy arc absorbs the part of
     the cap left unused.  That is exactly the relaxed problem with mass
     floor total - slack_cap, posed as the assignment path poses it.
+
+    ``linprog`` receives the whole LP with a start from _greedy_start, and
+    solves it by pricing rounds from there.
     """
     from scipy import sparse
 
@@ -744,7 +844,8 @@ def _highs_lp(
     if slack_cap is not None:
         C = np.pad(C, ((0, 1), (0, 1)))
         a, b = np.append(a, slack_cap), np.append(b, slack_cap)
-    rows, cols = np.nonzero(np.isfinite(C))
+    finite = np.isfinite(C)
+    rows, cols = np.nonzero(finite)
     narc = rows.size
     if narc == 0:  # a full solve without a finite arc
         if a.sum() <= SUPPORT_TOL:  # nothing to ship
@@ -762,7 +863,10 @@ def _highs_lp(
     indices = np.stack([rows, N + cols], axis=1).ravel().astype(np.int32)
     indptr = np.arange(0, 2 * narc + 1, 2, dtype=np.int32)
     A_eq = sparse.csc_array((np.ones(2 * narc), indices, indptr), shape=(N + M, narc))
-    res = linprog(C[rows, cols], A_eq=A_eq, b_eq=np.concatenate([a, b]))
+    costs = C[rows, cols]
+    b_eq = np.concatenate([a, b])
+    start = _greedy_start(C, finite, rows, cols, costs, b_eq)
+    res = linprog(costs, A_eq=A_eq, b_eq=b_eq, start=start)
     if res.status == 2:  # infeasible over finite arcs
         return SolveReport(value=INF, status="infeasible_finite")
     if res.status != 0:
@@ -777,6 +881,82 @@ def _highs_lp(
         plan=TransportPlan._own(plan[:n, :m]),
         potentials=_cap_potentials(duals[:N], duals[N:], a[:n], b[:m], slack_cap),
     )
+
+
+def _greedy_start(
+    C: np.ndarray,
+    finite: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    costs: np.ndarray,
+    amounts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``start`` of linprog for the transport LP over the finite arcs
+    (rows, cols) of the N x M cost C, arc k costing costs[k]; amounts holds
+    the N row masses, then the M column masses.
+
+    Basis.  The matrix-minimum rule: in stable cost order, each arc whose
+    row and column are both open ships the smaller of what is left at its
+    two ends, and one end closes, the row when its amount is <= the
+    column's, else the column.  Every component of the arcs taken keeps
+    exactly one open node: each node starts alone and open, and an arc joins
+    two open nodes, so two components (one holds only one open node), and
+    closes one of them.  So the arcs form a forest, and with each open
+    node's constraint row basic the basis is a rooted tree per component,
+    nonsingular, also when forbidden arcs stop the greedy early.  Its basic
+    arcs carry what the greedy shipped, which is primal feasible whenever
+    the greedy shipped every mass (the open nodes have nothing left); primal
+    simplex starts from phase 1 otherwise.
+
+    Columns.  The forest's arcs, and each row's and each column's
+    _START_ARCS cheapest finite arcs, the Gottschlich-Schuhmacher
+    shortlist (PLoS ONE 9, 2014); pricing adds the rest that an optimum
+    needs.
+    """
+    N, M = C.shape
+    order = np.argsort(costs, kind="stable")
+    ends = N + cols  # the column constraints come after the row ones
+    left = amounts.tolist()
+    live = [True] * (N + M)
+    is_open = np.ones(N + M, dtype=bool)
+    tree = []
+    open_rows, open_cols = N, M
+    # a block of arcs drops those with an end closed before it in one
+    # vectorised pass; within the block the Python lists decide
+    step = N + M
+    for lo in range(0, order.size, step):
+        if not (open_rows and open_cols):
+            break
+        block = order[lo : lo + step]
+        block = block[is_open[rows[block]] & is_open[ends[block]]]
+        for k, i, j in zip(block.tolist(), rows[block].tolist(), ends[block].tolist()):
+            if not (live[i] and live[j]):
+                continue
+            tree.append(k)
+            if left[i] <= left[j]:
+                left[j] -= left[i]
+                live[i] = is_open[i] = False
+                open_rows -= 1
+            else:
+                left[i] -= left[j]
+                live[j] = is_open[j] = False
+                open_cols -= 1
+            if not (open_rows and open_cols):
+                break
+    # each row's and each column's cheapest arcs (+inf sorts last), then
+    # the tree, marked on C; arcs are numbered in row-major order, so the
+    # finite entries of the mask are the start columns' mask
+    D = C if C.min() > -INF else np.where(finite, C, INF)
+    kr, kc = min(_START_ARCS, M), min(_START_ARCS, N)
+    pick = np.zeros((N, M), dtype=bool)
+    pick[np.arange(N)[:, None], np.argpartition(D, kr - 1, axis=1)[:, :kr]] = True
+    pick[np.argpartition(D, kc - 1, axis=0)[:kc], np.arange(M)] = True
+    tree = np.array(tree, dtype=np.intp)
+    pick[rows[tree], cols[tree]] = True
+    start_cols = np.flatnonzero(pick[finite])
+    basic = np.zeros(order.size, dtype=bool)
+    basic[tree] = True
+    return start_cols, basic[start_cols], is_open
 
 
 def _cap_potentials(

@@ -1286,13 +1286,19 @@ def _posed_lps(monkeypatch, module, run):
 
 def _same_as_scipy(c, kwargs):
     """gaplab's HiGHS entry and scipy.optimize.linprog agree to the bit on
-    one LP; returns the status."""
+    one LP posed cold (without ``start``, which scipy does not take); a
+    started solve of it ends in the same status, with the same value to
+    1e-12 relative and certified duals.  Returns the status."""
     from scipy.optimize import linprog as scipy_linprog
 
-    ours = solver.linprog(c, **kwargs)
-    ref = scipy_linprog(c, method="highs", options=solver._HIGHS_OPTS, **kwargs)
+    cold = {k: v for k, v in kwargs.items() if k != "start"}
+    ours = solver.linprog(c, **cold)
+    ref = scipy_linprog(c, method="highs", options=solver._HIGHS_OPTS, **cold)
+    started = solver.linprog(c, **kwargs) if "start" in kwargs else None
     assert ours.status == ref.status, (ours.message, ref.message)
     assert ours.nit == ref.nit
+    if started is not None:
+        assert started.status == ref.status, (started.message, ref.message)
     if ref.status != 0:
         assert ours.x is None and ours.fun is None
         return ref.status
@@ -1300,7 +1306,24 @@ def _same_as_scipy(c, kwargs):
     assert np.float64(ours.fun).tobytes() == np.float64(ref.fun).tobytes()
     mine, theirs = ours.eqlin.marginals, ref.eqlin.marginals
     assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+    if started is not None:
+        assert abs(started.fun - ref.fun) <= 1e-12 * max(1.0, abs(ref.fun))
+        _assert_certified(c, cold["A_eq"], cold["b_eq"], started)
     return 0
+
+
+def _assert_certified(c, A, b, res, tol=1e-9):
+    """``res`` is optimal for min c.x, A x = b, x >= 0, to ``tol``: x is
+    feasible, the duals y price no column below -tol, every column with
+    mass prices at 0, and b.y is the value."""
+    A = A.toarray() if hasattr(A, "toarray") else np.asarray(A)
+    x, y = res.x, res.eqlin.marginals
+    assert x.shape == c.shape and np.all(x >= -tol)
+    assert np.abs(A @ x - b).max(initial=0.0) <= tol
+    reduced = c - A.T @ y
+    assert reduced.min(initial=0.0) >= -tol
+    assert np.abs(reduced[x > solver.SUPPORT_TOL]).max(initial=0.0) <= tol
+    assert abs(b @ y - res.fun) <= tol * max(1.0, abs(res.fun))
 
 
 def _drawn_transport(seed, n, m, forbid=0.0, zero=0.0):
@@ -1366,3 +1389,229 @@ class TestHighsEntry:
             solver.linprog(np.ones(2), A_eq=A, b_eq=np.ones(1))
         with pytest.raises(ValueError):
             solver.linprog(np.ones(3), A_eq=A, b_eq=np.ones(2))
+
+
+# ---------------------------------------------------------------------------
+# the started HiGHS path: greedy basic tree, pricing rounds, certificate
+# ---------------------------------------------------------------------------
+
+
+def _started_and_cold(C, a, b, cap=None):
+    """_highs_lp's report (the started solve) and a cold solve of the LP it
+    posed to linprog, with that LP as (c, kwargs)."""
+    calls = []
+    real = solver.linprog
+
+    def spy(c, **kwargs):
+        calls.append((c, kwargs))
+        return real(c, **kwargs)
+
+    solver.linprog = spy
+    try:
+        r = _highs_lp(C, a, b, cap)
+    finally:
+        solver.linprog = real
+    if not calls:  # no finite arc: nothing is posed
+        return r, None, None
+    ((c, kwargs),) = calls
+    cold = {k: v for k, v in kwargs.items() if k != "start"}
+    return r, solver.linprog(c, **cold), (c, kwargs)
+
+
+def _agrees_with_cold(C, a, b, cap=None, tol=1e-9):
+    """The started solve reaches the cold solve's value within ``tol``,
+    reports infeasible_finite exactly where the cold LP is infeasible, and
+    certifies its potentials: phi_i + psi_j - C_ij <= tol on every finite
+    arc, and complementary slackness (to DUALITY_TOL) on the plan's support,
+    the dummies' arcs of a partial solve included.  Each tolerance is
+    relative past 1: at a finite M = 1e12 the potentials reach 1e12, whose
+    sums round in the fifth decimal."""
+    r, cold, _ = _started_and_cold(C, a, b, cap)
+    if cold is None:
+        return r
+    if cold.status == 2:
+        assert r.status == "infeasible_finite" and r.plan is None
+        return r
+    assert cold.status == 0 and r.status == "optimal"
+    assert abs(r.value - cold.fun) <= tol * max(1.0, abs(cold.fun))
+    finite = np.isfinite(C)
+    scale = max(1.0, np.abs(C[finite]).max(initial=0.0))
+    p = r.potentials
+    assert p.feasibility_slack(C) <= tol * scale
+    # C padded with the dummies (cost 0, potentials -beta and -alpha) and
+    # the plan with the mass each atom drops; a full solve pads nothing
+    E, mass, phi, psi = C, r.plan.mass, p.phi, p.psi
+    if cap is not None:
+        E = np.pad(C, ((0, 1), (0, 1)))
+        mass = np.pad(mass, ((0, 1), (0, 1)))
+        mass[:-1, -1] = a - r.plan.row_sums
+        mass[-1, :-1] = b - r.plan.col_sums
+        phi, psi = np.append(phi, -p.beta), np.append(psi, -p.alpha)
+    gap = E - phi[:, None] - psi[None, :]
+    support = (mass > 1e-9) & np.isfinite(E)
+    assert np.all(np.abs(gap[support]) <= DUALITY_TOL * scale)
+    return r
+
+
+@st.composite
+def _started_lps(draw):
+    """Transport LPs for the started path: every shape from 1 x 1 up,
+    non-square ones, +inf arcs with all-+inf rows among them, zero-weight
+    atoms, negative costs (the -1 on a set that max_plan_mass poses), a
+    large finite M, and padded partial caps up to past the total mass."""
+    n, m = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["mixed", "set", "large_M"]))
+    if kind == "set":
+        C = np.where(rng.random((n, m)) < 0.4, -1.0, 0.0)
+    elif kind == "large_M":
+        C = np.where(rng.random((n, m)) < 0.4, 1e12, rng.uniform(0.0, 1.0, (n, m)))
+    else:
+        C = rng.uniform(-1.0, 2.0, (n, m))
+    C[rng.random((n, m)) < draw(st.sampled_from([0.0, 0.2, 0.5]))] = INF
+    if draw(st.booleans()):
+        C[rng.integers(n)] = INF
+
+    def weights(k):
+        w = rng.uniform(0.1, 1.0, k)
+        w[rng.random(k) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+        if not w.any():
+            w[rng.integers(k)] = 1.0
+        return w / w.sum()
+
+    cap = draw(st.sampled_from([None, 0.01, 0.1, 0.5, 1.0, 1.5]))
+    return C, weights(n), weights(m), cap
+
+
+class TestArcGeneration:
+    """_highs_lp hands linprog a matrix-minimum basic tree and a shortlist of
+    arcs; pricing rounds grow the model until no arc prices in.  The value
+    is the cold solve's, and the certificate covers every finite arc."""
+
+    @given(case=_started_lps())
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_lps_agree_with_the_cold_solve(self, case):
+        _agrees_with_cold(*case)
+
+    def test_all_forbidden_row_is_infeasible(self):
+        C = np.array([[INF, INF, INF], [0.0, 1.0, INF], [2.0, 0.0, 1.0]])
+        a, b = np.array([0.1, 0.3, 0.6]), np.array([0.3, 0.3, 0.4])
+        assert _agrees_with_cold(C, a, b).status == "infeasible_finite"
+        assert _agrees_with_cold(C, a, b, 0.05).status == "infeasible_finite"
+        assert _agrees_with_cold(C, a, b, 0.1).status == "optimal"
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (3, 8), (8, 3)])
+    def test_shapes(self, shape):
+        n, m = shape
+        rng = np.random.default_rng(n * 10 + m)
+        C = rng.uniform(-1.0, 2.0, shape)
+        a, b = rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, m)
+        for cap in (None, 0.2, 1.0, 2.0):
+            _agrees_with_cold(C, a / a.sum(), b / b.sum(), cap)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_multi_round_solves(self, seed):
+        # 24 x 24 i.i.d. costs: the 4-arc shortlist misses arcs an optimum
+        # needs, so pricing has to add them
+        rng = np.random.default_rng(seed)
+        C = rng.uniform(0.0, 1.0, (24, 24))
+        a, b = rng.uniform(0.1, 1.0, 24), rng.uniform(0.1, 1.0, 24)
+        _agrees_with_cold(C, a / a.sum(), b / b.sum())
+        _agrees_with_cold(C, a / a.sum(), b / b.sum(), 0.01)
+
+    def test_start_is_a_basis_of_a_forest(self):
+        # a forbidden band stops the greedy early; every start is still a
+        # nonsingular basis: as many basic entries as rows, the basic arcs
+        # acyclic and one basic row per component
+        from scipy import sparse
+        from scipy.sparse.csgraph import connected_components
+
+        rng = np.random.default_rng(3)
+        C = rng.uniform(0.0, 1.0, (9, 7))
+        C[2:5, :] = INF
+        C[2:5, 0] = 0.5
+        a, b = rng.uniform(0.1, 1.0, 9), rng.uniform(0.1, 1.0, 7)
+        a, b = a / a.sum(), b / b.sum()
+        _, _, (c, kwargs) = _started_and_cold(C, a, b)
+        cols, basic, basic_rows = kwargs["start"]
+        A = kwargs["A_eq"].toarray()
+        tree = A[:, cols[basic]]
+        nodes = A.shape[0]
+        assert basic.sum() + basic_rows.sum() == nodes
+        # each tree arc joins the first and the last row of its column
+        ends = np.argmax(tree, axis=0), nodes - 1 - np.argmax(tree[::-1], axis=0)
+        graph = sparse.coo_matrix((np.ones(tree.shape[1]), ends), shape=(nodes, nodes))
+        count, labels = connected_components(graph, directed=False)
+        assert count == nodes - tree.shape[1]  # no cycle
+        assert np.array_equal(np.bincount(labels[basic_rows], minlength=count), np.ones(count))
+        B = np.hstack([tree, np.eye(nodes)[:, basic_rows]])
+        assert np.linalg.matrix_rank(B) == nodes
+
+    def test_infeasible_restricted_lp_grows_to_the_whole_lp(self):
+        # a start of one column on the slack basis cannot ship the mass; only
+        # the whole LP may say whether a coupling exists
+        rng = np.random.default_rng(1)
+        C = rng.uniform(0.0, 1.0, (4, 5))
+        a, b = np.full(4, 0.25), np.full(5, 0.2)
+        _, cold, (c, kwargs) = _started_and_cold(C, a, b)
+        rows = kwargs["A_eq"].shape[0]
+        poor = (np.array([0]), np.array([False]), np.ones(rows, dtype=bool))
+        res = solver.linprog(c, A_eq=kwargs["A_eq"], b_eq=kwargs["b_eq"], start=poor)
+        assert res.status == 0 and res.rounds >= 2
+        assert abs(res.fun - cold.fun) <= 1e-12
+        _assert_certified(c, kwargs["A_eq"], kwargs["b_eq"], res)
+
+    def test_pricing_rounds_reach_the_optimum(self):
+        # start from the greedy tree of the reversed costs alone: the first
+        # restricted optimum is that tree's cost, and rounds must improve it
+        rng = np.random.default_rng(2)
+        C = rng.uniform(0.0, 1.0, (6, 6))
+        a, b = rng.uniform(0.1, 1.0, 6), rng.uniform(0.1, 1.0, 6)
+        a, b = a / a.sum(), b / b.sum()
+        _, cold, (c, kwargs) = _started_and_cold(C, a, b)
+        finite = np.isfinite(C)
+        rows, cols = np.nonzero(finite)
+        amounts = kwargs["b_eq"]
+        start, basic, basic_rows = solver._greedy_start(-C, finite, rows, cols, -c, amounts)
+        tree = (start[basic], np.ones(basic.sum(), dtype=bool), basic_rows)
+        res = solver.linprog(c, A_eq=kwargs["A_eq"], b_eq=amounts, start=tree)
+        assert res.status == 0 and res.rounds >= 2
+        assert abs(res.fun - cold.fun) <= 1e-12
+        _assert_certified(c, kwargs["A_eq"], amounts, res)
+
+
+def _diag_m_piecewise(n, seed):
+    """C of diag_M (0 below the diagonal, 1 on it, 2 above) at n with seeded
+    piecewise densities, the shape of the benchmark's non-uniform job."""
+    from gaplab.core import DensitySpec, Grid
+
+    rng = np.random.default_rng(seed)
+
+    def density():
+        pieces = int(rng.integers(2, 6))
+        cuts = np.sort(rng.choice(np.arange(1, 20), pieces - 1, replace=False)) / 20
+        bp = np.concatenate([[0.0], cuts, [1.0]])
+        w = rng.uniform(0.2, 2.0, pieces)
+        spec = DensitySpec(tuple(bp), tuple(w / float(w @ np.diff(bp))))
+        return DiscreteMeasure.from_density(spec, Grid(n)).weights
+
+    C, _, _ = discretize(diag_M(), n)
+    return C, density(), density()
+
+
+@pytest.mark.slow
+class TestArcGenerationAtSize:
+    """Agreement with the cold solve where the start set is a small share of
+    the arcs (run with ``pytest -m slow``)."""
+
+    @pytest.mark.parametrize("n", [128, 256])
+    @pytest.mark.parametrize("kind", ["diag_M_piecewise", "iid", "squared_distance"])
+    def test_agrees_with_the_cold_solve(self, kind, n):
+        C, a, b = _diag_m_piecewise(n, 7)
+        if kind == "iid":
+            C = np.random.default_rng(n).uniform(0.0, 1.0, (n, n))
+        elif kind == "squared_distance":
+            x = (np.arange(n) + 0.5) / n
+            C = (x[:, None] - x[None, :]) ** 2
+        _agrees_with_cold(C, a, b)
+        _agrees_with_cold(C, a, b, 0.01)

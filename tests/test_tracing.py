@@ -24,7 +24,9 @@ def test_tracer_installs_and_counts_a_highs_solve():
     tracer.install()  # raises AttributeError on a name gaplab no longer has
     try:
         tracer.start_pass()
-        C = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]])
+        # the matrix-minimum start fills row 0's cheap arcs first and leaves
+        # row 1 the dear ones (cost 5.1 against 3.1), so HiGHS must pivot
+        C = np.array([[0.0, 1.0, 2.0], [1.0, 4.0, 9.0]])
         r = solver._highs_lp(C, np.array([0.4, 0.6]), np.array([0.2, 0.3, 0.5]))
         metrics = tracer.pass_metrics()
     finally:
