@@ -169,7 +169,7 @@ def block_approximate_plan(
                 "dual_objective": rep.potentials.objective,
             }
         )
-    plan_n = TransportPlan(glued)
+    plan_n = TransportPlan._own(glued)  # glued is ours: frozen, not copied
     return ApproximationStep(
         n=n,
         s=s,
@@ -192,6 +192,12 @@ def _dyadic_level(size: int) -> int:
     return size.bit_length() - 1
 
 
+def _max_abs_difference(p: np.ndarray, q: np.ndarray) -> float:
+    """max |p - q|, with the one temporary taken to its abs in place."""
+    d = p - q
+    return float(np.abs(d, out=d).max())
+
+
 def _coarser(cells: np.ndarray) -> np.ndarray:
     """The next dyadic level: each cell sums a 2 x 2 block of the finer one."""
     pairs = cells[:, ::2] + cells[:, 1::2]
@@ -205,7 +211,8 @@ def weak_star_distance(p, q) -> float:
     square down to the finest level both grids resolve.  Symmetric, obeys
     the triangle inequality, and vanishes iff all common cell masses agree
     (for equal resolutions: iff the plans are equal).  The finest common
-    level is summed from the atoms, each coarser one from the level below.
+    level is summed from the atoms (a plan whose cells are single atoms is
+    its own finest level), each coarser one from the level below.
     """
     pm = p.mass if isinstance(p, TransportPlan) else np.asarray(p, dtype=float)
     qm = q.mass if isinstance(q, TransportPlan) else np.asarray(q, dtype=float)
@@ -215,11 +222,14 @@ def weak_star_distance(p, q) -> float:
                 f"weak* metric needs non-empty square plans, got shape {mass.shape}"
             )
     K = min(_dyadic_level(pm.shape[0]), _dyadic_level(qm.shape[0]))
-    pc, qc = (BlockPartition(2**K, m.shape[0] >> K).cell_sums(m) for m in (pm, qm))
-    diffs = [float(np.abs(pc - qc).max())]
+    pc, qc = (
+        m if m.shape[0] == 2**K else BlockPartition(2**K, m.shape[0] >> K).cell_sums(m)
+        for m in (pm, qm)
+    )
+    diffs = [_max_abs_difference(pc, qc)]
     for _ in range(K):
         pc, qc = _coarser(pc), _coarser(qc)
-        diffs.append(float(np.abs(pc - qc).max()))
+        diffs.append(_max_abs_difference(pc, qc))
     dist = 0.0
     for k, diff in enumerate(reversed(diffs)):  # coarsest level first
         dist += 2.0**-k * diff

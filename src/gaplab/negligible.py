@@ -183,7 +183,7 @@ def max_plan_mass(A: SetDescriptor, mu, nu) -> float:
     """
     a, b = _as_weights(mu), _as_weights(nu)
     ind = grid_indicator(A, Grid(a.size))
-    w = _uniform_weight(a, b)
+    w = _uniform_weight(a, b, float(a.sum()))
     if w is not None:
         col, _ = _max_matching(ind)
         return w * float(np.count_nonzero(col >= 0))

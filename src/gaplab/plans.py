@@ -18,7 +18,7 @@ __all__ = [
 
 def diagonal_plan(n: int) -> TransportPlan:
     """Identity coupling of uniform marginals: mass 1/n on each (i, i)."""
-    return TransportPlan(np.eye(n) / n)
+    return TransportPlan._own(np.eye(n) / n)
 
 
 def antidiagonal_plan(n: int) -> TransportPlan:

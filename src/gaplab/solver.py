@@ -14,10 +14,11 @@ Every solve takes one of two paths, picked from the input alone:
   is linear in the cap between them: the solve mixes P_k and P_k+1.  The
   k dummies serve linear_sum_assignment only: every capped solve is posed
   with one dummy row and one dummy column of mass cap, and reads its
-  potentials off the residual graph of the mix there (_assignment_lp; the
-  mix is P_k alone on the lattice).  A full solve with a forbidden arc is
-  first split along the Dulmage-Mendelsohn decomposition of its finite
-  arcs (Dulmage & Mendelsohn 1958; Pothen & Fan, ACM TOMS 16, 1990): one
+  potentials off the residual graph of the mix there, its support kept as
+  the optima's index arrays (_assignment_lp; the mix is P_k alone on the
+  lattice).  A full solve with a forbidden arc is first split along the
+  Dulmage-Mendelsohn decomposition of its finite arcs (Dulmage &
+  Mendelsohn 1958; Pothen & Fan, ACM TOMS 16, 1990): one
   Hopcroft-Karp matching, then the strong components of its alternating
   row graph.  No perfect matching uses an arc between two components, so
   each component's block is its own assignment problem, and a one-row
@@ -106,10 +107,10 @@ DUALITY_TOL = 1e-7
 _PLAIN_SWEEPS = 16
 
 #: entries of D - u a sweep of _assignment_potentials holds at a time (its
-#: blocks are whole rows): 512 KB of floats, so every N <= 256 is one block
-#: and a large N never holds an N x N temporary.  A capped solve sweeps C
-#: padded to N = n + 1, so a full solve is one block up to n = 256 and a
-#: partial one up to n = 255
+#: blocks are whole rows; _max_matching reads its mask in such blocks too):
+#: 512 KB of floats, so every N <= 256 is one block and a large N never holds
+#: an N x N temporary.  A capped solve sweeps C padded to N = n + 1, so a full
+#: solve is one block up to n = 256 and a partial one up to n = 255
 _SWEEP_BLOCK = 2**16
 
 #: relative spread allowed among equal weights, and between a slack cap and
@@ -394,40 +395,34 @@ def _as_weights(m) -> np.ndarray:
     return np.asarray(m, dtype=float)
 
 
-def _check_marginals(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+def _solve(C: np.ndarray, mu, nu, eps: float | None) -> SolveReport:
+    """Check mu and nu against C, then find their min-cost (sub-)coupling over
+    C's finite arcs dropping at most eps mass a side (None: none): exact
+    assignment when the input allows it (see the module docstring), else HiGHS."""
+    C = np.asarray(C, dtype=float)
+    a, b = _as_weights(mu), _as_weights(nu)
     n, m = C.shape
     if a.shape != (n,) or b.shape != (m,):
         raise ConfigurationError("marginal lengths do not match the cost matrix")
-    # each check is written so that NaN fails it
-    if not (np.all(a >= -SUPPORT_TOL) and np.all(b >= -SUPPORT_TOL)):
-        raise ConfigurationError("marginals must be non-negative")
-    if not abs(a.sum() - b.sum()) <= 1e-9:
-        raise ConfigurationError(
-            f"marginal totals differ: {a.sum():.12g} vs {b.sum():.12g}"
-        )
-
-
-def _transport_lp(
-    C: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    slack_cap: float | None = None,
-) -> SolveReport:
-    """Min-cost (sub-)coupling over the finite arcs of C, dropping at most
-    ``slack_cap`` mass on each side; exact assignment when the input allows
-    it (see the module docstring), HiGHS otherwise."""
-    drops = _assignment_drops(C, a, b, slack_cap)
+    # one reduction a check, which NaN fails; a b that is a is not checked twice
+    for x in (a,) if b is a else (a, b):
+        if x.size and not x.min() >= -SUPPORT_TOL:
+            raise ConfigurationError("marginals must be non-negative")
+    total = float(a.sum())
+    tb = total if b is a else float(b.sum())
+    if not abs(total - tb) <= 1e-9:
+        raise ConfigurationError(f"marginal totals differ: {total:.12g} vs {tb:.12g}")
+    cap = None if eps is None else min(eps, total)
+    w = _uniform_weight(a, b, total) if n == m else None
+    drops = None if w is None else _assignment_drops(w, cap)
     if drops is None:
-        return _highs_lp(C, a, b, slack_cap)
-    return _assignment_lp(C, a, b, *drops, slack_cap)
+        return _highs_lp(C, a, b, cap)
+    return _assignment_lp(C, a, b, w, *drops, cap)
 
 
-def _assignment_drops(
-    C: np.ndarray, a: np.ndarray, b: np.ndarray, slack_cap: float | None
-) -> tuple[int, float] | None:
-    """Whole atoms k and fraction theta of an atom that the solve may drop
-    when it is an assignment problem (C square, all weights one w > 0), else
-    None.
+def _assignment_drops(w: float, slack_cap: float | None) -> tuple[int, float] | None:
+    """Whole atoms k and fraction theta of an atom that an assignment problem
+    (C square, all weights one w > 0) may drop under ``slack_cap``, or None.
 
     A full solve drops (0, 0.0).  A cap within UNIFORM_RTOL of k*w, k >= 1,
     drops (k, 0.0), one assignment solve.  Any other cap up to the total
@@ -435,10 +430,6 @@ def _assignment_drops(
     from the optima that drop k and k + 1 atoms; a cap below one atom is
     k = 0 and theta = cap/w, however small (None when cap/w underflows).
     """
-    n, m = C.shape
-    w = _uniform_weight(a, b) if n == m else None
-    if w is None:
-        return None
     if slack_cap is None:
         return 0, 0.0
     k = round(slack_cap / w)
@@ -451,30 +442,32 @@ def _assignment_drops(
     return (k, theta) if k or theta else None
 
 
-def _uniform_weight(a: np.ndarray, b: np.ndarray) -> float | None:
-    """The one weight w > 0 of every atom of a and b (to UNIFORM_RTOL), or
-    None when the weights differ, vanish, or a and b differ in length."""
+def _uniform_weight(a: np.ndarray, b: np.ndarray, total: float) -> float | None:
+    """The one weight w > 0 of every atom of a and b (to UNIFORM_RTOL), a's
+    total being ``total``; None if weights differ or vanish, or lengths do."""
     if a.shape != b.shape or not a.size:
         return None
-    w = float(a.sum()) / a.size  # a.mean() to the bit, at a third of the cost
+    w = total / a.size  # a.mean() to the bit, at a third of the cost
     if not w > 0:
         return None
     tol = UNIFORM_RTOL * w
-    if np.abs(a - w).max() > tol or np.abs(b - w).max() > tol:
-        return None
+    # max |x - w| is max(max x - w, w - min x) (rounding is monotone); NaN fails
+    for x in (a,) if b is a else (a, b):
+        if not (x.max() - w <= tol and w - x.min() <= tol):
+            return None
     return w
 
 
 def _optimal_assignment(
-    D: np.ndarray, finite: np.ndarray, k: int
+    D: np.ndarray, finite: np.ndarray | None, k: int
 ) -> tuple[np.ndarray, np.ndarray, bool] | None:
     """The square D (C with +inf on its forbidden arcs, ``finite`` its finite
-    arcs) padded with k zero-cost dummy rows and columns, an optimal
-    assignment i -> col[i] of it, and whether every matched arc is forced;
-    None when no perfect matching is finite.  The dummies are how
-    linear_sum_assignment leaves up to k atoms unmatched (col[i] >= n), and
-    their zero dummy-dummy block lets it drop fewer, which keeps the
-    reduction exact under negative costs."""
+    arcs, None when every arc is) padded with k zero-cost dummy rows and
+    columns, an optimal assignment i -> col[i] of it, and whether every
+    matched arc is forced; None when no perfect matching is finite.  The
+    dummies are how linear_sum_assignment leaves up to k atoms unmatched
+    (col[i] >= n), and their zero dummy-dummy block lets it drop fewer,
+    which keeps the reduction exact under negative costs."""
     from scipy.optimize import linear_sum_assignment
 
     n = D.shape[0]
@@ -482,7 +475,7 @@ def _optimal_assignment(
         padded = np.zeros((n + k, n + k))
         padded[:n, :n] = D
         D = padded
-    elif not finite.all():
+    elif finite is not None:
         split = _split_assignment(D, finite)
         return None if split is None else (D, *split)
     try:
@@ -492,7 +485,7 @@ def _optimal_assignment(
 
 
 def _assignment_lp(
-    C: np.ndarray, a: np.ndarray, b: np.ndarray, k: int, theta: float, cap: float | None
+    C: np.ndarray, a: np.ndarray, b: np.ndarray, w: float, k: int, theta: float, cap
 ) -> SolveReport:
     """Exact solve of a transport problem with n equal weights w that may drop
     cap = (k + theta)*w mass on each side, 0 <= theta < 1 (a full solve when
@@ -526,20 +519,21 @@ def _assignment_lp(
     arc with equality on the support: complementary slackness with X, so
     (u, v) is optimal, and the dummy column's -v and the dummy row's -u are
     the multipliers alpha, beta of the caps (_cap_potentials).
-    _assignment_potentials runs the sweeps, and walks their forest from the
-    first sweep when P_k is fully forced.
+    _assignment_potentials runs the sweeps on X's support as index arrays
+    (each row's arc in P_k, P_k+1's where a real row's differs, the dummy
+    row's), and walks their forest from the first sweep when P_k is fully
+    forced.
 
     Memory.  D is C itself, only ever read, unless C holds a NaN or a -inf;
     then D is C with +inf on every non-finite arc.  A mixed cap releases
     P_k's padded matrix before padding for k + 1, so one is alive at a time.
     """
     n = C.shape[0]
-    w = float(a.sum()) / n
-    finite = np.isfinite(C)
-    # C.min() is NaN or -inf when C holds one; else C is its own +inf copy,
-    # and nothing below writes D (linear_sum_assignment, the split's blocks,
-    # the padding and the sweeps only read it)
-    D = C if C.min() > -INF else np.where(finite, C, INF)
+    # C.min() is NaN or -inf when C holds one, else C is its own +inf copy,
+    # which nothing below writes; C.max() < inf too means no mask is needed
+    least = C.min()
+    finite = None if least > -INF and C.max() < INF else np.isfinite(C)
+    D = C if least > -INF else np.where(finite, C, INF)
     low = _optimal_assignment(D, finite, k)
     if low is None:
         return SolveReport(value=INF, status="infeasible_finite", path="assignment")
@@ -556,7 +550,6 @@ def _assignment_lp(
     # pages instead of faulting in fresh ones
     del D
     plan = np.zeros((n, n))
-    support = np.zeros(E.shape, dtype=bool)  # X's support on E
     parts = []
     for i, (col, share) in enumerate(mix):
         rows = np.flatnonzero(col[:n] < n)  # the real arcs i -> col[i]
@@ -566,12 +559,16 @@ def _assignment_lp(
         else:  # a read first would fault each fresh zero page in twice
             plan[rows, cols] = share * w
         parts.append(share * float(C[rows, cols].sum()))
-        if cap is None:
-            support[rows, cols] = True
-        else:  # the dummies fold into E's one: a dropped atom ships to it,
-            # and a dummy-dummy arc carries cap that X leaves unused
-            support[np.minimum(np.arange(col.size), n), np.minimum(col, n)] = True
-    u, v = _assignment_potentials(E, support, forced)
+    col, mixed, last = mix[0][0], None, None
+    if cap is not None:  # the dummies fold into E's one: a dropped atom ships
+        # to it, and a dummy-dummy arc carries cap that X leaves unused
+        fold = [np.minimum(c, n) for c, _ in mix]
+        last = np.unique(np.concatenate([f[n:] for f in fold]))
+        col = np.append(fold[0][:n], last[0])
+        if theta:
+            rows = np.flatnonzero(fold[1][:n] != col[:n])
+            mixed = rows, fold[1][rows]
+    u, v = _assignment_potentials(E, col, mixed, last, forced)
     return SolveReport(
         # (1 - theta)*V(k) + theta*V(k + 1); a 0.0 start would turn -0.0 to 0.0
         value=w * sum(parts[1:], parts[0]),
@@ -645,13 +642,19 @@ def _max_matching(mask: np.ndarray) -> tuple[np.ndarray, "sparse.csr_matrix"]:
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
     n, m = mask.shape
-    flat = np.flatnonzero(mask)
-    row_starts = np.arange(0, n * m + 1, m)
-    # int32 index arrays let csr_matrix take them without a checked copy
-    indptr = np.searchsorted(flat, row_starts).astype(np.int32)
-    indices = (flat - np.repeat(row_starts[:-1], np.diff(indptr))).astype(np.int32)
+    # int32 index arrays let csr_matrix take them without a checked copy, found
+    # _SWEEP_BLOCK entries' rows at a time: no int64 array over every arc
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    indices = np.empty(np.count_nonzero(mask), dtype=np.int32)
+    bounds = [*range(0, n, max(1, _SWEEP_BLOCK // m)), n]
+    for lo, hi in zip(bounds, bounds[1:]):
+        flat = np.flatnonzero(mask[lo:hi])  # the block's arcs, row by row
+        starts = np.arange(0, (hi - lo) * m + 1, m)
+        ends = np.searchsorted(flat, starts)  # each row's run in flat
+        indptr[lo + 1 : hi + 1] = indptr[lo] + ends[1:]
+        indices[indptr[lo] : indptr[hi]] = flat - np.repeat(starts[:-1], np.diff(ends))
     graph = sparse.csr_matrix(
-        (np.ones(flat.size, dtype=bool), indices, indptr), shape=(n, m)
+        (np.ones(indices.size, dtype=bool), indices, indptr), shape=(n, m)
     )
     col = maximum_bipartite_matching(graph, perm_type="column").astype(np.intp)
     _check_koenig_cover(mask, graph, col)
@@ -690,15 +693,16 @@ def _check_koenig_cover(mask: np.ndarray, graph, col: np.ndarray) -> None:
 
 
 def _assignment_potentials(
-    D: np.ndarray, support: np.ndarray, forced: bool = False
+    D: np.ndarray, col: np.ndarray, mixed=None, last=None, forced: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dual pair (u, v) of an optimal plan of the square assignment matrix D
-    with boolean support ``support``, every row on at least one arc of it:
-    u_i + v_j <= D_ij on every finite arc, with equality on the support.
+    supported on the arcs (i, col[i]), (r, c) for (r, c) in zip(*mixed) and
+    (N - 1, c) for c in ``last`` (ascending): u_i + v_j <= D_ij on every
+    finite arc, with equality on the support.
 
-    Bellman-Ford on the residual graph, from u = 0.  Row i stands on one
-    support arc (i, col[i]); a row with several takes, on each sweep, the one
-    with the largest D_ij - v_j.  Each sweep sets u_i = D_i,col[i] - v_col[i],
+    Bellman-Ford on the residual graph, from u = 0.  A row on several
+    support arcs takes, on each sweep, the one with the largest D_ij - v_j,
+    the lowest column on a tie.  Each sweep sets u_i = D_i,col[i] - v_col[i],
     which makes those arcs tight, then v_j = min_i (D_ij - u_i), which keeps
     the pair feasible.  Together that is u <- F(u) with F(u)_i the largest
     D_ij - min_r (D_rj - u_r) over row i's support arcs, monotone in u.  An
@@ -728,21 +732,21 @@ def _assignment_potentials(
 
     A sweep reads D - u a block of whole rows at a time, at most
     _SWEEP_BLOCK entries (one block for every N <= 256, where a capped
-    solve's N is n + 1), so no N x N temporary is held at large N.  Min is
-    exact, so folding the blocks' column minima gives the one-block v; a
-    walking sweep keeps the first row attaining each column's minimum,
-    since a later block replaces it only with a strictly smaller value
-    (_block_sweep).
+    solve's N is n + 1), so no N x N temporary is held at large N; a row
+    picks among its own arcs only.  Min is exact, so folding the blocks'
+    column minima gives the one-block v; a walking sweep keeps the first row
+    attaining each column's minimum, since a later block replaces it only
+    with a strictly smaller value (_block_sweep).
     """
     N = D.shape[0]
     rows = np.arange(N)
-    col = support.argmax(axis=1)  # each row's first support arc
+    col = col.copy()  # the picks change it; the caller's stays
     matched = D[rows, col]
-    several = ()  # rows on several support arcs, which pick again each sweep
-    if np.count_nonzero(support) > N:
-        several = np.flatnonzero(support.sum(axis=1) > 1)
-        # off the support -inf - v stays -inf, so argmax picks a support arc
-        on_support = np.where(support[several], D[several], -INF)
+    if mixed is not None:  # a mixed row's two columns, the lower first
+        two, other = mixed
+        low, high = np.minimum(col[two], other), np.maximum(col[two], other)
+        at_low, at_high = D[two, low], D[two, high]
+    at_last = None if last is None else D[-1, last]
     plain_sweeps = 1 if forced else _PLAIN_SWEEPS
     step = max(1, _SWEEP_BLOCK // N)  # rows a sweep takes at a time
     blocks = [(lo, D[lo : lo + step]) for lo in range(0, N, step)]
@@ -750,11 +754,15 @@ def _assignment_potentials(
     v = D.min(axis=0)
     best = None
     for sweep in range(N + 1):
-        if len(several):
-            col[several] = (on_support - v).argmax(axis=1)
-            matched[several] = D[several, col[several]]
+        if mixed is not None:  # the higher column only when strictly better
+            up = at_high - v[high] > at_low - v[low]
+            col[two] = np.where(up, high, low)
+            matched[two] = np.where(up, at_high, at_low)
+        if last is not None and last.size > 1:  # argmax keeps the first
+            j = (at_last - v[last]).argmax()
+            col[-1], matched[-1] = last[j], at_last[j]
         tight = matched - v[col]
-        if np.array_equal(tight, u):
+        if (tight == u).all():
             break
         u = tight
         if best is not None:
@@ -992,10 +1000,7 @@ def _cap_potentials(
 
 def solve_primal(C: np.ndarray, mu, nu) -> SolveReport:
     """Minimum-cost full coupling of mu and nu; +inf entries are forbidden arcs."""
-    C = np.asarray(C, dtype=float)
-    a, b = _as_weights(mu), _as_weights(nu)
-    _check_marginals(C, a, b)
-    return _transport_lp(C, a, b)
+    return _solve(C, mu, nu, None)
 
 
 def solve_dual(C: np.ndarray, mu, nu) -> SolveReport:
@@ -1011,12 +1016,7 @@ def solve_partial(C: np.ndarray, mu, nu, eps: float) -> SolveReport:
     mass >= total - eps (the relaxed problem; eps in absolute mass units)."""
     if not eps >= 0:  # also rejects NaN
         raise ConfigurationError(f"eps must be non-negative, got {eps}")
-    C = np.asarray(C, dtype=float)
-    a, b = _as_weights(mu), _as_weights(nu)
-    _check_marginals(C, a, b)
-    if eps == 0:
-        return _transport_lp(C, a, b)
-    return _transport_lp(C, a, b, slack_cap=min(eps, float(a.sum())))
+    return _solve(C, mu, nu, eps or None)
 
 
 @dataclass(frozen=True)

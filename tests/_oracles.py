@@ -350,6 +350,76 @@ def jacobi_potentials(D, col):
     return u, v, False
 
 
+def support_mask_potentials(D, support, forced=False):
+    """The assignment path's potentials as they were computed from an N x N
+    boolean support mask, every row on at least one arc of it: the
+    reference the index-array form must match to the bit.
+
+    Each row starts on its lowest support column (argmax of the mask); each
+    sweep, a row on several support arcs takes the one with the largest
+    D_ij - v_j over a rows x N copy of D that is -inf off the support,
+    the lowest such column on a tie.  The sweeps, the forest walk and the
+    row blocks are the library's own (``_block_sweep``, ``_forest_order``,
+    ``_SWEEP_BLOCK`` and ``_PLAIN_SWEEPS``, read at call time), which
+    ``jacobi_potentials`` checks on single-arc supports.
+    """
+    from gaplab import solver
+
+    N = D.shape[0]
+    rows = np.arange(N)
+    col = support.argmax(axis=1)
+    matched = D[rows, col]
+    several = ()
+    if np.count_nonzero(support) > N:
+        several = np.flatnonzero(support.sum(axis=1) > 1)
+        on_support = np.where(support[several], D[several], -math.inf)
+    plain_sweeps = 1 if forced else solver._PLAIN_SWEEPS
+    step = max(1, solver._SWEEP_BLOCK // N)
+    blocks = [(lo, D[lo : lo + step]) for lo in range(0, N, step)]
+    u = np.zeros(N)
+    v = D.min(axis=0)
+    best = None
+    for sweep in range(N + 1):
+        if len(several):
+            col[several] = (on_support - v).argmax(axis=1)
+            matched[several] = D[several, col[several]]
+        tight = matched - v[col]
+        if np.array_equal(tight, u):
+            break
+        u = tight
+        if best is not None:
+            pred = best[col]
+            order = solver._forest_order(pred)
+            parent = pred[order]
+            u = u.tolist()
+            for i, p, m, d in zip(
+                order.tolist(),
+                parent.tolist(),
+                matched[order].tolist(),
+                D[parent, col[order]].tolist(),
+            ):
+                t = m - (d - u[p])
+                if t > u[i]:
+                    u[i] = t
+            u = np.array(u)
+        v, best = solver._block_sweep(blocks, u, sweep + 1 >= plain_sweeps, rows)
+    return u, v
+
+
+def mix_support(n, cols, capped):
+    """The boolean support on C padded with one dummy row and column (on C
+    itself when not ``capped``) of the mix of the padded assignments
+    i -> col[i] in ``cols``, each dummy index folded to n."""
+    N = n + 1 if capped else n
+    support = np.zeros((N, N), dtype=bool)
+    for col in cols:
+        if capped:
+            support[np.minimum(np.arange(col.size), n), np.minimum(col, n)] = True
+        else:
+            support[np.arange(n), col] = True
+    return support
+
+
 def diag_inf_potentials(n):
     """The pair (u, v) that jacobi_potentials returns for ``diag_inf`` at n
     atoms with the identity matching: u_i = n - 1 - i and v_j = j + 2 - n.

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,8 +49,10 @@ from _oracles import (
     diag_inf_potentials,
     greedy_row_drop_value,
     jacobi_potentials,
+    mix_support,
     partial_dual_objective,
     partial_lp_slack,
+    support_mask_potentials,
     unique_optimal_matching,
 )
 
@@ -922,17 +925,10 @@ def _assignment(C, k):
     return D, col
 
 
-def _support(col):
-    """The boolean support of the assignment i -> col[i]."""
-    support = np.zeros((col.size, col.size), dtype=bool)
-    support[np.arange(col.size), col] = True
-    return support
-
-
 def _matches_jacobi(D, col):
     """Bit-equal to the plain sweeps wherever they settle; returns whether
     they did."""
-    u, v = _assignment_potentials(D, _support(col))
+    u, v = _assignment_potentials(D, col)
     ju, jv, settled = jacobi_potentials(D, col)
     if settled:
         assert np.array_equal(u, ju) and np.array_equal(v, jv)
@@ -983,15 +979,16 @@ class TestAssignmentPotentials:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 33])
     def test_row_blocks_sweep_as_one_block(self, monkeypatch, n):
-        # the (D, support, forced) of full, on- and off-lattice solves of
-        # drawn costs (ties, signed zeros, +inf arcs, forced lower-triangular
-        # supports, rows on several arcs of a mix) swept a few rows at a time:
-        # _SWEEP_BLOCK 1 and N take one row, 3N three and N^2 - 1 all but one
+        # the (D, col, mixed, last, forced) of full, on- and off-lattice
+        # solves of drawn costs (ties, signed zeros, +inf arcs, forced
+        # lower-triangular supports, rows on several arcs of a mix) swept a
+        # few rows at a time: _SWEEP_BLOCK 1 and N take one row, 3N three and
+        # N^2 - 1 all but one
         potentials, calls = solver._assignment_potentials, []
 
-        def spied(D, support, forced=False):
-            calls.append((D, support, forced))
-            return potentials(D, support, forced)
+        def spied(*args):
+            calls.append(args)
+            return potentials(*args)
 
         rng = np.random.default_rng(n)
         palette = np.array([-1.0, -0.0, 0.0, 0.0, 0.5, 1.0, 1 / 3, 2.0])
@@ -1005,15 +1002,16 @@ class TestAssignmentPotentials:
                 solve_primal(C, uniform(n), uniform(n))
                 for eps in (1 / n, 0.37 / n, 1.5 / n):
                     solve_partial(C, uniform(n), uniform(n), eps)
-        if n > 1:
+        if n > 1:  # forced chains, mixed rows and a dummy row on several arcs
             assert any(forced for *_, forced in calls)
-            assert any(support.sum(axis=1).max() > 1 for _, support, _ in calls)
-        for D, support, forced in calls:
-            N = D.shape[0]
-            whole = [x.tobytes() for x in potentials(D, support, forced)]
+            assert any(mixed is not None and mixed[0].size for *_, mixed, _, _ in calls)
+            assert any(last is not None and last.size > 1 for *_, last, _ in calls)
+        for args in calls:
+            N = args[0].shape[0]
+            whole = [x.tobytes() for x in potentials(*args)]
             for block in (1, 7, N, 3 * N, N * N - 1):
                 monkeypatch.setattr(solver, "_SWEEP_BLOCK", block)
-                assert [x.tobytes() for x in potentials(D, support, forced)] == whole
+                assert [x.tobytes() for x in potentials(*args)] == whole
             monkeypatch.undo()
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
@@ -1033,7 +1031,7 @@ class TestAssignmentPotentials:
         ju, jv = diag_inf_potentials(n)
         for forced in (False, True):
             start = time.perf_counter()
-            u, v = _assignment_potentials(C, _support(np.arange(n)), forced)
+            u, v = _assignment_potentials(C, np.arange(n), forced=forced)
             elapsed = time.perf_counter() - start
             assert np.array_equal(u, ju) and np.array_equal(v, jv)
             assert elapsed < 1.0
@@ -1059,17 +1057,18 @@ class TestAssignmentPotentials:
         C, mu, nu = discretize(diag_inf(), n)
         potentials, calls = solver._assignment_potentials, []
 
-        def spied(D, support, forced=False):
-            calls.append((forced, support.shape))
-            return potentials(D, support, forced)
+        def spied(D, col, mixed=None, last=None, forced=False):
+            calls.append((forced, D.shape, col.shape))
+            return potentials(D, col, mixed, last, forced)
 
         with monkeypatch.context() as mp:
             mp.setattr(solver, "_assignment_potentials", spied)
             r = solve_partial(C, mu, nu, 0.5 / n)
-        assert r.path == "assignment" and calls == [(True, (n + 1, n + 1))]
+        assert r.path == "assignment"
+        assert calls == [(True, (n + 1, n + 1), (n + 1,))]
 
-        def plain(D, support, forced=False):
-            return potentials(D, support, False)
+        def plain(D, col, mixed=None, last=None, forced=False):
+            return potentials(D, col, mixed, last, False)
 
         monkeypatch.setattr(solver, "_PLAIN_SWEEPS", n + 2)
         monkeypatch.setattr(solver, "_assignment_potentials", plain)
@@ -1203,9 +1202,9 @@ class TestForcedArcSplit:
             calls.append(split(D, finite))
             return calls[-1]
 
-        def spied_potentials(D, support, forced=False):
+        def spied_potentials(D, col, mixed=None, last=None, forced=False):
             calls.append(forced)
-            return potentials(D, support, forced)
+            return potentials(D, col, mixed, last, forced)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_split_assignment", spied_split)
@@ -1389,6 +1388,105 @@ class TestHighsEntry:
             solver.linprog(np.ones(2), A_eq=A, b_eq=np.ones(1))
         with pytest.raises(ValueError):
             solver.linprog(np.ones(3), A_eq=A, b_eq=np.ones(2))
+
+
+# ---------------------------------------------------------------------------
+# the mix's support as index arrays: bit-equal to the support-mask form
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _assignment_costs(draw):
+    """Square costs of 1 to 12 atoms: tied values with signed zeros and +inf
+    arcs, or a forced lower-triangular pattern."""
+    if draw(st.booleans()):
+        return draw(_forced_patterns(max_n=12))
+    n = draw(st.integers(1, 12))
+    values = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 1 / 3, 2.0, INF])
+    C = draw(st.lists(values, min_size=n * n, max_size=n * n))
+    return np.array(C).reshape(n, n)
+
+
+def _caps(n):
+    """A full solve (None), an on-lattice cap k/n or an off-lattice one."""
+    return st.one_of(
+        st.none(),
+        st.integers(1, n).map(lambda k: k / n),
+        st.tuples(
+            st.integers(0, n - 1), st.sampled_from([1e-3, 0.25, 0.37, 0.5, 0.9])
+        ).map(lambda kt: (kt[0] + kt[1]) / n),
+    )
+
+
+def _check_against_support_mask(C, eps):
+    """Solve C at eps (None: a full solve), and assert that the potentials
+    the solve read off its index arrays equal, to the bit, the support-mask
+    form's on the mask built from the optima linear_sum_assignment returned;
+    returns the args of the potentials call, those optima and the pair's
+    bytes (None when the solve is infeasible)."""
+    n = C.shape[0]
+    optimal, potentials = solver._optimal_assignment, solver._assignment_potentials
+    optima, calls = [], []
+
+    def spied_optimal(D, finite, k):
+        found = optimal(D, finite, k)
+        if found is not None:
+            optima.append(found[1].copy())
+        return found
+
+    def spied_potentials(*args):
+        calls.append((args, potentials(*args)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_optimal_assignment", spied_optimal)
+        mp.setattr(solver, "_assignment_potentials", spied_potentials)
+        if eps is None:
+            r = solve_primal(C, uniform(n), uniform(n))
+        else:
+            r = solve_partial(C, uniform(n), uniform(n), eps)
+    assert r.path == "assignment"
+    if r.status != "optimal":
+        assert not calls
+        return None
+    ((args, (u, v)),) = calls
+    D, forced = args[0], args[-1]
+    ref = support_mask_potentials(D, mix_support(n, optima, eps is not None), forced)
+    assert [u.tobytes(), v.tobytes()] == [x.tobytes() for x in ref]
+    return args, optima, [x.tobytes() for x in ref]
+
+
+class TestIndexArraySupport:
+    @given(C=_assignment_costs(), data=st.data(), plain=st.sampled_from([0, 1, 16]))
+    @settings(max_examples=300, deadline=None)
+    def test_index_arrays_match_support_mask(self, C, data, plain):
+        eps = data.draw(_caps(C.shape[0]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_PLAIN_SWEEPS", plain)
+            _check_against_support_mask(C, eps)
+
+    def test_mixed_rows_and_dummy_arcs_pick_their_best(self):
+        # costs with negative entries, whose mixes need a real row's P_k+1
+        # arc or a dummy row's arc past its lowest: the reference without
+        # those arcs, which a pick that kept P_k's column or the dummy row's
+        # lowest would follow, lands elsewhere on some of them
+        rng = np.random.default_rng(7)
+        moved = [0, 0]
+        for n in (3, 5, 8):
+            for _ in range(20):
+                C = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], (n, n))
+                for eps in (0.5 / n, 1.5 / n, 2.5 / n):
+                    args, optima, ref = _check_against_support_mask(C, eps)
+                    support = mix_support(n, optima, True)
+                    first = mix_support(n, optima[:1], True)  # real rows on P_k
+                    first[n] = support[n]
+                    lowest = support.copy()
+                    lowest[n, support[n].argmax() + 1 :] = False
+                    for i, mask in enumerate((first, lowest)):
+                        pair = support_mask_potentials(args[0], mask, args[-1])
+                        moved[i] += [x.tobytes() for x in pair] != ref
+        assert all(moved)
+
 
 
 # ---------------------------------------------------------------------------
@@ -1597,6 +1695,35 @@ def _diag_m_piecewise(n, seed):
 
     C, _, _ = discretize(diag_M(), n)
     return C, density(), density()
+
+
+@pytest.mark.slow
+def test_mix_potentials_hold_no_rows_by_n_block():
+    # fat_set at n = 2048, eps = 0.01 mixes P_20 and P_21, and most real rows
+    # sit on two support arcs; the potentials hold two sweep blocks and O(N)
+    # vectors at most, never a copy of D over those rows (run with
+    # ``pytest -m slow``)
+    C, mu, nu = discretize(fat_set(), 2048)
+    potentials, calls = solver._assignment_potentials, []
+
+    def spied(*args):
+        calls.append(args)
+        return potentials(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_assignment_potentials", spied)
+        solve_partial(C, mu, nu, 0.01)
+    ((D, col, mixed, last, forced),) = calls
+    N = D.shape[0]
+    assert N == 2049 and mixed[0].size > N // 2
+    block = max(1, solver._SWEEP_BLOCK // N) * N * 8
+    tracemalloc.start()
+    try:
+        potentials(D, col, mixed, last, forced)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * block + 64 * 8 * N
 
 
 @pytest.mark.slow
