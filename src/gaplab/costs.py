@@ -410,7 +410,7 @@ def plan_cost(C: np.ndarray, pi: np.ndarray) -> float:
     C = np.asarray(C, dtype=float)
     pi = np.asarray(pi, dtype=float)
     if C.shape != pi.shape:
-        raise ValueError(f"shape mismatch: cost {C.shape} vs plan {pi.shape}")
+        raise ConfigurationError(f"shape mismatch: cost {C.shape} vs plan {pi.shape}")
     mask = pi > 0
     if np.any(np.isinf(C[mask])):
         return INF

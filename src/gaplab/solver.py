@@ -31,14 +31,15 @@ Every solve takes one of two paths, picked from the input alone:
   made for small LPs.  A partial solve is posed the assignment path's way,
   with one dummy row and one dummy column of mass cap each, and solved as a
   full transport LP.  A cap whose share of an atom underflows to 0.0 is
-  solved here too.  HiGHS does not start cold: a matrix-minimum greedy gives
-  a basic tree, and the model starts with the tree's arcs and each row's
-  and column's _START_ARCS cheapest (the shortlist of Gottschlich &
-  Schuhmacher, PLoS ONE 9, 2014; _greedy_start).  Primal simplex solves
-  that restricted LP; every arc left out is priced at its duals, each one
-  with a negative reduced cost joins the model, and the rounds stop when
-  none does, so the duals are feasible on every finite arc (``linprog``).
-  Only the LP over every finite arc may report infeasibility.
+  solved here too.  Every HiGHS solve starts from a basis, never cold: a
+  matrix-minimum greedy gives a basic tree, and the model starts with the
+  tree's arcs and each row's and column's _START_ARCS cheapest (the
+  shortlist of Gottschlich & Schuhmacher, PLoS ONE 9, 2014; _greedy_start).
+  Primal simplex solves that restricted LP; every arc left out is priced at
+  its duals, each one with a negative reduced cost joins the model, and the
+  rounds stop when none does, so the duals are feasible on every finite arc
+  (``linprog``).  Only the LP over every finite arc may report
+  infeasibility.
 
 On both paths arcs with a non-finite cost are forbidden, so they can never
 carry mass, and infeasibility over the remaining arcs is exactly the
@@ -78,12 +79,17 @@ __all__ = [
     "check_complementary_slackness",
 ]
 
+#: HiGHS options of every solve.  Primal simplex: the basis a pricing round
+#: leaves stays primal feasible when columns join; from the same starts dual
+#: simplex took 1,002 iterations where primal took 14 (a non-uniform diag_M
+#: LP, n = 64).  A transport LP (two unit entries per arc column) leaves
+#: presolve little to remove, and its pass costs more than it saves
 _HIGHS_OPTS = {
-    # a transport LP (two unit entries per arc column) leaves presolve little
-    # to remove, and its pass costs more than it saves
-    "presolve": False,
+    "simplex_strategy": 4,
+    "presolve": "off",
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
+    "output_flag": False,
 }
 
 #: plan entries below this are treated as numerically zero
@@ -119,19 +125,9 @@ _SWEEP_BLOCK = 2**16
 UNIFORM_RTOL = 1e-12
 
 
-#: HiGHS options scipy.optimize.linprog(method="highs") always sends: dual
-#: simplex, no log output, no debug checks
-_HIGHS_FIXED = {
-    "output_flag": False,
-    "log_to_console": False,
-    "highs_debug_level": 0,
-    "simplex_strategy": 1,
-}
-
-
-#: a column outside the restricted model of a started solve whose reduced
-#: cost is below minus this joins the model (the dual-feasibility certificate
-#: on every column, far inside the 1e-9 contract)
+#: a column outside the restricted model whose reduced cost is below minus
+#: this joins the model (the dual-feasibility certificate on every column,
+#: far inside the 1e-9 contract)
 _PRICE_TOL = 1e-12
 
 #: cheapest finite arcs of each row and of each column that join the greedy
@@ -139,35 +135,27 @@ _PRICE_TOL = 1e-12
 _START_ARCS = 4
 
 
-def linprog(c, *, A_eq, b_eq, start=None):
+def linprog(c, *, A_eq, b_eq, start):
     """min c.x subject to A_eq x = b_eq and x >= 0, posed to HiGHS through
-    the bindings scipy ships.
+    the bindings scipy ships and solved by column generation from a basis.
 
-    Without ``start``, the model and the options are the ones
-    scipy.optimize.linprog(c, A_eq=A_eq, b_eq=b_eq, method="highs",
-    options=_HIGHS_OPTS) hands HiGHS: A_eq as a CSC matrix (passed as is
-    when already CSC), both sides of each row b_eq, column bounds 0 and
-    HiGHS's infinity, and _HIGHS_OPTS on top of _HIGHS_FIXED, so the solve
-    is the same to the bit.
+    ``start = (cols, basic, basic_rows)``: ``cols`` indexes the columns the
+    model starts with, ``basic`` (a boolean mask over cols) and
+    ``basic_rows`` (one over the rows, each a basic logical) name a
+    nonsingular basis of them, and primal simplex runs from it under
+    _HIGHS_OPTS.  Each round prices every column outside the model by
+    c - A_eq^T y at the row duals y, adds each one below -_PRICE_TOL and
+    reruns from the current basis; the solve ends when none prices in, so y
+    is dual feasible on every column to _PRICE_TOL.  A restricted model that
+    is infeasible says nothing of the LP: every column left out joins it and
+    the rerun decides.  A restricted model that is unbounded makes the LP
+    unbounded.
 
-    ``start = (cols, basic, basic_rows)`` solves the LP by column
-    generation from a basis instead: ``cols`` indexes the columns the model
-    starts with, ``basic`` (a boolean mask over cols) and ``basic_rows`` (one
-    over the rows, each a basic logical) name a nonsingular basis of them,
-    and primal simplex runs from it.  Each round prices every column outside
-    the model by c - A_eq^T y at the row duals y, adds each one below
-    -_PRICE_TOL and reruns from the current basis; the solve ends when none
-    prices in, so y is dual feasible on every column to _PRICE_TOL.  A
-    restricted model that is infeasible says nothing of the LP: every column
-    left out joins it and the rerun decides.  A restricted model that is
-    unbounded makes the LP unbounded.
-
-    The result carries scipy's status codes (0 optimal, 2 infeasible or a
-    malformed model, 3 unbounded, 4 anything else), ``message``, ``nit``
-    (summed over the rounds), ``rounds`` (HiGHS runs) and, when optimal,
-    ``x`` over every column, ``fun`` and the row duals as
-    ``eqlin.marginals``; scipy's bound multipliers and residuals are not
-    computed.  scipy is imported on the first call.
+    The result carries scipy.optimize.linprog's status codes (0 optimal, 2
+    infeasible or a malformed model, 3 unbounded, 4 anything else),
+    ``message``, ``nit`` (summed over the rounds), ``rounds`` (HiGHS runs)
+    and, when optimal, ``x`` over every column, ``fun`` and the row duals as
+    ``eqlin.marginals``.  scipy is imported on the first call.
     """
     from scipy import sparse
     from scipy.optimize import OptimizeResult
@@ -185,37 +173,30 @@ def linprog(c, *, A_eq, b_eq, start=None):
         )
 
     h = highs._Highs()
-    options = {**_HIGHS_FIXED, **_HIGHS_OPTS}
-    cols, arrays = None, (A.indptr, A.indices, A.data)
-    if start is not None:
-        cols, basic, basic_rows = start
-        cols = np.asarray(cols, dtype=np.intp)
-        arrays = _csc_columns(A, cols)
-        # primal simplex: the basis a round leaves stays primal feasible when
-        # columns join; from the same starts dual simplex took 1,002
-        # iterations where primal took 14 (a non-uniform diag_M LP, n = 64)
-        options["simplex_strategy"] = 4
-    for key, val in options.items():
-        if key == "presolve":  # scipy's boolean, HiGHS's "on"/"off"
-            val = "on" if val else "off"
+    for key, val in _HIGHS_OPTS.items():
         if h.setOptionValue(key, val) != highs.HighsStatus.kOk:
             raise ValueError(f"HiGHS rejects option {key}={val!r}")
-    k = n if cols is None else cols.size
+    cols, basic, basic_rows = start
+    cols = np.asarray(cols, dtype=np.intp)
+    indptr, indices, data = _csc_columns(A, cols)
+    k = cols.size
     # the array overload of passModel: a HighsLp's index vectors would be
     # converted one Python int at a time
     passed = h.passModel(
         k,
         A.shape[0],
-        arrays[1].size,
+        indices.size,
         int(highs.MatrixFormat.kColwise),
         int(highs.ObjSense.kMinimize),
         0.0,
-        c if cols is None else c[cols],
+        c[cols],
         np.zeros(k),
         np.full(k, highs.kHighsInf),
         b_eq,
         b_eq,
-        *arrays,
+        indptr,
+        indices,
+        data,
         np.zeros(k, dtype=np.int32),  # every column continuous
     )
     S = highs.HighsModelStatus
@@ -223,42 +204,41 @@ def linprog(c, *, A_eq, b_eq, start=None):
     if passed == highs.HighsStatus.kError:
         model = S.kModelError
     else:
-        if cols is not None:
-            # one enum lookup per status: HighsBasisStatus(int) per entry
-            # costs more than the solve at small sizes
-            kb, kl = highs.HighsBasisStatus.kBasic, highs.HighsBasisStatus.kLower
-            basis = highs.HighsBasis()
-            basis.col_status = [kb if t else kl for t in np.asarray(basic).tolist()]
-            basis.row_status = [kb if t else kl for t in np.asarray(basic_rows).tolist()]
-            basis.valid, basis.alien = True, False
-            if h.setBasis(basis) != highs.HighsStatus.kOk:
-                raise ValueError("HiGHS rejects the start basis")
-            outside = np.ones(n, dtype=bool)
-            outside[cols] = False
-            At = A.T  # CSR, sharing A's arrays: A^T y is one sparse product
+        # one enum lookup per status: HighsBasisStatus(int) per entry costs
+        # more than the solve at small sizes
+        kb, kl = highs.HighsBasisStatus.kBasic, highs.HighsBasisStatus.kLower
+        basis = highs.HighsBasis()
+        basis.col_status = [kb if t else kl for t in np.asarray(basic).tolist()]
+        basis.row_status = [kb if t else kl for t in np.asarray(basic_rows).tolist()]
+        basis.valid, basis.alien = True, False
+        if h.setBasis(basis) != highs.HighsStatus.kOk:
+            raise ValueError("HiGHS rejects the start basis")
+        outside = np.ones(n, dtype=bool)
+        outside[cols] = False
+        At = A.T  # CSR, sharing A's arrays: A^T y is one sparse product
         while True:
             h.run()
             rounds += 1
             model = h.getModelStatus()
             # the one count, not the whole HighsInfo, each round
             nit += h.getInfoValue("simplex_iteration_count")[1]
-            if cols is None or model not in (S.kOptimal, S.kInfeasible):
-                break
             if model == S.kOptimal:
                 price = c - At @ np.array(h.getSolution().row_dual)
                 add = np.flatnonzero(outside & (price < -_PRICE_TOL))
-            else:  # the restricted model is infeasible: pose the whole LP
+            elif model == S.kInfeasible:  # the restricted one: pose the whole LP
                 add = np.flatnonzero(outside)
+            else:
+                break
             if not add.size:
                 break
-            starts, indices, data = _csc_columns(A, add)
+            indptr, indices, data = _csc_columns(A, add)
             h.addCols(
                 add.size,
                 c[add],
                 np.zeros(add.size),
                 np.full(add.size, highs.kHighsInf),
                 indices.size,
-                starts,
+                indptr,
                 indices,
                 data,
             )
@@ -276,10 +256,8 @@ def linprog(c, *, A_eq, b_eq, start=None):
     )
     if res.status == 0:
         sol = h.getSolution()
-        res.x = np.array(sol.col_value)
-        if cols is not None:  # model column k is column cols[k] of the LP
-            res.x, model_x = np.zeros(n), res.x
-            res.x[cols] = model_x
+        res.x = np.zeros(n)
+        res.x[cols] = sol.col_value  # model column k is column cols[k] of the LP
         res.fun = h.getInfo().objective_function_value
         res.eqlin.marginals = np.array(sol.row_dual)
     return res
@@ -302,10 +280,9 @@ def _frozen_plan(m: np.ndarray) -> np.ndarray:
     clipped and itself made read-only, all in place."""
     if m.ndim != 2:
         raise ConfigurationError("a transport plan is a matrix")
-    # one pass finds the minimum; NaN is not >= 0 either, and is left
-    # alone while any solver dust beside it is clipped
+    # one pass finds the minimum; NaN is not >= 0 either, and fails both
     if m.size and not m.min() >= 0:
-        if np.any(m < -SUPPORT_TOL):
+        if not (m >= -SUPPORT_TOL).all():
             raise ConfigurationError("plan entries must be non-negative")
         m[m < 0] = 0.0  # clip solver dust
     m.setflags(write=False)
@@ -980,6 +957,13 @@ def _cap_potentials(
     likewise psi <= beta, and the zero dummy-dummy arcs give
     alpha + beta >= 0.  Shifting t from psi to phi keeps every arc sum and
     makes both caps' multipliers non-negative.
+
+    A cap that reaches the total mass binds only a plan that drops
+    everything, and its alpha, beta are then those of the clamped cap, not
+    of a larger eps.  Folding alpha into phi and beta into psi sets both to
+    0 for any eps: the objective keeps its value (cap is each side's total),
+    phi + psi only drops (alpha + beta >= 0), and a plan that keeps mass has
+    alpha = 0 = beta already.
     """
     alpha = beta = 0.0
     if cap is not None:
@@ -988,6 +972,8 @@ def _cap_potentials(
     t = -alpha if alpha < 0 else min(beta, 0.0)
     if t:
         phi, psi, alpha, beta = phi + t, psi - t, alpha + t, beta - t
+    if cap is not None and cap >= a.sum():
+        phi, psi, alpha, beta = phi - alpha, psi - beta, 0.0, 0.0
     alpha, beta = alpha + 0.0, beta + 0.0  # no -0.0
     return DualPotentials(
         phi=phi,

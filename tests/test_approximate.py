@@ -307,6 +307,11 @@ class TestLiminfHarness:
         with pytest.raises(ConfigurationError, match="horizon"):
             liminf_harness(diag_inf(), [diagonal_plan(16)], diagonal_plan(16), horizon)
 
+    def test_rejects_a_plan_its_grid_cost_does_not_fit(self):
+        # costs are taken at a plan's row count: a 4 x 8 plan meets a 4 x 4 cost
+        with pytest.raises(ConfigurationError, match="shape mismatch"):
+            liminf_harness(diag_inf(), [np.ones((4, 8)) / 32], diagonal_plan(4), 1)
+
     def test_optimizer_sequence_costs_vanish(self):
         # LP optimizers of the finite variant are the cyclic shifts; their
         # costs M/n vanish while the limit plan still pays the diagonal

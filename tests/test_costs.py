@@ -201,6 +201,10 @@ class TestPlanCost:
         pi[0, 3] = 0.25
         assert plan_cost(C, pi) == INF
 
+    def test_shape_mismatch_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="shape mismatch"):
+            plan_cost(np.zeros((4, 4)), np.ones((4, 8)) / 32)
+
     @given(
         t=st.floats(0.0, 1.0),
         seed=st.integers(0, 10_000),
