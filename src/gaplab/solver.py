@@ -45,6 +45,13 @@ On both paths arcs with a non-finite cost are forbidden, so they can never
 carry mass, and infeasibility over the remaining arcs is exactly the
 statement "no finite-cost coupling exists".
 
+A report's plan is held as the support the solve found: the arcs of P_k
+(and of P_k+1 in a mix) with their masses on the assignment path, the
+positive entries of the optimal x on real rows and columns on the HiGHS
+one.  The n x m matrix ``plan.mass`` is scattered from it on first read,
+so a caller that reads only the value and the potentials never builds it,
+and check_complementary_slackness reads the support itself.
+
 Dual potentials are the equality-constraint multipliers of the optimal
 basis on the HiGHS path, and shortest-path distances on the residual graph
 of the optimal plan on the other.  A partial solve also reports the
@@ -276,8 +283,8 @@ def _csc_columns(A, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _frozen_plan(m: np.ndarray) -> np.ndarray:
-    """m, a float array, checked to be a non-negative matrix, its solver dust
-    clipped and itself made read-only, all in place."""
+    """m, a float array, checked to be a finite non-negative matrix, its
+    solver dust clipped and itself made read-only, all in place."""
     if m.ndim != 2:
         raise ConfigurationError("a transport plan is a matrix")
     # one pass finds the minimum; NaN is not >= 0 either, and fails both
@@ -285,15 +292,25 @@ def _frozen_plan(m: np.ndarray) -> np.ndarray:
         if not (m >= -SUPPORT_TOL).all():
             raise ConfigurationError("plan entries must be non-negative")
         m[m < 0] = 0.0  # clip solver dust
+    if m.size and not m.max() < INF:
+        raise ConfigurationError("plan entries must be finite")
     m.setflags(write=False)
     return m
 
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Sub-coupling matrix; rows ship mass from x-atoms, columns to y-atoms."""
+    """Sub-coupling matrix; rows ship mass from x-atoms, columns to y-atoms.
+
+    A solver's plan is held as its support, the arcs it solved for
+    (_from_support), and ``mass`` is built from them on first read and
+    kept; ``total``, the sums, ``repr`` and equality all read ``mass``.
+    """
 
     mass: np.ndarray
+
+    #: (shape, parts) of a plan made from its support, else None
+    _support = None
 
     def __post_init__(self):
         # our own copy, so the caller's array is neither frozen nor shared
@@ -306,6 +323,67 @@ class TransportPlan:
         plan = object.__new__(cls)
         object.__setattr__(plan, "mass", _frozen_plan(mass))
         return plan
+
+    @classmethod
+    def _from_support(cls, shape: tuple[int, int], parts) -> TransportPlan:
+        """The ``shape`` plan scattered from ``parts``, each (rows, cols,
+        values) with values a float array over the arcs or one float for them
+        all: the first part assigns and later ones add, so an arc in several
+        parts carries their sum in that order.  The values are checked to be
+        finite and non-negative now; ``mass`` is built on first read."""
+        for _, _, v in parts:
+            # one float needs no reduction; initial=0.0 changes neither check
+            # and passes an empty part; NaN is not >= 0 and fails the first
+            if isinstance(v, float):
+                lo = hi = v
+            else:
+                lo, hi = v.min(initial=0.0), v.max(initial=0.0)
+            if not (lo >= 0 and hi < INF):
+                raise ConfigurationError("plan entries must be finite and non-negative")
+        plan = object.__new__(cls)
+        object.__setattr__(plan, "_support", (shape, tuple(parts)))
+        return plan
+
+    def __getattr__(self, name):
+        # reached only for a name the instance lacks: a support plan's mass
+        # before its first read
+        if name != "mass" or self._support is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        shape, parts = self._support
+        mass = np.zeros(shape)
+        for k, (rows, cols, values) in enumerate(parts):
+            if k:
+                mass[rows, cols] += values
+            else:  # a read first would fault each fresh zero page in twice
+                mass[rows, cols] = values
+        mass.setflags(write=False)
+        object.__setattr__(self, "mass", mass)
+        return mass
+
+    def _held_arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and columns of the arcs that carry more than SUPPORT_TOL, in
+        row-major order, read from the support when the plan has one, with
+        no dense plan built.  An arc in several parts carries their sum in
+        scatter order, as ``mass`` holds it."""
+        if self._support is None:
+            return np.nonzero(self.mass > SUPPORT_TOL)
+        (_, m), parts = self._support
+        if len(parts) == 1:  # one part's arcs are distinct and row-major
+            rows, cols, values = parts[0]
+            if isinstance(values, float):  # one value for every arc
+                return (rows, cols) if values > SUPPORT_TOL else (rows[:0], cols[:0])
+            held = values > SUPPORT_TOL
+            return rows[held], cols[held]
+        keys = np.concatenate([r.astype(np.intp) * m + c for r, c, _ in parts])
+        arcs, at = np.unique(keys, return_inverse=True)
+        # np.add.at adds in index order, so the parts add in turn, the first
+        # onto 0.0, which keeps a non-negative value's bits
+        mass = np.zeros(arcs.size)
+        np.add.at(mass, at, np.concatenate([np.broadcast_to(v, r.shape) for r, _, v in parts]))
+        arcs = arcs[mass > SUPPORT_TOL]
+        return arcs // m, arcs % m
 
     @property
     def row_sums(self) -> np.ndarray:
@@ -504,6 +582,8 @@ def _assignment_lp(
     Memory.  D is C itself, only ever read, unless C holds a NaN or a -inf;
     then D is C with +inf on every non-finite arc.  A mixed cap releases
     P_k's padded matrix before padding for k + 1, so one is alive at a time.
+    The plan is its support, the arcs of P_k and P_k+1 with their shares of
+    w (TransportPlan._from_support): no n x n array is made for it.
     """
     n = C.shape[0]
     # C.min() is NaN or -inf when C holds one, else C is its own +inf copy,
@@ -523,18 +603,12 @@ def _assignment_lp(
     # C padded with the dummy row and column of mass cap: the top left of
     # the last optimum's k or k + 1 dummies
     E = D if cap is None else padded[: n + 1, : n + 1]
-    # a copy D that E does not keep is freed here, so the plan reuses its
-    # pages instead of faulting in fresh ones
-    del D
-    plan = np.zeros((n, n))
-    parts = []
-    for i, (col, share) in enumerate(mix):
+    del D  # a copy that E does not keep is freed here
+    support, parts = [], []
+    for col, share in mix:
         rows = np.flatnonzero(col[:n] < n)  # the real arcs i -> col[i]
         cols = col[rows]
-        if i:
-            plan[rows, cols] += share * w
-        else:  # a read first would fault each fresh zero page in twice
-            plan[rows, cols] = share * w
+        support.append((rows, cols, share * w))
         parts.append(share * float(C[rows, cols].sum()))
     col, mixed, last = mix[0][0], None, None
     if cap is not None:  # the dummies fold into E's one: a dropped atom ships
@@ -550,7 +624,7 @@ def _assignment_lp(
         # (1 - theta)*V(k) + theta*V(k + 1); a 0.0 start would turn -0.0 to 0.0
         value=w * sum(parts[1:], parts[0]),
         status="optimal",
-        plan=TransportPlan._own(plan),
+        plan=TransportPlan._from_support((n, n), support),
         potentials=_cap_potentials(u, v, a, b, cap),
         path="assignment",
     )
@@ -583,9 +657,11 @@ def _split_assignment(
         return None
     owner = np.empty(n, dtype=np.int32)
     owner[col] = np.arange(n)
+    # float64 data, which connected_components would otherwise copy it to
     count, labels = connected_components(
         sparse.csr_matrix(
-            (graph.data, owner[graph.indices], graph.indptr), shape=(n, n)
+            (np.ones(graph.indices.size), owner[graph.indices], graph.indptr),
+            shape=(n, n),
         ),
         connection="strong",
     )
@@ -857,13 +933,16 @@ def _highs_lp(
     if res.status != 0:
         raise RuntimeError(f"LP solver failed: {res.message}")
 
-    plan = np.zeros((N, M))
-    plan[rows, cols] = np.maximum(res.x, 0.0)
+    keep = res.x > 0  # HiGHS's dust below zero is no mass
+    if slack_cap is not None:  # nor is an arc to a dummy
+        keep &= (rows < n) & (cols < m)
     duals = np.asarray(res.eqlin.marginals, dtype=float)
     return SolveReport(
         value=float(res.fun),
         status="optimal",
-        plan=TransportPlan._own(plan[:n, :m]),
+        plan=TransportPlan._from_support(
+            (n, m), [(rows[keep], cols[keep], res.x[keep])]
+        ),
         potentials=_cap_potentials(duals[:N], duals[N:], a[:n], b[:m], slack_cap),
     )
 
@@ -1047,13 +1126,17 @@ def check_complementary_slackness(
     report: SolveReport, C: np.ndarray
 ) -> tuple[bool, list[tuple[int, int, float]]]:
     """Certify optimality: wherever the plan carries mass, the dual constraint
-    must be tight.  Returns (ok, violations) with one (i, j, gap) per bad pair."""
+    must be tight.  Returns (ok, violations) with one (i, j, gap) per bad
+    pair, in row-major order.  A plan held as its support is read on its
+    arcs alone, with no dense plan built."""
     if report.status != "optimal":
         raise ConfigurationError("complementary slackness needs an optimal report")
     C = np.asarray(C, dtype=float)
-    pi = report.plan.mass
     pot = report.potentials
-    gap = C - (pot.phi[:, None] + pot.psi[None, :])
-    bad = (pi > SUPPORT_TOL) & (np.abs(gap) > DUALITY_TOL)
-    violations = [(int(i), int(j), float(gap[i, j])) for i, j in zip(*np.nonzero(bad))]
+    if C.shape != (pot.phi.size, pot.psi.size):  # the arcs index C unchecked
+        raise ConfigurationError("C's shape does not match the report's")
+    rows, cols = report.plan._held_arcs()
+    gap = C[rows, cols] - (pot.phi[rows] + pot.psi[cols])
+    bad = np.abs(gap) > DUALITY_TOL
+    violations = list(zip(rows[bad].tolist(), cols[bad].tolist(), gap[bad].tolist()))
     return (not violations, violations)

@@ -1,8 +1,10 @@
 """Primal/dual/partial solves against brute-force and closed-form oracles."""
 
 import math
+import pickle
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -197,6 +199,15 @@ class TestComplementarySlackness:
         assert not ok
         assert {(i, j) for i, j, _ in violations} == {(0, 0), (1, 1)}
 
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (2,)])
+    def test_cost_of_another_shape_raises(self, shape):
+        # a larger C would be read on the plan's arcs without complaint
+        C = np.zeros((2, 2))
+        r = solve_primal(C, uniform(2), uniform(2))
+        for report in (r, replace(r, plan=TransportPlan(r.plan.mass))):
+            with pytest.raises(ConfigurationError):
+                check_complementary_slackness(report, np.zeros(shape))
+
 
 class TestTransportPlanOwnership:
     def test_public_constructor_copies(self):
@@ -236,6 +247,21 @@ class TestTransportPlanOwnership:
             TransportPlan(nan)
         with pytest.raises(ConfigurationError):
             TransportPlan._own(nan.copy())
+
+    @pytest.mark.parametrize("bad", [INF, np.nan, -1.0])
+    def test_non_finite_and_negative_entries_rejected(self, bad):
+        # an +inf entry would report an infinite total mass
+        m = np.array([[bad, 0.0], [0.0, 0.5]])
+        with pytest.raises(ConfigurationError):
+            TransportPlan(m)
+        with pytest.raises(ConfigurationError):
+            TransportPlan._own(m.copy())
+        rows, cols = np.arange(2), np.arange(2)
+        for values in (bad, np.array([0.5, bad])):
+            with pytest.raises(ConfigurationError):
+                TransportPlan._from_support((2, 2), [(rows, cols, values)])
+        with pytest.raises(ConfigurationError):  # a later part is checked too
+            TransportPlan._from_support((2, 2), [(rows, cols, 0.5), (rows, cols, bad)])
 
 
 class TestSolvePartial:
@@ -1299,7 +1325,13 @@ def _scipy_reference(c, kwargs):
     that gaplab posed to its own HiGHS entry."""
     from scipy.optimize import linprog as scipy_linprog
 
-    return scipy_linprog(c, A_eq=kwargs["A_eq"], b_eq=kwargs["b_eq"], method="highs")
+    ref = scipy_linprog(c, A_eq=kwargs["A_eq"], b_eq=kwargs["b_eq"], method="highs")
+    if ref.status == 4:  # HiGHS's presolve gives up on some costs near 1e12
+        ref = scipy_linprog(
+            c, A_eq=kwargs["A_eq"], b_eq=kwargs["b_eq"], method="highs",
+            options={"presolve": False},
+        )
+    return ref
 
 
 def _same_as_scipy(c, kwargs):
@@ -1595,6 +1627,14 @@ class TestArcGeneration:
 
     @given(case=_started_lps())
     @settings(max_examples=300, deadline=None)
+    @example(  # scipy's presolve reports status 4 on this LP
+        case=(
+            np.array([[1e12, 1e12], [INF, INF]]),
+            np.array([0.6999307075168008, 0.30006929248319936]),
+            np.array([0.23543213899973728, 0.7645678610002626]),
+            1.0,
+        )
+    )
     def test_drawn_lps_agree_with_scipy(self, case):
         _agrees_with_scipy(*case)
 
@@ -1749,3 +1789,233 @@ class TestArcGenerationAtSize:
             C = (x[:, None] - x[None, :]) ** 2
         _agrees_with_scipy(C, a, b)
         _agrees_with_scipy(C, a, b, 0.01)
+
+
+# ---------------------------------------------------------------------------
+# a report's plan is held as its support and made dense on first read
+# ---------------------------------------------------------------------------
+
+
+def _solve_with_dense_reference(C, a, b, eps):
+    """The report of solve_primal (eps None) or solve_partial, and its plan
+    as a dense reference scatter of the optima the solve found (None unless
+    optimal): on the assignment path each optimum's real arcs at its share
+    of w, the first assigned and the second added; on the HiGHS path
+    max(x, 0) on every finite arc of the (padded) cost, cut to the real rows
+    and columns."""
+    lp, optimum, highs = solver._assignment_lp, solver._optimal_assignment, solver.linprog
+    seen = {"cols": [], "x": None}
+
+    def spied_lp(C, a, b, w, k, theta, cap):
+        seen.update(w=w, theta=theta)
+        return lp(C, a, b, w, k, theta, cap)
+
+    def spied_optimum(D, finite, k):
+        found = optimum(D, finite, k)
+        if found is not None:
+            seen["cols"].append(found[1].copy())
+        return found
+
+    def spied_highs(c, **kwargs):
+        res = highs(c, **kwargs)
+        seen["x"] = res.x
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_assignment_lp", spied_lp)
+        mp.setattr(solver, "_optimal_assignment", spied_optimum)
+        mp.setattr(solver, "linprog", spied_highs)
+        r = solve_primal(C, a, b) if eps is None else solve_partial(C, a, b, eps)
+    if r.status != "optimal":
+        return r, None
+    n, m = C.shape
+    if r.path == "assignment":
+        ref = np.zeros((n, n))
+        shares = (1.0 - seen["theta"], seen["theta"])
+        for i, (col, share) in enumerate(zip(seen["cols"], shares)):
+            rows = np.flatnonzero(col[:n] < n)
+            if i:
+                ref[rows, col[rows]] += share * seen["w"]
+            else:
+                ref[rows, col[rows]] = share * seen["w"]
+        return r, ref
+    P = np.pad(C, ((0, 1), (0, 1))) if eps else C  # eps = 0 is a full solve
+    ref = np.zeros(P.shape)
+    if seen["x"] is not None:  # no LP is posed without a finite arc
+        ref[np.nonzero(np.isfinite(P))] = np.maximum(seen["x"], 0.0)
+    return r, ref[:n, :m]
+
+
+@st.composite
+def _plan_cases(draw):
+    """Costs with +inf arcs, square or not, under uniform weights (the
+    assignment path when square) or drawn ones with zeros (HiGHS), and no
+    cap, a zero one, one on the atom lattice or one off it."""
+    n = draw(st.integers(1, 6))
+    m = n if draw(st.booleans()) else draw(st.integers(1, 6))
+    C = draw(arrays(float, (n, m), elements=st.sampled_from([*TIES, INF, INF])))
+    if n == m and draw(st.booleans()):
+        a = b = np.full(n, 1.0 / n)
+    else:
+        a, b = (
+            draw(arrays(float, size, elements=st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0])))
+            for size in (n, m)
+        )
+        a[0], b[-1] = a[0] or 1.0, b[-1] or 1.0
+        a, b = a / a.sum(), b / b.sum()
+    k = draw(st.integers(0, n))
+    eps = draw(
+        st.sampled_from([None, 0.0, k / n, (k + 0.37) / n, (k + 1e-7) / n, 2.0])
+    )
+    return C, a, b, eps
+
+
+class TestSupportPlans:
+    @given(case=_plan_cases())
+    @settings(max_examples=300, deadline=None)
+    @example(case=(np.array([[0.0, 1.0], [1.0, 0.0]]), np.full(2, 0.5), np.full(2, 0.5), 0.6))
+    @example(case=(np.array([[0.0, INF], [1.0, 0.0]]), np.full(2, 0.5), np.eye(2)[0], 0.3))
+    def test_mass_is_the_dense_scatter(self, case):
+        C, a, b, eps = case
+        r, ref = _solve_with_dense_reference(C, a, b, eps)
+        if ref is None:
+            assert r.plan is None
+            return
+        assert "mass" not in vars(r.plan)  # the solve never built it
+        mass = r.plan.mass
+        assert mass.shape == ref.shape and mass.tobytes() == ref.tobytes()
+        assert not mass.flags.writeable
+        assert r.plan.mass is mass  # built once
+        assert np.array_equal(np.asarray(r.plan.total), ref.sum())
+
+    @pytest.mark.parametrize("eps", [None, 1 / 8, 1.37 / 8])
+    def test_catalog_plans_on_both_paths(self, eps):
+        for C, a, b in (
+            discretize(fat_set(), 8),
+            discretize(diag_inf(), 8),
+            _diag_m_piecewise(8, 3),
+        ):
+            r, ref = _solve_with_dense_reference(C, a, b, eps)
+            assert r.plan.mass.tobytes() == ref.tobytes()
+
+    def test_unread_plan_replaces_pickles_and_prints(self):
+        C, mu, nu = discretize(fat_set(), 8)
+
+        def unread():
+            plan = solve_partial(C, mu, nu, 1.37 / 8).plan
+            assert "mass" not in vars(plan)
+            return plan
+
+        dense = unread().mass
+        copy = replace(unread())
+        assert copy._support is None and copy.mass.tobytes() == dense.tobytes()
+        back = pickle.loads(pickle.dumps(unread()))
+        assert back.mass.tobytes() == dense.tobytes() and not back.mass.flags.writeable
+        assert repr(unread()) == repr(TransportPlan(dense))
+        plan = unread()
+        assert plan == plan and "mass" in vars(plan)  # equality reads mass
+        with pytest.raises(AttributeError):
+            unread().weights  # only mass is built on demand
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-3])
+    def test_certificate_reads_the_support(self, shift):
+        # mixed caps (P_k and P_k+1 share arcs) and HiGHS reports, with the
+        # potentials moved off some support arcs: the same (ok, violations)
+        # as the dense check, and no dense plan built
+        cases = [(*discretize(fat_set(), 16), e) for e in (0.37 / 16, 3.5 / 16)]
+        cases += [(*discretize(diag_M(), 12), e) for e in (None, 2.2 / 12)]
+        cases += [(*_diag_m_piecewise(16, 5), e) for e in (None, 0.1)]
+        for C, mu, nu, eps in cases:
+            r = solve_primal(C, mu, nu) if eps is None else solve_partial(C, mu, nu, eps)
+            p = r.potentials
+            phi = p.phi + shift * (np.arange(p.phi.size) % 3 == 1)
+            r = replace(r, potentials=DualPotentials(phi, p.psi, p.objective))
+            got = check_complementary_slackness(r, C)
+            assert "mass" not in vars(r.plan)
+            dense = replace(r, plan=TransportPlan(r.plan.mass))
+            assert got == check_complementary_slackness(dense, C)
+            assert got[0] == (shift == 0.0)
+
+    def test_held_arcs_sum_shared_arcs_in_scatter_order(self):
+        # row-major over both parts, the shared arc (0, 2) once; two shares
+        # below SUPPORT_TOL on it are held by their sum, as in ``mass``
+        tol, rows = solver.SUPPORT_TOL, np.array([0, 1, 2])
+        firsts, seconds = np.array([2, 0, 1]), np.array([2, 1, 0])
+        for share, held in (
+            (0.1, [[0, 1, 1, 2, 2], [2, 0, 1, 0, 1]]),
+            (0.6 * tol, [[0], [2]]),
+        ):
+            plan = TransportPlan._from_support(
+                (3, 3), [(rows, firsts, share), (rows, seconds, np.float64(share))]
+            )
+            got = plan._held_arcs()
+            assert "mass" not in vars(plan)
+            assert [a.tolist() for a in got] == held
+            dense = TransportPlan(plan.mass)._held_arcs()
+            assert [a.tolist() for a in dense] == held
+
+    @pytest.mark.parametrize(
+        "values, held",
+        [(0.5, [0, 1, 2]), (np.float64(0.5), [0, 1, 2]), (1e-12, []),
+         (np.array([0.5, 1e-12, 0.25]), [0, 2])],
+    )
+    def test_held_arcs_of_one_part(self, values, held):
+        rows = np.arange(3)
+        plan = TransportPlan._from_support((3, 4), [(rows, rows + 1, values)])
+        got = plan._held_arcs()
+        assert [a.tolist() for a in got] == [held, [h + 1 for h in held]]
+        assert [a.tolist() for a in TransportPlan(plan.mass)._held_arcs()] == [a.tolist() for a in got]
+
+    def test_full_assignment_solve_allocates_no_dense_plan(self):
+        # fat_set's costs are finite: a full solve at n = 1024 reads C in
+        # place and holds its sweep blocks (512 KB) and O(n) vectors, under
+        # one n x n float array
+        n = 1024
+        C, mu, nu = discretize(fat_set(), n)
+        solve_primal(C, mu, nu)  # scipy's imports
+        tracemalloc.start()
+        try:
+            r = solve_primal(C, mu, nu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.path == "assignment" and "mass" not in vars(r.plan)
+        assert peak < n * n * 8
+
+    @given(C=_forbidden_patterns())
+    @settings(max_examples=100, deadline=None)
+    def test_split_row_graph_is_float64_with_the_same_blocks(self, C):
+        # connected_components copies a graph to float64 unless it is one;
+        # bool data, which it read before, gives the same components and col.
+        # The copy also sorted each row's arcs, so the components may be
+        # numbered in another order: compare them by their first rows
+        import scipy.sparse.csgraph as csgraph
+
+        components, graphs = csgraph.connected_components, []
+
+        def spied(graph, **kwargs):
+            graphs.append(graph)
+            return components(graph, **kwargs)
+
+        def as_bool(graph, **kwargs):
+            return components(graph.astype(bool), **kwargs)
+
+        finite = np.isfinite(C)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(csgraph, "connected_components", spied)
+            split = solver._split_assignment(C, finite)
+            mp.setattr(csgraph, "connected_components", as_bool)
+            before = solver._split_assignment(C, finite)
+        if split is None:  # no perfect matching: no row graph either
+            assert before is None and not graphs
+            return
+        (graph,) = graphs
+        assert graph.dtype == np.float64
+
+        def blocks(graph):
+            labels = components(graph, connection="strong")[1]
+            first = np.unique(labels, return_index=True)[1]
+            return np.argsort(np.argsort(first))[labels]  # numbered by first row
+
+        assert np.array_equal(blocks(graph), blocks(graph.astype(bool)))
+        assert np.array_equal(split[0], before[0]) and split[1] == before[1]
