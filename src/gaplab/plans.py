@@ -18,28 +18,25 @@ __all__ = [
 
 def diagonal_plan(n: int) -> TransportPlan:
     """Identity coupling of uniform marginals: mass 1/n on each (i, i)."""
-    return TransportPlan._own(np.eye(n) / n)
+    i = np.arange(n)
+    return TransportPlan._from_support((n, n), i, i, 1 / n)
 
 
 def antidiagonal_plan(n: int) -> TransportPlan:
-    return TransportPlan(np.fliplr(np.eye(n)) / n)
+    i = np.arange(n)
+    return TransportPlan._from_support((n, n), i, i[::-1], 1 / n)
 
 
 def cyclic_shift_plan(n: int) -> TransportPlan:
     """Full coupling sending atom i to i-1 and atom 1 around to atom n."""
-    m = np.zeros((n, n))
-    for i in range(1, n):
-        m[i, i - 1] = 1 / n
-    m[0, n - 1] = 1 / n
-    return TransportPlan(m)
+    i = np.arange(n)
+    return TransportPlan._from_support((n, n), i, np.roll(i, 1), 1 / n)
 
 
 def shift_subplan(n: int) -> TransportPlan:
     """One-step-down sub-coupling of mass (n-1)/n, entirely below the diagonal."""
-    m = np.zeros((n, n))
-    for i in range(1, n):
-        m[i, i - 1] = 1 / n
-    return TransportPlan(m)
+    i = np.arange(1, n)
+    return TransportPlan._from_support((n, n), i, i - 1, 1 / n)
 
 
 def product_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:

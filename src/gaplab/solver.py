@@ -45,12 +45,13 @@ On both paths arcs with a non-finite cost are forbidden, so they can never
 carry mass, and infeasibility over the remaining arcs is exactly the
 statement "no finite-cost coupling exists".
 
-A report's plan is held as the support the solve found: the arcs of P_k
-(and of P_k+1 in a mix) with their masses on the assignment path, the
-positive entries of the optimal x on real rows and columns on the HiGHS
-one.  The n x m matrix ``plan.mass`` is scattered from it on first read,
-so a caller that reads only the value and the potentials never builds it,
-and check_complementary_slackness reads the support itself.
+A report's plan is held as the support the solve found, one set of
+distinct arcs with their masses: the arcs of P_k on the assignment path,
+merged once with P_k+1's in a mix, and the positive entries of the optimal
+x on real rows and columns on the HiGHS one.  The n x m matrix
+``plan.mass`` is scattered from it on first read, so a caller that reads
+only the value and the potentials never builds it, and
+check_complementary_slackness reads the support itself.
 
 Dual potentials are the equality-constraint multipliers of the optimal
 basis on the HiGHS path, and shortest-path distances on the residual graph
@@ -302,14 +303,15 @@ def _frozen_plan(m: np.ndarray) -> np.ndarray:
 class TransportPlan:
     """Sub-coupling matrix; rows ship mass from x-atoms, columns to y-atoms.
 
-    A solver's plan is held as its support, the arcs it solved for
-    (_from_support), and ``mass`` is built from them on first read and
-    kept; ``total``, the sums, ``repr`` and equality all read ``mass``.
+    A solver's plan is held as its support, the distinct arcs it solved for
+    with their masses (_from_support), and ``mass`` is scattered from them
+    on first read and kept; ``total``, the sums, ``repr`` and equality all
+    read ``mass``.
     """
 
     mass: np.ndarray
 
-    #: (shape, parts) of a plan made from its support, else None
+    #: (shape, rows, cols, values) of a plan made from its support, else None
     _support = None
 
     def __post_init__(self):
@@ -325,23 +327,24 @@ class TransportPlan:
         return plan
 
     @classmethod
-    def _from_support(cls, shape: tuple[int, int], parts) -> TransportPlan:
-        """The ``shape`` plan scattered from ``parts``, each (rows, cols,
-        values) with values a float array over the arcs or one float for them
-        all: the first part assigns and later ones add, so an arc in several
-        parts carries their sum in that order.  The values are checked to be
-        finite and non-negative now; ``mass`` is built on first read."""
-        for _, _, v in parts:
-            # one float needs no reduction; initial=0.0 changes neither check
-            # and passes an empty part; NaN is not >= 0 and fails the first
-            if isinstance(v, float):
-                lo = hi = v
-            else:
-                lo, hi = v.min(initial=0.0), v.max(initial=0.0)
-            if not (lo >= 0 and hi < INF):
-                raise ConfigurationError("plan entries must be finite and non-negative")
+    def _from_support(
+        cls, shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, values
+    ) -> TransportPlan:
+        """The ``shape`` plan with mass values[k] on the arc (rows[k],
+        cols[k]) and none elsewhere; the arcs are distinct, and values is a
+        float array over them or one float for them all.  The values are
+        checked to be finite and non-negative now; ``mass`` is built on
+        first read."""
+        # one float needs no reduction; initial=0.0 changes neither check and
+        # passes no arcs; NaN is not >= 0 and fails the first
+        if isinstance(values, float):
+            lo = hi = values
+        else:
+            lo, hi = values.min(initial=0.0), values.max(initial=0.0)
+        if not (lo >= 0 and hi < INF):
+            raise ConfigurationError("plan entries must be finite and non-negative")
         plan = object.__new__(cls)
-        object.__setattr__(plan, "_support", (shape, tuple(parts)))
+        object.__setattr__(plan, "_support", (shape, rows, cols, values))
         return plan
 
     def __getattr__(self, name):
@@ -351,39 +354,21 @@ class TransportPlan:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"
             )
-        shape, parts = self._support
+        shape, rows, cols, values = self._support
         mass = np.zeros(shape)
-        for k, (rows, cols, values) in enumerate(parts):
-            if k:
-                mass[rows, cols] += values
-            else:  # a read first would fault each fresh zero page in twice
-                mass[rows, cols] = values
+        mass[rows, cols] = values
         mass.setflags(write=False)
         object.__setattr__(self, "mass", mass)
         return mass
 
-    def _held_arcs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rows and columns of the arcs that carry more than SUPPORT_TOL, in
-        row-major order, read from the support when the plan has one, with
-        no dense plan built.  An arc in several parts carries their sum in
-        scatter order, as ``mass`` holds it."""
+    def _arcs(self) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
+        """(rows, cols, values) of the plan's arcs, each listed once: its
+        support as held (values one float or an array), with no dense plan
+        built, or else the positive entries of ``mass`` in row-major order."""
         if self._support is None:
-            return np.nonzero(self.mass > SUPPORT_TOL)
-        (_, m), parts = self._support
-        if len(parts) == 1:  # one part's arcs are distinct and row-major
-            rows, cols, values = parts[0]
-            if isinstance(values, float):  # one value for every arc
-                return (rows, cols) if values > SUPPORT_TOL else (rows[:0], cols[:0])
-            held = values > SUPPORT_TOL
-            return rows[held], cols[held]
-        keys = np.concatenate([r.astype(np.intp) * m + c for r, c, _ in parts])
-        arcs, at = np.unique(keys, return_inverse=True)
-        # np.add.at adds in index order, so the parts add in turn, the first
-        # onto 0.0, which keeps a non-negative value's bits
-        mass = np.zeros(arcs.size)
-        np.add.at(mass, at, np.concatenate([np.broadcast_to(v, r.shape) for r, _, v in parts]))
-        arcs = arcs[mass > SUPPORT_TOL]
-        return arcs // m, arcs % m
+            rows, cols = np.nonzero(self.mass)
+            return rows, cols, self.mass[rows, cols]
+        return self._support[1:]
 
     @property
     def row_sums(self) -> np.ndarray:
@@ -430,6 +415,9 @@ class DualPotentials:
 
     def feasibility_slack(self, C: np.ndarray) -> float:
         """max over finite arcs of phi[i] + psi[j] - C[i][j] (<= 0 when feasible)."""
+        C = np.asarray(C, dtype=float)
+        if C.shape != (self.phi.size, self.psi.size):  # else it would broadcast
+            raise ConfigurationError("C's shape does not match the potentials'")
         gap = self.phi[:, None] + self.psi[None, :] - C
         gap = gap[np.isfinite(C)]
         return float(gap.max()) if gap.size else -INF
@@ -582,8 +570,9 @@ def _assignment_lp(
     Memory.  D is C itself, only ever read, unless C holds a NaN or a -inf;
     then D is C with +inf on every non-finite arc.  A mixed cap releases
     P_k's padded matrix before padding for k + 1, so one is alive at a time.
-    The plan is its support, the arcs of P_k and P_k+1 with their shares of
-    w (TransportPlan._from_support): no n x n array is made for it.
+    The plan is its support (TransportPlan._from_support), merged once here:
+    P_k's arcs at (1 - theta)*w, plus theta*w where P_k+1 keeps the arc,
+    then P_k+1's other arcs at theta*w.  No n x n array is made for it.
     """
     n = C.shape[0]
     # C.min() is NaN or -inf when C holds one, else C is its own +inf copy,
@@ -604,12 +593,22 @@ def _assignment_lp(
     # the last optimum's k or k + 1 dummies
     E = D if cap is None else padded[: n + 1, : n + 1]
     del D  # a copy that E does not keep is freed here
-    support, parts = [], []
+    arcs, terms = [], []
     for col, share in mix:
         rows = np.flatnonzero(col[:n] < n)  # the real arcs i -> col[i]
-        cols = col[rows]
-        support.append((rows, cols, share * w))
-        parts.append(share * float(C[rows, cols].sum()))
+        arcs.append((rows, col[rows]))
+        terms.append(share * float(C[arcs[-1]].sum()))
+    rows, cols = arcs[0]
+    values = (1.0 - theta) * w
+    if theta:  # P_k's arcs, then P_k+1's others: each arc once, at the float
+        # that assigning P_k's share and adding P_k+1's would store
+        col_k, col_k1 = mix[0][0][:n], mix[1][0][:n]
+        new = np.flatnonzero((col_k1 < n) & (col_k1 != col_k))
+        held = np.full(rows.size + new.size, theta * w)
+        held[: rows.size] = values
+        held[: rows.size][col_k1[rows] == cols] = values + theta * w
+        rows, cols = np.concatenate((rows, new)), np.concatenate((cols, col_k1[new]))
+        values = held
     col, mixed, last = mix[0][0], None, None
     if cap is not None:  # the dummies fold into E's one: a dropped atom ships
         # to it, and a dummy-dummy arc carries cap that X leaves unused
@@ -617,14 +616,14 @@ def _assignment_lp(
         last = np.unique(np.concatenate([f[n:] for f in fold]))
         col = np.append(fold[0][:n], last[0])
         if theta:
-            rows = np.flatnonzero(fold[1][:n] != col[:n])
-            mixed = rows, fold[1][rows]
+            two = np.flatnonzero(fold[1][:n] != col[:n])
+            mixed = two, fold[1][two]
     u, v = _assignment_potentials(E, col, mixed, last, forced)
     return SolveReport(
         # (1 - theta)*V(k) + theta*V(k + 1); a 0.0 start would turn -0.0 to 0.0
-        value=w * sum(parts[1:], parts[0]),
+        value=w * sum(terms[1:], terms[0]),
         status="optimal",
-        plan=TransportPlan._from_support((n, n), support),
+        plan=TransportPlan._from_support((n, n), rows, cols, values),
         potentials=_cap_potentials(u, v, a, b, cap),
         path="assignment",
     )
@@ -913,7 +912,7 @@ def _highs_lp(
             return SolveReport(
                 value=0.0,
                 status="optimal",
-                plan=TransportPlan._own(np.zeros((n, m))),
+                plan=TransportPlan._from_support((n, m), rows, cols, 0.0),
                 potentials=DualPotentials(np.zeros(n), np.zeros(m), 0.0),
             )
         return SolveReport(value=INF, status="infeasible_finite")
@@ -940,9 +939,7 @@ def _highs_lp(
     return SolveReport(
         value=float(res.fun),
         status="optimal",
-        plan=TransportPlan._from_support(
-            (n, m), [(rows[keep], cols[keep], res.x[keep])]
-        ),
+        plan=TransportPlan._from_support((n, m), rows[keep], cols[keep], res.x[keep]),
         potentials=_cap_potentials(duals[:N], duals[N:], a[:n], b[:m], slack_cap),
     )
 
@@ -1128,15 +1125,17 @@ def check_complementary_slackness(
     """Certify optimality: wherever the plan carries mass, the dual constraint
     must be tight.  Returns (ok, violations) with one (i, j, gap) per bad
     pair, in row-major order.  A plan held as its support is read on its
-    arcs alone, with no dense plan built."""
+    arcs alone, with no dense plan built; arcs at or below SUPPORT_TOL carry
+    no mass."""
     if report.status != "optimal":
         raise ConfigurationError("complementary slackness needs an optimal report")
     C = np.asarray(C, dtype=float)
     pot = report.potentials
     if C.shape != (pot.phi.size, pot.psi.size):  # the arcs index C unchecked
         raise ConfigurationError("C's shape does not match the report's")
-    rows, cols = report.plan._held_arcs()
+    rows, cols, values = report.plan._arcs()
     gap = C[rows, cols] - (pot.phi[rows] + pot.psi[cols])
-    bad = np.abs(gap) > DUALITY_TOL
-    violations = list(zip(rows[bad].tolist(), cols[bad].tolist(), gap[bad].tolist()))
+    bad = (np.abs(gap) > DUALITY_TOL) & (values > SUPPORT_TOL)
+    # the arcs are distinct, so the tuples sort row-major
+    violations = sorted(zip(rows[bad].tolist(), cols[bad].tolist(), gap[bad].tolist()))
     return (not violations, violations)

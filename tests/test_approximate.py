@@ -217,6 +217,29 @@ class TestCellReuse:
         assert solves == cells == n * n
 
 
+def _dense_shift(n, wrap):
+    m = np.zeros((n, n))
+    for i in range(1, n):
+        m[i, i - 1] = 1 / n
+    if wrap:
+        m[0, n - 1] = 1 / n
+    return m
+
+
+class TestClosedFormPlans:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9])
+    def test_support_plans_equal_the_dense_constructions(self, n):
+        # the matrices each builder once filled in densely, to the bit
+        for plan, dense in (
+            (diagonal_plan(n), np.eye(n) / n),
+            (antidiagonal_plan(n), np.fliplr(np.eye(n)) / n),
+            (cyclic_shift_plan(n), _dense_shift(n, wrap=True)),
+            (shift_subplan(n), _dense_shift(n, wrap=False)),
+        ):
+            assert plan.mass.shape == (n, n) and plan.mass.tobytes() == dense.tobytes()
+            assert not plan.mass.flags.writeable
+
+
 class TestWeakStarDistance:
     def test_identical_plans(self):
         assert weak_star_distance(diagonal_plan(8), diagonal_plan(8)) == 0.0

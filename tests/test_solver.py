@@ -149,6 +149,14 @@ class TestSolveDual:
         p = DualPotentials(np.zeros(2), np.array([0.0, 1.25]), 0.0)
         assert p.feasibility_slack(C) == 0.25
 
+    @pytest.mark.parametrize("shape", [(), (1, 2), (2, 1), (3, 2), (2, 3)])
+    def test_feasibility_slack_of_another_shape_raises(self, shape):
+        # a scalar C would broadcast to a meaningless slack, the others
+        # would raise numpy's own errors
+        p = solve_dual(np.zeros((2, 2)), uniform(2), uniform(2)).potentials
+        with pytest.raises(ConfigurationError):
+            p.feasibility_slack(np.zeros(shape))
+
     def test_diagonal_grid_dual_matches_primal(self):
         # the grid LP has no duality gap; the continuum gap only appears
         # through the partial relaxation
@@ -231,7 +239,8 @@ class TestTransportPlanOwnership:
             _highs_lp(C, mu.weights, nu.weights, 1 / 8),
             _highs_lp(np.full((2, 2), INF), np.zeros(2), np.zeros(2)),
         ):
-            assert r.status == "optimal" and not r.plan.mass.flags.writeable
+            assert r.status == "optimal" and "mass" not in vars(r.plan)  # a support
+            assert not r.plan.mass.flags.writeable
 
     def test_private_constructor_takes_the_array(self):
         arr = np.array([[0.5, -1e-14], [0.0, 0.5]])
@@ -259,9 +268,7 @@ class TestTransportPlanOwnership:
         rows, cols = np.arange(2), np.arange(2)
         for values in (bad, np.array([0.5, bad])):
             with pytest.raises(ConfigurationError):
-                TransportPlan._from_support((2, 2), [(rows, cols, values)])
-        with pytest.raises(ConfigurationError):  # a later part is checked too
-            TransportPlan._from_support((2, 2), [(rows, cols, 0.5), (rows, cols, bad)])
+                TransportPlan._from_support((2, 2), rows, cols, values)
 
 
 class TestSolvePartial:
@@ -1887,6 +1894,16 @@ class TestSupportPlans:
         assert not mass.flags.writeable
         assert r.plan.mass is mass  # built once
         assert np.array_equal(np.asarray(r.plan.total), ref.sum())
+        # the support lists each arc once, and its arcs and masses are the
+        # reference's positive entries to the bit, a mix's merged arcs too
+        rows, cols, values = r.plan._arcs()
+        values = np.broadcast_to(values, rows.shape)
+        order = np.lexsort((cols, rows))
+        assert np.unique(rows * ref.shape[1] + cols).size == rows.size
+        held = np.nonzero(ref > 0)
+        assert rows[order].tolist() == held[0].tolist()
+        assert cols[order].tolist() == held[1].tolist()
+        assert values[order].tobytes() == ref[held].tobytes()
 
     @pytest.mark.parametrize("eps", [None, 1 / 8, 1.37 / 8])
     def test_catalog_plans_on_both_paths(self, eps):
@@ -1936,35 +1953,39 @@ class TestSupportPlans:
             assert got == check_complementary_slackness(dense, C)
             assert got[0] == (shift == 0.0)
 
-    def test_held_arcs_sum_shared_arcs_in_scatter_order(self):
-        # row-major over both parts, the shared arc (0, 2) once; two shares
-        # below SUPPORT_TOL on it are held by their sum, as in ``mass``
-        tol, rows = solver.SUPPORT_TOL, np.array([0, 1, 2])
-        firsts, seconds = np.array([2, 0, 1]), np.array([2, 1, 0])
-        for share, held in (
-            (0.1, [[0, 1, 1, 2, 2], [2, 0, 1, 0, 1]]),
-            (0.6 * tol, [[0], [2]]),
-        ):
-            plan = TransportPlan._from_support(
-                (3, 3), [(rows, firsts, share), (rows, seconds, np.float64(share))]
-            )
-            got = plan._held_arcs()
-            assert "mass" not in vars(plan)
-            assert [a.tolist() for a in got] == held
-            dense = TransportPlan(plan.mass)._held_arcs()
-            assert [a.tolist() for a in dense] == held
-
     @pytest.mark.parametrize(
         "values, held",
-        [(0.5, [0, 1, 2]), (np.float64(0.5), [0, 1, 2]), (1e-12, []),
-         (np.array([0.5, 1e-12, 0.25]), [0, 2])],
+        [(0.5, [(0, 2, -1.0), (1, 1, -2.0), (2, 0, -3.0)]), (1e-12, []),
+         (np.array([0.5, 0.5, 1e-12]), [(0, 2, -1.0), (2, 0, -3.0)])],
     )
-    def test_held_arcs_of_one_part(self, values, held):
-        rows = np.arange(3)
-        plan = TransportPlan._from_support((3, 4), [(rows, rows + 1, values)])
-        got = plan._held_arcs()
-        assert [a.tolist() for a in got] == [held, [h + 1 for h in held]]
-        assert [a.tolist() for a in TransportPlan(plan.mass)._held_arcs()] == [a.tolist() for a in got]
+    def test_certificate_skips_dust_and_lists_row_major(self, values, held):
+        # a support listed out of row order, an arc at SUPPORT_TOL carrying
+        # no mass: the dense check's violations, in its row-major order
+        rows, cols = np.array([2, 0, 1]), np.array([0, 2, 1])
+        pot = DualPotentials(np.array([1.0, 2.0, 3.0]), np.zeros(3), 0.0)
+        plan = TransportPlan._from_support((3, 3), rows, cols, values)
+        r = SolveReport(0.0, "optimal", plan, pot)
+        assert check_complementary_slackness(r, np.zeros((3, 3))) == (not held, held)
+        dense = replace(r, plan=TransportPlan(plan.mass))
+        assert check_complementary_slackness(dense, np.zeros((3, 3))) == (not held, held)
+
+    @pytest.mark.parametrize(
+        "values", [0.5, 1e-12, np.array([0.5, 1e-12, 0.25]), np.array([0.0, 0.0, 0.0])]
+    )
+    def test_arcs_of_a_float_and_an_array_support(self, values):
+        # the support as held, arcs below SUPPORT_TOL included, with no dense
+        # plan built; a dense plan lists its positive entries row-major
+        rows = np.array([2, 0, 1])
+        plan = TransportPlan._from_support((3, 4), rows, rows + 1, values)
+        got = plan._arcs()
+        assert got[0] is rows and got[2] is values and got[1].tolist() == [3, 1, 2]
+        assert "mass" not in vars(plan)
+        r, c, v = TransportPlan(plan.mass)._arcs()
+        held = np.broadcast_to(values, rows.shape) > 0
+        order = np.argsort(rows[held])
+        assert r.tolist() == rows[held][order].tolist()
+        assert c.tolist() == (rows + 1)[held][order].tolist()
+        assert v.tolist() == np.broadcast_to(values, rows.shape)[held][order].tolist()
 
     def test_full_assignment_solve_allocates_no_dense_plan(self):
         # fat_set's costs are finite: a full solve at n = 1024 reads C in
